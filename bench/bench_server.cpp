@@ -2,20 +2,20 @@
 //
 // The serving-layer claims of service/Server.h, measured two ways:
 //
-//   1. BURST — a same-key burst submitted through the coalescer executes
-//      in strictly fewer batched dispatches than requests, bit-identical
-//      to serial dispatch, and beats the one-request-per-dispatch
-//      configuration (MaxBatch=1, zero window) in wall-clock: the
-//      per-dispatch fixed costs (plan binding, key canonicalization,
-//      backend launch) amortize over the coalesced batch. On this
-//      single-core CI substrate the win is amortization, not
+//   1. BURST — a same-key burst queued behind a busy worker (parked in
+//      its first dispatch by an injected stall) executes as exactly one
+//      batched dispatch, bit-identical to serial dispatch, and beats the
+//      one-request-per-dispatch configuration (MaxBatch=1) in
+//      wall-clock: the per-dispatch fixed costs (plan binding, key
+//      canonicalization, backend launch) amortize over the coalesced
+//      batch. On a single-core substrate the win is amortization, not
 //      parallelism — the honest analogue of the GPU's batched-launch
 //      economics.
 //
 //   2. OPEN LOOP — client threads submitting polynomial products at a
 //      fixed inter-arrival rate; the bench reports sustained req/s and
-//      p50/p99 request latency (submit -> Reply.Done) under the
-//      coalescing configuration.
+//      p50/p99 request latency (submit -> Reply.Done) with the default
+//      work-conserving coalescer.
 //
 // `--smoke` shrinks the load to a seconds-scale wiring check (the CI
 // gate); `--json <path>` writes the flat metric document the
@@ -34,6 +34,7 @@
 #include "field/PrimeGen.h"
 #include "runtime/Dispatcher.h"
 #include "service/Server.h"
+#include "support/FaultInjection.h"
 #include "support/Format.h"
 #include "support/Rng.h"
 
@@ -157,20 +158,35 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Runs the burst through one server configuration; returns wall seconds
-  // (negative on any failed or bit-diverging reply).
+  // Runs the burst through one server configuration. Request 0 parks the
+  // lone worker inside its dispatch (a stall injected at the
+  // server.dispatch fault site) while the rest of the burst queues behind
+  // it, so every configuration serves the same queued burst. Returns the
+  // wall seconds from the unpark to the last reply (negative on any
+  // failed or bit-diverging reply).
+  support::FaultInjection &FI = support::FaultInjection::instance();
   auto RunBurst = [&](const ServerOptions &O, Server::Stats &StOut) {
     for (auto &C : BC)
       std::fill(C.begin(), C.end(), 0);
     Server Srv(Reg, O);
     std::vector<std::future<Reply>> F;
-    auto T0 = Clock::now();
-    for (size_t I = 0; I < BurstReqs; ++I)
+    auto Submit = [&](size_t I) {
       F.push_back(
           Srv.polyMul(Q, BA[I].data(), BB[I].data(), BC[I].data(), NPoints));
+    };
+    const std::uint64_t HitsBefore = FI.counters("server.dispatch").Hits;
+    FI.configure("server.dispatch", support::FaultPolicy::delayUs(100000));
+    Submit(0);
+    while (FI.counters("server.dispatch").Hits == HitsBefore)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    for (size_t I = 1; I < BurstReqs; ++I)
+      Submit(I);
+    FI.clear("server.dispatch");
     Srv.drain();
-    double Wall = secondsSince(T0);
     StOut = Srv.stats();
+    // The worker stamps every reply: the parked request's stamp marks the
+    // unpark, the latest stamp the end of the burst.
+    Clock::time_point Unparked, Last;
     for (size_t I = 0; I < BurstReqs; ++I) {
       Reply Rep = F[I].get();
       if (!Rep.Ok || BC[I] != BWant[I]) {
@@ -179,24 +195,27 @@ int main(int argc, char **argv) {
                             : Rep.Error.c_str());
         return -1.0;
       }
+      if (I == 0)
+        Unparked = Last = Rep.Done;
+      Last = std::max(Last, Rep.Done);
     }
-    return Wall;
+    return std::chrono::duration<double>(Last - Unparked).count();
   };
 
   ServerOptions Coal;
   Coal.Workers = 1;
   Coal.MaxBatch = BurstReqs;
-  Coal.CoalesceWindowUs = 200000;
   ServerOptions PerReq;
   PerReq.Workers = 1;
   PerReq.MaxBatch = 1; // one request per dispatch: the no-coalescing model
-  PerReq.CoalesceWindowUs = 0;
 
   Server::Stats CoalSt, BaseSt;
   double CoalWall = RunBurst(Coal, CoalSt);
   double BaseWall = RunBurst(PerReq, BaseSt);
   bool BurstOk = CoalWall > 0 && BaseWall > 0;
-  bool CoalescedOk = BurstOk && CoalSt.Dispatches < BurstReqs;
+  // The parked request alone, then the queued rest as one batch.
+  bool CoalescedOk = BurstOk && CoalSt.Dispatches == 2 &&
+                     CoalSt.MaxBatchSize == BurstReqs - 1;
   AllOk = AllOk && BurstOk && CoalescedOk;
 
   recordMetric("server/burst/requests_count", static_cast<double>(BurstReqs));
@@ -253,7 +272,6 @@ int main(int argc, char **argv) {
   ServerOptions Open;
   Open.Workers = 2;
   Open.MaxBatch = 128;
-  Open.CoalesceWindowUs = 500;
   std::vector<double> LatencyNs(OpenReqs);
   std::vector<char> OpenOk(OpenReqs, 0);
   Clock::time_point LastDone;

@@ -43,17 +43,20 @@ moma::runtime::unpackBatch(const std::vector<std::uint64_t> &Words,
 
 namespace {
 
-/// Evicts least-recently-used entries until \p M holds at most \p Cap,
-/// bumping \p Evictions per erased entry. Entries carry a LastUse stamp
-/// (directly or via .LastUse of a wrapper member).
-template <typename Map, typename StampOf>
-void evictOver(Map &M, size_t Cap, std::uint64_t &Evictions,
-               StampOf Stamp) {
-  while (M.size() > Cap) {
+/// Evicts least-recently-used entries (by their LastUse stamp) while
+/// \p Over() holds and more than one entry remains, handing each victim
+/// to \p Erasing just before it goes and bumping \p Evictions. The
+/// freshest entry always survives, so a pointer to the entry just
+/// inserted stays valid.
+template <typename Map, typename OverFn, typename ErasingFn>
+void evictLru(Map &M, std::uint64_t &Evictions, OverFn Over,
+              ErasingFn Erasing) {
+  while (M.size() > 1 && Over()) {
     auto Victim = M.begin();
     for (auto It = M.begin(); It != M.end(); ++It)
-      if (Stamp(It->second) < Stamp(Victim->second))
+      if (It->second.LastUse < Victim->second.LastUse)
         Victim = It;
+    Erasing(Victim->second);
     M.erase(Victim);
     ++Evictions;
   }
@@ -100,16 +103,28 @@ Dispatcher::CacheCounters Dispatcher::cacheCounters() const {
   CacheCounters C = Evictions;
   C.BoundEntries = Bound.size();
   C.TableEntries = NttCtx.size();
+  C.TableBytes = TableBytes;
   return C;
 }
 
-void Dispatcher::setCacheCaps(size_t MaxBoundPlans, size_t MaxNttTables) {
+void Dispatcher::setCacheCaps(size_t MaxBoundPlans, size_t MaxTableSetBytes) {
   MaxBound = std::max<size_t>(1, MaxBoundPlans);
-  MaxTables = std::max<size_t>(1, MaxNttTables);
-  evictOver(Bound, MaxBound, Evictions.BoundEvictions,
-            [](const BoundPlan &B) { return B.LastUse; });
-  evictOver(NttCtx, MaxTables, Evictions.TableEvictions,
-            [](const TablesEntry &T) { return T.LastUse; });
+  MaxTableBytes = MaxTableSetBytes;
+  trimBound();
+  trimTables();
+}
+
+void Dispatcher::trimBound() {
+  evictLru(
+      Bound, Evictions.BoundEvictions,
+      [&] { return Bound.size() > MaxBound; }, [](const BoundPlan &) {});
+}
+
+void Dispatcher::trimTables() {
+  evictLru(
+      NttCtx, Evictions.TableEvictions,
+      [&] { return TableBytes > MaxTableBytes; },
+      [&](const TablesEntry &E) { TableBytes -= E.T.bytes(); });
 }
 
 Dispatcher::BoundPlan *Dispatcher::bind(KernelOp Op, const Bignum &Q,
@@ -215,8 +230,7 @@ Dispatcher::BoundPlan *Dispatcher::bindPlan(KernelOp Op, const Bignum &Q,
   auto Ins = Bound.insert_or_assign(CacheKey, std::move(BP));
   // The freshest stamp is the entry just inserted, so LRU eviction never
   // invalidates the pointer handed back here.
-  evictOver(Bound, MaxBound, Evictions.BoundEvictions,
-            [](const BoundPlan &B) { return B.LastUse; });
+  trimBound();
   return &Ins.first->second;
 }
 
@@ -319,9 +333,9 @@ const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
     return fail("Dispatcher: " + Err, DispatchErrorCode::InvalidArgument),
            nullptr;
   E.LastUse = ++UseTick;
+  TableBytes += E.T.bytes();
   auto Ins = NttCtx.emplace(std::move(Key), std::move(E));
-  evictOver(NttCtx, MaxTables, Evictions.TableEvictions,
-            [](const TablesEntry &T) { return T.LastUse; });
+  trimTables();
   return &Ins.first->second.T;
 }
 

@@ -283,17 +283,21 @@ public:
   /// The binding and twiddle-table caches are bounded: beyond the caps
   /// the least-recently-used entry is evicted (a dispatcher serving an
   /// unbounded stream of distinct moduli/sizes stays at steady memory).
-  /// Counters let tests and monitoring observe occupancy and churn.
+  /// Bindings are capped by count; table sets by the bytes of their
+  /// vectors, since one 2^14-point set at 256 bits outweighs hundreds
+  /// of small ones. Counters let tests and monitoring observe occupancy
+  /// and churn.
   struct CacheCounters {
     size_t BoundEntries = 0;
     std::uint64_t BoundEvictions = 0;
     size_t TableEntries = 0;
+    size_t TableBytes = 0; ///< NttTables::bytes() summed over entries
     std::uint64_t TableEvictions = 0;
   };
   CacheCounters cacheCounters() const;
-  /// Adjusts the cache caps (both default to generous production sizes;
-  /// at least one entry each is always kept).
-  void setCacheCaps(size_t MaxBoundPlans, size_t MaxNttTables);
+  /// Adjusts the cache caps (defaults: 128 bindings, 64 MiB of tables).
+  /// At least one entry each is always kept, even one over its cap.
+  void setCacheCaps(size_t MaxBoundPlans, size_t MaxTableBytes);
 
   /// The degradation ladder's observable state. When a requested plan
   /// cannot be built (JIT compiler gone, injected fault past the
@@ -337,6 +341,9 @@ private:
     NttTables T;
     std::uint64_t LastUse = 0;
   };
+  /// LRU-evict down to the caps.
+  void trimBound();
+  void trimTables();
 
   /// \p SizeHint is the elements-per-dispatch estimate handed to the
   /// autotuner (decisions are per batch-size class).
@@ -414,7 +421,8 @@ private:
   rewrite::PlanOptions LastOpts;
   std::map<std::string, BoundPlan> Bound; ///< by full plan key + modulus
   std::map<std::string, TablesEntry> NttCtx; ///< by modulus + size + domain
-  size_t MaxBound = 128, MaxTables = 64;
+  size_t MaxBound = 128, MaxTableBytes = size_t(64) << 20;
+  size_t TableBytes = 0; ///< NttTables::bytes() summed over NttCtx
   std::uint64_t UseTick = 0; ///< LRU clock shared by both caches
   DispatchStats DStats;
   /// Atomic mirrors of DegradeCounters (snapshot via degradeCounters()).

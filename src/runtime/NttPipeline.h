@@ -59,6 +59,14 @@ struct NttTables {
   std::vector<std::uint64_t> NInv;   ///< n^-1 (twiddle domain), ElemWords
   std::vector<std::uint64_t> Twist;  ///< ψ^i, n x ElemWords (negacyclic)
   std::vector<std::uint64_t> Untwist; ///< ψ^{-i}·n^-1, n x ElemWords
+
+  /// Bytes held by the table vectors — what a table cache charges.
+  size_t bytes() const {
+    return BitRev.size() * sizeof(std::uint32_t) +
+           (Tw.size() + InvTw.size() + NInv.size() + Twist.size() +
+            Untwist.size()) *
+               sizeof(std::uint64_t);
+  }
 };
 
 /// Builds the tables for modulus \p Q at transform size \p NPoints in the

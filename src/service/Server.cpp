@@ -77,12 +77,12 @@ Server::~Server() {
 //===----------------------------------------------------------------------===//
 
 std::future<Reply> Server::submit(Request R) {
-  R.Arrival = std::chrono::steady_clock::now();
   std::uint64_t Budget =
       R.DeadlineUs ? R.DeadlineUs : Opts.DefaultDeadlineUs;
   if (Budget) {
     R.HasDeadline = true;
-    R.Deadline = R.Arrival + std::chrono::microseconds(Budget);
+    R.Deadline = std::chrono::steady_clock::now() +
+                 std::chrono::microseconds(Budget);
   }
   std::future<Reply> F = R.Promise.get_future();
   ErrorCode Code;
@@ -333,69 +333,39 @@ void Server::replyExpired(std::vector<Request> &Expired) {
 // Worker: coalesce and dispatch
 //===----------------------------------------------------------------------===//
 
+void Server::takeBatchLocked(std::vector<Request> &Batch) {
+  const std::string Key = Queue.front().Key;
+  for (auto It = Queue.begin();
+       It != Queue.end() && Batch.size() < Opts.MaxBatch;) {
+    if (It->Key == Key) {
+      Batch.push_back(std::move(*It));
+      It = Queue.erase(It);
+    } else {
+      ++It;
+    }
+  }
+}
+
 void Server::workerLoop(Worker &W) {
   std::unique_lock<std::mutex> L(QMu);
-  // Moves every queued request matching Key (up to MaxBatch total) into
-  // Batch, preserving arrival order — except requests whose deadline has
-  // already passed, which divert to Expired: a request is either rejected
-  // while still queued or served as part of a batch, never torn from one
-  // mid-flight. Called under QMu.
-  auto TakeMatching = [&](const std::string &Key,
-                          std::vector<Request> &Batch,
-                          std::vector<Request> &Expired) {
-    const auto Now = std::chrono::steady_clock::now();
-    for (auto It = Queue.begin();
-         It != Queue.end() && Batch.size() < Opts.MaxBatch;) {
-      if (It->Key == Key) {
-        if (It->HasDeadline && Now >= It->Deadline) {
-          ++S.DeadlineExpired;
-          Expired.push_back(std::move(*It));
-        } else {
-          Batch.push_back(std::move(*It));
-        }
-        It = Queue.erase(It);
-      } else {
-        ++It;
-      }
-    }
-  };
-
   for (;;) {
     QCv.wait(L, [&] { return Stop || !Queue.empty(); });
-    if (Queue.empty()) {
-      if (Stop)
-        return;
-      continue; // spurious wake or another worker won the race
-    }
+    if (Queue.empty())
+      return; // stopping, and everything admitted has been taken
 
     // Reject everything already past its deadline — any key, so a
     // stalled dispatch elsewhere (slow compile, injected delay) never
-    // leaves expired requests waiting behind an unrelated batch.
-    std::vector<Request> Expired;
+    // leaves expired requests waiting behind an unrelated batch. The
+    // batch is taken under the same lock hold, so a request is either
+    // rejected while still queued or served whole, never torn from a
+    // batch mid-flight.
+    std::vector<Request> Expired, Batch;
     sweepExpiredLocked(Expired);
-    if (Queue.empty()) {
-      L.unlock();
-      replyExpired(Expired);
-      L.lock();
-      continue;
-    }
-
-    // Adopt the oldest request's key and hold its batch open until the
-    // latency budget measured from ITS arrival expires — the head of the
-    // queue never waits longer than one coalesce window.
-    const std::string Key = Queue.front().Key;
-    const auto Deadline =
-        Queue.front().Arrival +
-        std::chrono::microseconds(Opts.CoalesceWindowUs);
-    std::vector<Request> Batch;
-    TakeMatching(Key, Batch, Expired);
-    while (!Stop && Batch.size() < Opts.MaxBatch) {
-      if (QCv.wait_until(L, Deadline) == std::cv_status::timeout) {
-        TakeMatching(Key, Batch, Expired); // final sweep at the deadline
-        break;
-      }
-      TakeMatching(Key, Batch, Expired); // same-key arrival in the window
-    }
+    // Work-conserving: dispatch what is queued now instead of holding
+    // the batch open for arrivals. Batches grow with load — whatever
+    // queued while every worker was busy.
+    if (!Queue.empty())
+      takeBatchLocked(Batch);
 
     L.unlock();
     replyExpired(Expired);

@@ -8,9 +8,9 @@
 /// \file
 /// The front door of the runtime for many independent clients: a
 /// thread-safe submission queue accepting polyMul/NTT/RNS/BLAS requests
-/// with futures back to the callers, a coalescer that packs same-(op,
-/// modulus, shape, ring) requests into one batched dispatch within a
-/// configurable latency budget, and worker threads draining the queue.
+/// with futures back to the callers, a coalescer that packs queued
+/// same-(op, modulus, shape, ring) requests into one batched dispatch,
+/// and worker threads draining the queue.
 ///
 /// Why it exists: the Dispatcher only hits the paper's batched-dispatch
 /// sweet spot when callers arrive with large batches, but the north-star
@@ -20,6 +20,13 @@
 /// one dispatch over the concatenated batch, amortizing per-dispatch
 /// fixed costs (plan binding, key canonicalization, backend launch) that
 /// would otherwise dominate small requests.
+///
+/// Batching is work-conserving: a worker that finds the queue non-empty
+/// takes the head request plus every same-key request already queued
+/// and dispatches at once — it never holds a batch open waiting for
+/// arrivals. A lone request therefore pays no coalescing latency, and
+/// batches form from whatever queues while every worker is busy, so
+/// coalescing grows with load instead of being bought with latency.
 ///
 /// Sharing model: all workers share one thread-safe KernelRegistry (and
 /// optionally one Autotuner), so a cold kernel is compiled exactly once
@@ -63,11 +70,6 @@ struct ServerOptions {
   unsigned Workers = 2;
   /// Most requests packed into one coalesced dispatch.
   size_t MaxBatch = 256;
-  /// How long a worker holds the oldest request open for same-key
-  /// arrivals before dispatching — the latency budget traded for batch
-  /// size. 0 dispatches immediately (no coalescing beyond what is
-  /// already queued).
-  unsigned CoalesceWindowUs = 200;
   /// Requests admitted before submissions are rejected ("queue full"
   /// replies) — the overload backstop.
   size_t QueueCap = 1 << 16;
@@ -104,7 +106,7 @@ const char *errorCodeName(ErrorCode C);
 
 /// What a request's future resolves to. Latency accounting: Done is
 /// stamped just before the promise is fulfilled, so (Done - submit time)
-/// is the request's queue + coalesce + execute latency.
+/// is the request's queue + execute latency.
 struct Reply {
   bool Ok = false;
   ErrorCode Code = ErrorCode::Ok; ///< typed failure class
@@ -253,7 +255,6 @@ private:
     std::string Key;
     std::uint64_t DeadlineUs = 0; ///< caller's budget (0 = server default)
     bool HasDeadline = false;
-    std::chrono::steady_clock::time_point Arrival;
     std::chrono::steady_clock::time_point Deadline; ///< if HasDeadline
     std::promise<Reply> Promise;
   };
@@ -277,6 +278,10 @@ private:
   /// then decrements Pending and notifies DrainCv. Called WITHOUT QMu
   /// held.
   void replyExpired(std::vector<Request> &Expired);
+  /// Moves the head request and every queued request sharing its key
+  /// (up to MaxBatch total) into \p Batch, in arrival order. Called
+  /// under QMu with a non-empty queue.
+  void takeBatchLocked(std::vector<Request> &Batch);
   /// Serves one coalesced batch (all sharing Batch[0].Key) on \p W.
   void execute(Worker &W, std::vector<Request> &Batch);
   /// Runs the actual dispatcher call(s) for \p Batch staged as one

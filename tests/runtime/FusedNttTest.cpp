@@ -366,23 +366,35 @@ TEST(FusedNtt, AutotunedDispatcherMatchesPinnedBitForBit) {
 //===----------------------------------------------------------------------===//
 
 TEST(FusedNtt, CachesEvictLeastRecentlyUsed) {
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
-  D.setCacheCaps(/*MaxBoundPlans=*/2, /*MaxNttTables=*/2);
   Bignum Q = field::nttPrime(60, 10);
   unsigned K = Dispatcher::elemWords(Q);
   SeededRng R(0xF05ED6);
   auto Polys = randomElems(R, Q, 64);
   auto Packed = packBatch(Polys, K);
-
-  // Three transform sizes through a two-entry table cache.
-  for (size_t N : {8, 16, 32, 8}) {
+  auto Forward = [&](Dispatcher &D, size_t N) {
     auto Data = Packed;
-    ASSERT_TRUE(D.nttForward(Q, Data.data(), N, 64 / N)) << D.error();
+    return D.nttForward(Q, Data.data(), N, 64 / N);
+  };
+
+  // The table cap is in bytes: size it to exactly the n=16 and n=32
+  // table sets, so two of the three sizes below fit at a time.
+  size_t Cap = 0;
+  {
+    Dispatcher Probe(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+    ASSERT_TRUE(Forward(Probe, 16)) << Probe.error();
+    ASSERT_TRUE(Forward(Probe, 32)) << Probe.error();
+    Cap = Probe.cacheCounters().TableBytes;
   }
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  D.setCacheCaps(/*MaxBoundPlans=*/2, /*MaxTableBytes=*/Cap);
+
+  for (size_t N : {8, 16, 32, 8})
+    ASSERT_TRUE(Forward(D, N)) << D.error();
   Dispatcher::CacheCounters C = D.cacheCounters();
-  EXPECT_LE(C.TableEntries, 2u);
-  EXPECT_GE(C.TableEvictions, 2u)
-      << "n=32 evicts n=8, re-running n=8 evicts the LRU survivor";
+  EXPECT_EQ(C.TableEntries, 2u);
+  EXPECT_LE(C.TableBytes, Cap);
+  EXPECT_EQ(C.TableEvictions, 2u)
+      << "n=32 evicts n=8, re-running n=8 evicts the LRU survivor n=16";
 
   // Three distinct moduli bind three vadd plans through a two-entry
   // binding cache (same compiled plan, different broadcast tails).
@@ -405,6 +417,41 @@ TEST(FusedNtt, CachesEvictLeastRecentlyUsed) {
   ASSERT_TRUE(D.nttForward(Q, Data.data(), 16, 4)) << D.error();
   ASSERT_TRUE(D.nttInverse(Q, Data.data(), 16, 4)) << D.error();
   EXPECT_EQ(Data, Packed);
+}
+
+TEST(FusedNtt, TableCacheChargesBytesNotEntries) {
+  // Many small table sets: 96 distinct n = 64 sets at 252 bits (48
+  // moduli x both rings — prime generation dominates the test's time)
+  // all stay resident under the default byte cap. An entry-count cap of
+  // 64 rebuilt a third of them on every pass.
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  const size_t N = 64;
+  for (unsigned T = 0; T < 48; ++T) {
+    Bignum Q = field::nttPrime(252, 16, 7000 + T);
+    std::vector<std::uint64_t> Data(N * Dispatcher::elemWords(Q), 0);
+    for (rewrite::NttRing Ring :
+         {rewrite::NttRing::Cyclic, rewrite::NttRing::Negacyclic})
+      ASSERT_TRUE(D.nttForward(Q, Data.data(), N, 1, Ring)) << D.error();
+  }
+  Dispatcher::CacheCounters C = D.cacheCounters();
+  EXPECT_EQ(C.TableEntries, 96u);
+  EXPECT_EQ(C.TableEvictions, 0u);
+
+  // Few large ones: a cap below two 2^14-point table sets keeps only
+  // the newer set.
+  Dispatcher Big(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  const size_t BigN = size_t(1) << 14;
+  const Bignum Q1 = field::nttPrime(252, 16, 7000),
+               Q2 = field::nttPrime(252, 16, 7001);
+  std::vector<std::uint64_t> Data(BigN * Dispatcher::elemWords(Q1), 0);
+  ASSERT_TRUE(Big.nttForward(Q1, Data.data(), BigN, 1)) << Big.error();
+  const size_t OneSet = Big.cacheCounters().TableBytes;
+  Big.setCacheCaps(/*MaxBoundPlans=*/128, /*MaxTableBytes=*/OneSet * 3 / 2);
+  ASSERT_TRUE(Big.nttForward(Q2, Data.data(), BigN, 1)) << Big.error();
+  C = Big.cacheCounters();
+  EXPECT_EQ(C.TableEntries, 1u);
+  EXPECT_EQ(C.TableEvictions, 1u);
+  EXPECT_EQ(C.TableBytes, OneSet) << "the Q2 set should have replaced Q1's";
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "../TestUtil.h"
+#include "ParkedWorker.h"
 
 #include "field/PrimeGen.h"
 #include "runtime/Dispatcher.h"
@@ -127,7 +128,6 @@ TEST(ServerFault, DispatchFaultYieldsTypedReplyThenHeals) {
 
   ServerOptions O;
   O.Workers = 1;
-  O.CoalesceWindowUs = 0;
   service::Server Srv(Reg, O);
 
   FaultInjection::instance().configure("server.dispatch",
@@ -156,7 +156,7 @@ TEST(ServerFault, QueueFullRejectionCarriesTypedCode) {
   const Bignum Q = q60();
   const size_t N = 8;
   const unsigned K = Dispatcher::elemWords(Q);
-  // Warm the plan so queued work drains fast once the window breaks.
+  // Warm the plan so queued work drains fast once the worker unparks.
   {
     Dispatcher Warm(Reg);
     std::vector<std::uint64_t> A = randomWords(R, Q, N),
@@ -175,13 +175,15 @@ TEST(ServerFault, QueueFullRejectionCarriesTypedCode) {
     ServerOptions O;
     O.Workers = 1;
     O.MaxBatch = 2;
-    O.CoalesceWindowUs = 2000000; // the worker parks in this window
     O.QueueCap = 3;
     service::Server Srv(Reg, O);
+    // The polyMul parks the lone worker; the flood meets an empty queue.
+    ParkedWorker Park;
     F.push_back(Srv.polyMul(Q, PA.data(), PB.data(), PC.data(), N));
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Park.wait();
     for (int I = 0; I < Flood; ++I)
       F.push_back(Srv.vadd(Q, PA.data(), PB.data(), VC[I].data(), N));
+    Park.release();
   }
   size_t Full = 0;
   for (auto &Fut : F) {
@@ -193,7 +195,7 @@ TEST(ServerFault, QueueFullRejectionCarriesTypedCode) {
       EXPECT_EQ(Rep.Code, ErrorCode::Ok);
     }
   }
-  EXPECT_GE(Full, 2u) << "QueueCap=3 never filled";
+  EXPECT_EQ(Full, 3u) << "QueueCap=3 should admit exactly 3 of the flood";
 }
 
 //===----------------------------------------------------------------------===//
@@ -219,7 +221,6 @@ TEST(ServerFault, DeadlineExpiresQueuedRequestUnderStalledCompile) {
                                        FaultPolicy::delayUs(300000));
   ServerOptions O;
   O.Workers = 1;
-  O.CoalesceWindowUs = 0;
   service::Server Srv(Reg, O);
   std::future<Reply> F1 = Srv.vadd(Q, A.data(), B.data(), C1.data(), N);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -268,7 +269,6 @@ TEST(ServerFault, DefaultDeadlineAppliesAndBatchesAreNeverTorn) {
                                        FaultPolicy::delayUs(150000));
   ServerOptions O;
   O.Workers = 1;
-  O.CoalesceWindowUs = 0;
   O.DefaultDeadlineUs = 40000;
   service::Server Srv(Reg, O);
   std::future<Reply> F1 = Srv.vadd(Q, A.data(), B.data(), C1.data(), N);
@@ -347,7 +347,6 @@ TEST(ServerFault, MixedClientsBitIdenticalOnInterpFallback) {
   ServerOptions O;
   O.Workers = 2;
   O.MaxBatch = 16;
-  O.CoalesceWindowUs = 300;
   service::Server Srv(RegB, O);
   std::atomic<int> Failures{0};
   runThreads(Clients, [&](int T) {
@@ -411,7 +410,6 @@ TEST(ServerFault, HealthyServerReportsCleanHealth) {
                              B = randomWords(R, Q, N), C(N * K);
   ServerOptions O;
   O.Workers = 1;
-  O.CoalesceWindowUs = 0;
   service::Server Srv(Reg, O);
   Reply Rep = Srv.vadd(Q, A.data(), B.data(), C.data(), N).get();
   ASSERT_TRUE(Rep.Ok) << Rep.Error;
@@ -455,7 +453,6 @@ TEST(ServerFault, DestructorDrainsWithFaultedBuildsInFlight) {
   {
     ServerOptions O;
     O.Workers = 2;
-    O.CoalesceWindowUs = 100;
     service::Server Srv(Reg, O);
     for (int I = 0; I < Reqs; ++I)
       F.push_back(I % 2 == 0

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "../TestUtil.h"
+#include "ParkedWorker.h"
 
 #include "field/PrimeGen.h"
 #include "runtime/Dispatcher.h"
@@ -110,7 +111,7 @@ TEST(Server, BurstCoalescesAndMatchesSerial) {
   const unsigned K = Dispatcher::elemWords(Q);
 
   // Serial reference through the same registry (also warms the plans, so
-  // the server's coalesce windows never straddle a JIT compile).
+  // the server's dispatches never straddle a JIT compile).
   Dispatcher Serial(registry());
   std::vector<std::vector<std::uint64_t>> A, B, C(Reqs), Want(Reqs);
   for (size_t I = 0; I < Reqs; ++I) {
@@ -126,11 +127,13 @@ TEST(Server, BurstCoalescesAndMatchesSerial) {
   ServerOptions O;
   O.Workers = 1;
   O.MaxBatch = 64;
-  O.CoalesceWindowUs = 200000; // generous: the whole burst fits one window
   service::Server Srv(registry(), O);
   std::vector<std::future<Reply>> F;
-  for (size_t I = 0; I < Reqs; ++I)
+  // Request 0 parks the lone worker in its dispatch; the rest of the
+  // burst queues behind it and coalesces into one batch.
+  submitBehindParkedWorker(Reqs, [&](size_t I) {
     F.push_back(Srv.polyMul(Q, A[I].data(), B[I].data(), C[I].data(), N));
+  });
   Srv.drain();
 
   for (size_t I = 0; I < Reqs; ++I) {
@@ -145,9 +148,9 @@ TEST(Server, BurstCoalescesAndMatchesSerial) {
   service::Server::Stats St = Srv.stats();
   EXPECT_EQ(St.Requests, Reqs);
   EXPECT_EQ(St.Rejected, 0u);
-  EXPECT_LT(St.Dispatches, Reqs) << "coalescer never batched anything";
-  EXPECT_GE(St.MaxBatchSize, 2u);
-  EXPECT_GE(St.Coalesced, 2u);
+  EXPECT_EQ(St.Dispatches, 2u) << "the queued burst was not one batch";
+  EXPECT_EQ(St.MaxBatchSize, Reqs - 1);
+  EXPECT_EQ(St.Coalesced, Reqs - 1);
 }
 
 TEST(Server, MixedConcurrentClientsMatchSerial) {
@@ -198,7 +201,6 @@ TEST(Server, MixedConcurrentClientsMatchSerial) {
   ServerOptions O;
   O.Workers = 3;
   O.MaxBatch = 32;
-  O.CoalesceWindowUs = 300;
   service::Server Srv(registry(), O);
   std::atomic<int> Failures{0};
   runThreads(Clients, [&](int T) {
@@ -245,7 +247,6 @@ TEST(Server, NttRoundTripCoalesced) {
   SeededRng R(0x17f0);
   const Bignum Q = q60();
   const size_t N = 16, Reqs = 8;
-  const unsigned K = Dispatcher::elemWords(Q);
 
   Dispatcher Serial(registry());
   std::vector<std::vector<std::uint64_t>> Data(Reqs), Orig(Reqs),
@@ -261,29 +262,32 @@ TEST(Server, NttRoundTripCoalesced) {
   ServerOptions O;
   O.Workers = 1;
   O.MaxBatch = 16;
-  O.CoalesceWindowUs = 100000;
   service::Server Srv(registry(), O);
 
-  std::vector<std::future<Reply>> F;
-  for (size_t I = 0; I < Reqs; ++I)
-    F.push_back(Srv.nttForward(Q, Data[I].data(), N));
-  for (auto &Fut : F) {
-    Reply Rep = Fut.get();
-    ASSERT_TRUE(Rep.Ok) << Rep.Error;
-  }
+  // Each direction: transform 0 parks the worker, the other Reqs - 1
+  // queue behind it and run as one batched transform.
+  auto RunParked = [&](bool Forward) {
+    std::vector<std::future<Reply>> F;
+    submitBehindParkedWorker(Reqs, [&](size_t I) {
+      F.push_back(Forward ? Srv.nttForward(Q, Data[I].data(), N)
+                          : Srv.nttInverse(Q, Data[I].data(), N));
+    });
+    for (auto &Fut : F) {
+      Reply Rep = Fut.get();
+      ASSERT_TRUE(Rep.Ok) << Rep.Error;
+    }
+  };
+
+  RunParked(/*Forward=*/true);
   for (size_t I = 0; I < Reqs; ++I)
     EXPECT_EQ(Data[I], Want[I]) << "forward transform " << I;
-
-  F.clear();
-  for (size_t I = 0; I < Reqs; ++I)
-    F.push_back(Srv.nttInverse(Q, Data[I].data(), N));
-  for (auto &Fut : F) {
-    Reply Rep = Fut.get();
-    ASSERT_TRUE(Rep.Ok) << Rep.Error;
-  }
+  RunParked(/*Forward=*/false);
   for (size_t I = 0; I < Reqs; ++I)
     EXPECT_EQ(Data[I], Orig[I]) << "round trip " << I;
-  (void)K;
+  Srv.drain(); // stats land just after the replies
+  service::Server::Stats St = Srv.stats();
+  EXPECT_EQ(St.Dispatches, 4u);
+  EXPECT_EQ(St.MaxBatchSize, Reqs - 1);
 }
 
 TEST(Server, RnsPolyMulCoalescedMatchesSerial) {
@@ -314,19 +318,21 @@ TEST(Server, RnsPolyMulCoalescedMatchesSerial) {
   ServerOptions O;
   O.Workers = 1;
   O.MaxBatch = 8;
-  O.CoalesceWindowUs = 100000;
   service::Server Srv(registry(), O);
   std::vector<std::future<Reply>> F;
-  for (size_t I = 0; I < Reqs; ++I)
+  submitBehindParkedWorker(Reqs, [&](size_t I) {
     F.push_back(Srv.rnsPolyMul(Ctx, A[I].data(), B[I].data(), C[I].data(),
                                N));
+  });
   for (auto &Fut : F) {
     Reply Rep = Fut.get();
     ASSERT_TRUE(Rep.Ok) << Rep.Error;
   }
   for (size_t I = 0; I < Reqs; ++I)
     EXPECT_EQ(C[I], Want[I]) << "wide product " << I;
-  EXPECT_LT(Srv.stats().Dispatches, Reqs);
+  Srv.drain(); // stats land just after the replies
+  EXPECT_EQ(Srv.stats().Dispatches, 2u);
+  EXPECT_EQ(Srv.stats().MaxBatchSize, Reqs - 1);
 }
 
 TEST(Server, QueueCapRejectsAndDestructorFlushes) {
@@ -356,19 +362,19 @@ TEST(Server, QueueCapRejectsAndDestructorFlushes) {
     ServerOptions O;
     O.Workers = 1;
     O.MaxBatch = 2;
-    O.CoalesceWindowUs = 2000000; // the worker parks in this window
     O.QueueCap = 4;
     service::Server Srv(registry(), O);
+    // The polyMul parks the lone worker in its dispatch, so the queue is
+    // empty when the flood arrives: exactly QueueCap of it is admitted.
+    ParkedWorker Park;
     F.push_back(Srv.polyMul(Q, PA.data(), PB.data(), PC.data(), PolyN));
-    // Give the worker time to adopt the polyMul and park in its coalesce
-    // window; the flood below then queues behind it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Park.wait();
     for (int I = 0; I < Flood; ++I)
       F.push_back(Srv.vadd(Q, VA.data(), VB.data(), VC[I].data(), VecN));
     Rejected = Srv.stats().Rejected;
-    EXPECT_GE(Rejected, 2u) << "QueueCap=4 never filled";
-    EXPECT_LE(Rejected, 3u);
-  } // destructor: breaks the window, flushes the queue, joins
+    EXPECT_EQ(Rejected, static_cast<std::uint64_t>(Flood) - O.QueueCap);
+    Park.release();
+  } // destructor: waits out the parked dispatch, flushes the queue, joins
 
   // Every future resolved at destruction: the polyMul and the admitted
   // vadds successfully, the over-cap submissions with a rejection reply.
@@ -392,6 +398,42 @@ TEST(Server, QueueCapRejectsAndDestructorFlushes) {
   }
   EXPECT_EQ(Refused, Rejected);
   EXPECT_EQ(Served + Refused, static_cast<std::uint64_t>(Flood));
+}
+
+TEST(Server, IdleWorkerServesWhileAnotherIsParked) {
+  SeededRng R(0x1d1e);
+  FreshCacheDir Dir("idle");
+  KernelRegistry Reg(Dir.options());
+  const Bignum Q = q60();
+  const size_t N = 8;
+  const unsigned K = Dispatcher::elemWords(Q);
+  std::vector<std::uint64_t> A = randomWords(R, Q, N),
+                             B = randomWords(R, Q, N), Cold(N * K),
+                             Warm(N * K), Want(N * K);
+  Dispatcher Serial(Reg);
+  ASSERT_TRUE(Serial.vadd(Q, A.data(), B.data(), Want.data(), N))
+      << Serial.error(); // the vadd plan is warm; vmul stays cold
+
+  ServerOptions O;
+  O.Workers = 2;
+  service::Server Srv(Reg, O);
+  ParkedWorker Park(/*DelayUs=*/300000, "jit.compile");
+  std::future<Reply> FCold = Srv.vmul(Q, A.data(), B.data(), Cold.data(), N);
+  Park.wait();
+  Park.release();
+
+  // One worker is stalled in the cold compile; the other must serve the
+  // warm request now, not after the stall.
+  std::future<Reply> FWarm = Srv.vadd(Q, A.data(), B.data(), Warm.data(), N);
+  Reply RWarm = FWarm.get();
+  ASSERT_TRUE(RWarm.Ok) << RWarm.Error;
+  EXPECT_EQ(Warm, Want);
+  EXPECT_NE(FCold.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the warm request waited for the parked worker";
+  Reply RCold = FCold.get();
+  ASSERT_TRUE(RCold.Ok) << RCold.Error;
+  EXPECT_LT(RWarm.Done, RCold.Done);
 }
 
 //===----------------------------------------------------------------------===//
