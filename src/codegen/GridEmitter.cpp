@@ -150,10 +150,12 @@ EmittedGridKernel moma::codegen::emitGridC(const LoweredKernel &L,
   Src += "  }\n}\n";
 
   //===--------------------------------------------------------------------===//
-  // NTT-stage entry (butterfly kernels only): one virtual thread per
-  // butterfly of one stage, batch row in blockIdx.y (paper 5.1 NTT
-  // mapping). In-place over X; the scalar call loads x/y before the
-  // stores, so xo/yo may alias them.
+  // Fused stage-group entry (butterfly kernels only): one virtual thread
+  // per 2^depth-point sub-transform across `depth` consecutive stages,
+  // batch row in blockIdx.y (paper 5.1 NTT mapping), elements held in
+  // registers between sub-stages (see the header's ABI contract). `depth`
+  // and the rev/ninv edge-stage folds are launch parameters, so one
+  // compiled module serves every fusion depth and both transform edges.
   //===--------------------------------------------------------------------===//
 
   const LoweredPort *X = findPort(L.Inputs, "x");
@@ -163,58 +165,6 @@ EmittedGridKernel moma::codegen::emitGridC(const LoweredKernel &L,
   const LoweredPort *YO = findPort(L.Outputs, "yo");
   if (X && Y && W && XO && YO && BStart == 3 && L.Outputs.size() == 2) {
     unsigned EW = X->storedWords();
-    Out.StageSymbol = Base + "_stage";
-    Src += "\n#ifdef __cplusplus\nextern \"C\"\n#endif\n";
-    Src += formatv("void %s(u64 blockIdxX, u64 blockIdxY, u64 blockDim,\n"
-                   "    u64 n, u64 len, u64 *X, const u64 *Wst,\n"
-                   "    const u64 *const *aux) {\n",
-                   Out.StageSymbol.c_str());
-    Src += "  u64 nb = n >> 1;\n";
-    Src += "  u64 t = blockIdxX * blockDim;\n";
-    Src += "  u64 end = t + blockDim;\n";
-    Src += "  if (end > nb) end = nb;\n";
-    Src += "  if (t >= end) return;\n";
-    std::string StAuxArgs;
-    for (size_t I = BStart; I < L.Inputs.size(); ++I) {
-      std::string A = hoistBroadcast(Src, L.Inputs[I], I - BStart);
-      if (!StAuxArgs.empty() && !A.empty())
-        StAuxArgs += ", ";
-      StAuxArgs += A;
-    }
-    Src += formatv("  u64 *base = X + blockIdxY * n * %u;\n", EW);
-    // One division per block; the (g, j) pair then advances by increment.
-    Src += "  u64 g = t / len, j = t - g * len;\n";
-    Src += "  for (; t < end; ++t) {\n";
-    Src += formatv("    u64 *px = base + (g * 2 * len + j) * %u;\n", EW);
-    Src += formatv("    u64 *py = px + len * %u;\n", EW);
-    Src += formatv("    const u64 *pw = Wst + j * %u;\n", EW);
-    std::string StArgs;
-    for (unsigned I = 0; I < XO->storedWords(); ++I)
-      StArgs += formatv("%s&px[%u]", StArgs.empty() ? "" : ", ", I);
-    for (unsigned I = 0; I < YO->storedWords(); ++I)
-      StArgs += formatv(", &py[%u]", I);
-    for (const auto &Pair :
-         {std::make_pair(X, "px"), std::make_pair(Y, "py"),
-          std::make_pair(W, "pw")}) {
-      std::string A = portLoadArgs(*Pair.first, Pair.second);
-      if (!A.empty())
-        StArgs += ", " + A;
-    }
-    if (!StAuxArgs.empty())
-      StArgs += ", " + StAuxArgs;
-    Src += formatv("    %s(%s);\n", ScalarFn.c_str(), StArgs.c_str());
-    Src += "    if (++j == len) { j = 0; ++g; }\n";
-    Src += "  }\n}\n";
-
-    //===------------------------------------------------------------------===//
-    // Fused stage-group entry: one virtual thread per 2^depth-point
-    // sub-transform across `depth` consecutive stages, elements held in
-    // registers between sub-stages (see the header's ABI contract).
-    // `depth` and the rev/ninv edge-stage folds are launch parameters, so
-    // one compiled module serves every fusion depth and both transform
-    // edges.
-    //===------------------------------------------------------------------===//
-
     unsigned MaxM = 1u << rewrite::PlanOptions::MaxFuseDepth;
     Out.FusedSymbol = Base + "_fused";
     Src += "\n#ifdef __cplusplus\nextern \"C\"\n#endif\n";

@@ -17,9 +17,10 @@
 ///
 ///  * the *grid* function — one virtual thread per vector element
 ///    (BLAS mapping), grid dimension y indexing the batch row;
-///  * for butterfly kernels additionally the *stage* function — one
-///    virtual thread per butterfly of one NTT stage (n/2 butterflies),
-///    grid dimension y indexing the batch.
+///  * for butterfly kernels additionally the *fused* function — one
+///    virtual thread per 2^depth-point sub-transform of a radix-2^depth
+///    NTT stage group, grid dimension y indexing the batch. Depth 1 is
+///    the paper's one-launch-per-stage cadence.
 ///
 /// Unlike CUDA, one call processes one whole block (the sim substrate
 /// serializes a block's threads on one worker anyway), so the per-call
@@ -54,10 +55,9 @@ struct GridEmitOptions {
 struct EmittedGridKernel {
   std::string Source;      ///< self-contained C/C++ source text
   std::string GridSymbol;  ///< element-wise block entry (C linkage)
-  std::string StageSymbol; ///< radix-2 NTT-stage block entry; empty unless
-                           ///< the kernel has the butterfly port shape
-  std::string FusedSymbol; ///< fused radix-2^k stage-group entry (same
-                           ///< butterfly-shape condition as StageSymbol)
+  std::string FusedSymbol; ///< fused radix-2^k stage-group entry; empty
+                           ///< unless the kernel has the butterfly port
+                           ///< shape
   std::vector<PortSig> Ports; ///< outputs first, then inputs (as emitC)
 };
 
@@ -75,13 +75,6 @@ struct EmittedGridKernel {
 /// batch row blockIdxY: element index e = blockIdxY*n + i, output k at
 /// outs[k] + e*storedWords, data input j at ins[j] + e*instride[j]
 /// (stride 0 broadcasts one element, the axpy scalar).
-///
-///   void stage(u64 blockIdxX, u64 blockIdxY, u64 blockDim, u64 n,
-///              u64 len, u64 *X, const u64 *Wst, const u64 *const *aux);
-///
-/// processes butterflies t in [blockIdxX*blockDim, min(n/2, +blockDim))
-/// of stage half-distance len over batch row blockIdxY of the in-place
-/// array X (n elements per row); Wst points at the stage's twiddle table.
 ///
 ///   void fused(u64 blockIdxX, u64 blockIdxY, u64 blockDim,
 ///              u64 n, u64 len0, u64 depth, u64 *Dst, const u64 *Src,

@@ -264,10 +264,15 @@ EmittedVectorKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   Src += "  }\n}\n";
 
   //===--------------------------------------------------------------------===//
-  // NTT entries (butterfly kernels only): lane = batch row. Every row of a
-  // batched transform runs the identical butterfly/twiddle schedule, so
-  // the batch axis is the natural SIMD axis — twiddles, reversal indices
-  // and edge-stage fold tables are lane-invariant broadcasts.
+  // Fused stage-group entry (butterfly kernels only): the grid emitter's
+  // fused ABI with lane = batch row. Every row of a batched transform runs
+  // the identical butterfly/twiddle schedule, so the batch axis is the
+  // natural SIMD axis — twiddles, reversal indices and edge-stage fold
+  // tables are lane-invariant broadcasts. Each (thread t, lane block)
+  // holds its 2^depth elements for all c rows in the register block
+  // R[reg][word][lane]; the walk order per row is exactly the serial/grid
+  // one, and modular arithmetic is exact, so results are bit-identical by
+  // construction.
   //===--------------------------------------------------------------------===//
 
   const LoweredPort *X = findPort(L.Inputs, "x");
@@ -295,68 +300,6 @@ EmittedVectorKernel moma::codegen::emitVectorC(const LoweredKernel &L,
         A += formatv("%s%s[%u][l]", A.empty() ? "" : ", ", Arr.c_str(), S);
       return A;
     };
-
-    Out.StageSymbol = Base + "_vstage";
-    Src += "\n#ifdef __cplusplus\nextern \"C\"\n#endif\n";
-    Src += formatv("void %s(u64 vw, u64 batch, u64 n, u64 len, u64 *X,\n"
-                   "    const u64 *__restrict__ Wst,\n"
-                   "    const u64 *const *__restrict__ aux) {\n",
-                   Out.StageSymbol.c_str());
-    Src += formatv("  if (vw < 1) vw = 1;\n  if (vw > %u) vw = %u;\n", ML,
-                   ML);
-    {
-      std::vector<std::string> Hoisted;
-      for (size_t I = BStart; I < L.Inputs.size(); ++I)
-        hoistBroadcast(Src, L.Inputs[I], I - BStart, Hoisted);
-    }
-    Src += formatv("  u64 row = n * %u;\n", EW);
-    Src += formatv("  u64 xv[%u][%u]; u64 yv[%u][%u];\n", EW, ML, EW, ML);
-    Src += formatv("  u64 xr[%u][%u]; u64 yr[%u][%u];\n", EW, ML, EW, ML);
-    Src += "  for (u64 b0 = 0; b0 < batch; b0 += vw) {\n";
-    Src += "    u64 c = batch - b0;\n";
-    Src += "    if (c > vw) c = vw;\n";
-    Src += "    u64 *base = X + b0 * row;\n";
-    Src += "    for (u64 i0 = 0; i0 < n; i0 += 2 * len) {\n";
-    Src += "      for (u64 j = 0; j < len; ++j) {\n";
-    Src += formatv("        u64 *px = base + (i0 + j) * %u;\n", EW);
-    Src += formatv("        u64 *py = px + len * %u;\n", EW);
-    Src += formatv("        const u64 *pw = Wst + j * %u;\n", EW);
-    Src += "        for (u64 l = 0; l < c; ++l) {\n";
-    for (unsigned S : liveSlots(*X))
-      Src += formatv("          xv[%u][l] = px[l * row + %u];\n", S, S);
-    for (unsigned S : liveSlots(*Y))
-      Src += formatv("          yv[%u][l] = py[l * row + %u];\n", S, S);
-    Src += "        }\n";
-    {
-      std::string Args = OutLane(*XO, "xr") + ", " + OutLane(*YO, "yr");
-      std::string A = InLane(*X, "xv");
-      if (!A.empty())
-        Args += ", " + A;
-      A = InLane(*Y, "yv");
-      if (!A.empty())
-        Args += ", " + A;
-      A = portLoadArgs(*W, "pw");
-      if (!A.empty())
-        Args += ", " + A;
-      Args += AuxTail;
-      Src += "        for (u64 l = 0; l < c; ++l)\n";
-      Src += formatv("          %s(%s);\n", ScalarFn.c_str(), Args.c_str());
-    }
-    Src += "        for (u64 l = 0; l < c; ++l) {\n";
-    for (unsigned S = 0; S < XO->storedWords(); ++S)
-      Src += formatv("          px[l * row + %u] = xr[%u][l];\n", S, S);
-    for (unsigned S = 0; S < YO->storedWords(); ++S)
-      Src += formatv("          py[l * row + %u] = yr[%u][l];\n", S, S);
-    Src += "        }\n";
-    Src += "      }\n    }\n  }\n}\n";
-
-    //===------------------------------------------------------------------===//
-    // Fused stage-group entry: the grid emitter's fused ABI with batch
-    // rows in lanes. Each (thread t, lane block) holds its 2^depth
-    // elements for all c rows in the register block R[reg][word][lane];
-    // the walk order per row is exactly the serial/grid one, and modular
-    // arithmetic is exact, so results are bit-identical by construction.
-    //===------------------------------------------------------------------===//
 
     unsigned MaxM = 1u << rewrite::PlanOptions::MaxFuseDepth;
     Out.FusedSymbol = Base + "_vfused";

@@ -19,17 +19,16 @@
 /// compilers vectorize at -O3. The runtime compiles it through HostJit
 /// with per-plan extra flags (-O3 -march=native where available).
 ///
-/// Three entry points per translation unit (the lane count vw is a launch
+/// Two entry points per translation unit (the lane count vw is a launch
 /// parameter like the grid backend's blockDim, so every VectorWidth key
 /// of one kernel shares one compiled module):
 ///
 ///  * the *vector* function — batched element-wise execution over the
 ///    flat batch (BLAS mapping), lane = batch element;
-///  * for butterfly kernels additionally the *vstage* function — one
-///    radix-2 NTT stage, lane = batch row (every row runs the identical
-///    twiddle schedule, the natural SIMD axis for batched transforms);
-///  * and the *vfused* function — the fused radix-2^k stage-group walk
-///    of the grid emitter's fused ABI, lane = batch row, with the same
+///  * for butterfly kernels additionally the *vfused* function — the
+///    fused radix-2^k stage-group walk of the grid emitter's fused ABI,
+///    lane = batch row (every row runs the identical twiddle schedule,
+///    the natural SIMD axis for batched transforms), with the same
 ///    rev/twist/scale edge-stage folds as launch parameters.
 ///
 //===----------------------------------------------------------------------===//
@@ -63,10 +62,9 @@ constexpr unsigned VectorMaxLanes = 16;
 struct EmittedVectorKernel {
   std::string Source;      ///< self-contained C/C++ source text
   std::string VecSymbol;   ///< batched element-wise lane-loop entry
-  std::string StageSymbol; ///< radix-2 NTT-stage entry; empty unless the
-                           ///< kernel has the butterfly port shape
-  std::string FusedSymbol; ///< fused radix-2^k stage-group entry (same
-                           ///< butterfly-shape condition as StageSymbol)
+  std::string FusedSymbol; ///< fused radix-2^k stage-group entry; empty
+                           ///< unless the kernel has the butterfly port
+                           ///< shape
   std::vector<PortSig> Ports; ///< outputs first, then inputs (as emitC)
 };
 
@@ -87,13 +85,6 @@ struct EmittedVectorKernel {
 /// (stride 0 broadcasts one element, the axpy scalar). Outputs may alias
 /// inputs — each chunk gathers every input lane into locals before its
 /// first store.
-///
-///   void vstage(u64 vw, u64 batch, u64 n, u64 len, u64 *X,
-///               const u64 *Wst, const u64 *const *aux);
-///
-/// one in-place radix-2 butterfly stage of half-distance len over every
-/// batch row of X (n elements per row), vw rows per lane chunk; Wst
-/// points at the stage's twiddle table. Twiddles must not alias X.
 ///
 ///   void vfused(u64 vw, u64 batch, u64 n, u64 len0, u64 depth,
 ///               u64 *Dst, const u64 *Src, const u64 *Tw, const u32 *rev,

@@ -24,15 +24,6 @@ RefPoly moma::fhe::refPolyAdd(const RefPoly &A, const RefPoly &B,
   return C;
 }
 
-RefPoly moma::fhe::refPolySub(const RefPoly &A, const RefPoly &B,
-                              const Bignum &M) {
-  assert(A.size() == B.size() && "ragged poly sub");
-  RefPoly C(A.size());
-  for (size_t I = 0; I < A.size(); ++I)
-    C[I] = A[I].subMod(B[I], M);
-  return C;
-}
-
 RefPoly moma::fhe::refPolyMul(const RefPoly &A, const RefPoly &B,
                               const Bignum &M, bool Negacyclic) {
   return ntt::referencePolyMulRing(A, B, M, Negacyclic);

@@ -58,8 +58,6 @@ struct RefRelinKey {
 
 /// Coefficient-wise (A + B) mod M.
 RefPoly refPolyAdd(const RefPoly &A, const RefPoly &B, const mw::Bignum &M);
-/// Coefficient-wise (A - B) mod M.
-RefPoly refPolySub(const RefPoly &A, const RefPoly &B, const mw::Bignum &M);
 /// Ring product over Z_M[x]/(x^n -+ 1) (schoolbook, via ReferenceDft).
 RefPoly refPolyMul(const RefPoly &A, const RefPoly &B, const mw::Bignum &M,
                    bool Negacyclic);

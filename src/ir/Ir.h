@@ -86,8 +86,6 @@ struct ValueInfo {
   unsigned Bits = 0;      ///< storage width
   unsigned KnownBits = 0; ///< significant-bit upper bound, <= Bits
   std::string Name;       ///< optional; printer invents %N otherwise
-
-  bool isFlag() const { return Bits == 1; }
 };
 
 /// Kernel formal parameter (input) or result (output).
@@ -121,7 +119,6 @@ public:
 
   const std::vector<Param> &inputs() const { return Inputs; }
   const std::vector<Param> &outputs() const { return Outputs; }
-  std::vector<Param> &outputsMutable() { return Outputs; }
 
   std::vector<Stmt> Body;
 

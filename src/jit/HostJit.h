@@ -155,7 +155,6 @@ public:
   size_t cacheSize() const;
 
   const std::string &compiler() const { return Opts.Compiler; }
-  const std::string &cacheDir() const { return Opts.CacheDir; }
 
 private:
   /// One in-memory cache slot with its LRU stamp.

@@ -68,7 +68,6 @@ public:
   const MWUInt<W> &modulus() const { return Q; }
   const MWUInt<W> &mu() const { return Mu; }
   unsigned modulusBits() const { return ModBits; }
-  MulAlgorithm mulAlgorithm() const { return Alg; }
 
   /// (A + B) mod Q for reduced inputs (paper Eq. 2, rule 24).
   MWUInt<W> addMod(const MWUInt<W> &A, const MWUInt<W> &B) const {

@@ -49,7 +49,6 @@ public:
 
   const Field &field() const { return Cyclic.field(); }
   size_t size() const { return N; }
-  const NttPlan<W> &cyclicPlan() const { return Cyclic; }
 
   /// In-place forward negacyclic transform.
   void forward(Element *X) const {

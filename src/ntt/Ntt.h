@@ -79,7 +79,6 @@ public:
 
   const Field &field() const { return F; }
   size_t size() const { return N; }
-  unsigned log2Size() const { return LogN; }
 
   /// Number of butterflies per transform: (n log2 n) / 2.
   std::uint64_t butterflies() const {

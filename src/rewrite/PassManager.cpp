@@ -324,20 +324,6 @@ PassResult RebuildPass::run(Kernel &K, AnalysisCache &AC) {
 // PipelineStats
 //===----------------------------------------------------------------------===//
 
-unsigned PipelineStats::totalChanges() const {
-  unsigned N = 0;
-  for (const PassStats &P : PerPass)
-    N += P.Changes;
-  return N;
-}
-
-unsigned PipelineStats::totalRemoved() const {
-  unsigned N = 0;
-  for (const PassStats &P : PerPass)
-    N += P.Removed;
-  return N;
-}
-
 const PassStats *PipelineStats::pass(const std::string &Name) const {
   for (const PassStats &P : PerPass)
     if (P.Name == Name)

@@ -104,8 +104,6 @@ struct PipelineStats {
   unsigned Iterations = 0;        ///< fixpoint sweeps executed
   bool Converged = true;          ///< false when MaxIters was hit
 
-  unsigned totalChanges() const;
-  unsigned totalRemoved() const;
   const PassStats *pass(const std::string &Name) const;
   /// One line per pass: "name: changes=... removed=... ops=-N", plus the
   /// iteration count. Used by `moma-gen --emit pass-stats` and the

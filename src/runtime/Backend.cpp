@@ -30,10 +30,6 @@ using GridFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                           const std::uint64_t *const *,
                           const std::uint64_t *,
                           const std::uint64_t *const *);
-using StageFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t, std::uint64_t, std::uint64_t *,
-                           const std::uint64_t *,
-                           const std::uint64_t *const *);
 using FusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                            std::uint64_t, std::uint64_t, std::uint64_t,
                            std::uint64_t *, const std::uint64_t *,
@@ -45,10 +41,6 @@ using FusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
 using VecFnTy = void (*)(std::uint64_t, std::uint64_t,
                          std::uint64_t *const *, const std::uint64_t *const *,
                          const std::uint64_t *, const std::uint64_t *const *);
-using VecStageFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                              std::uint64_t, std::uint64_t *,
-                              const std::uint64_t *,
-                              const std::uint64_t *const *);
 using VecFusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                               std::uint64_t, std::uint64_t, std::uint64_t *,
                               const std::uint64_t *, const std::uint64_t *,
@@ -58,7 +50,7 @@ using VecFusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
 
 bool checkButterflyShape(const CompiledPlan &P, std::string *Err) {
   if (P.NumOutputs != 2 || P.NumDataInputs != 3)
-    return fail(Err, "runStage: plan is not a butterfly kernel");
+    return fail(Err, "runStageGroup: plan is not a butterfly kernel");
   return true;
 }
 
@@ -84,44 +76,108 @@ bool checkStageGroup(const StageGroup &G, size_t NPoints, std::string *Err) {
   return true;
 }
 
-/// How a host-side walker invokes the plan for one element/butterfly.
-/// The serial backend passes callPlan (the JIT'd scalar entry point); the
-/// interp backend passes interpInvoke. Sharing the walkers this way keeps
+/// Calls \p Fn with \p N pointer arguments. The emitted-kernel ABI is
+/// void(f)(port0*, port1*, ...); arities cover every runtime kernel shape
+/// (butterfly/montgomery peaks at 8 ports).
+bool callPorts(void *Fn, void *const *A, size_t N) {
+  using P = void *;
+  switch (N) {
+  case 3:
+    reinterpret_cast<void (*)(P, P, P)>(Fn)(A[0], A[1], A[2]);
+    return true;
+  case 4:
+    reinterpret_cast<void (*)(P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3]);
+    return true;
+  case 5:
+    reinterpret_cast<void (*)(P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
+                                                  A[4]);
+    return true;
+  case 6:
+    reinterpret_cast<void (*)(P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
+                                                     A[4], A[5]);
+    return true;
+  case 7:
+    reinterpret_cast<void (*)(P, P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2],
+                                                        A[3], A[4], A[5],
+                                                        A[6]);
+    return true;
+  case 8:
+    reinterpret_cast<void (*)(P, P, P, P, P, P, P, P)>(Fn)(
+        A[0], A[1], A[2], A[3], A[4], A[5], A[6], A[7]);
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// How a host-side walker invokes the plan for one element/butterfly: a
+/// callable over the assembled port frame, false on an unsupported arity.
+/// The serial backend's invoker calls the JIT'd scalar entry point, the
+/// interp backend's runs ir::interpret. Sharing the walkers this way keeps
 /// the two backends' butterfly order identical by construction, which is
 /// what makes interp fallback results bit-identical to JIT results.
-using InvokeFn = bool (*)(const CompiledPlan &, void *const *);
+///
+/// The serial invoker resolves the entry point and port count once per
+/// dispatch, keeping the per-element loop a direct call.
+auto serialInvoker(const CompiledPlan &P) {
+  return [Fn = P.Fn, NumPorts = P.numPorts()](void *const *Ports) {
+    return callPorts(Fn, Ports, NumPorts);
+  };
+}
 
 /// The interpreter invoker: unpacks every port into a Bignum (inputs
 /// first, so in-place butterflies see a consistent snapshot), runs the
 /// plan's scalar kernel through ir::interpret, packs the outputs back.
-bool interpInvoke(const CompiledPlan &P, void *const *Ports) {
-  if (!P.InterpKernel)
-    return false;
-  size_t NumIn = P.Lowered.Inputs.size();
-  std::vector<mw::Bignum> In(NumIn);
-  for (size_t J = 0; J < NumIn; ++J)
-    In[J] = unpackWordsMsbFirst(
-        static_cast<const std::uint64_t *>(Ports[P.NumOutputs + J]),
-        P.Lowered.Inputs[J].storedWords());
-  std::vector<mw::Bignum> Out = ir::interpret(*P.InterpKernel, In);
-  for (size_t J = 0; J < P.NumOutputs; ++J) {
-    std::vector<std::uint64_t> W =
-        packWordsMsbFirst(Out[J], P.Lowered.Outputs[J].storedWords());
-    std::copy(W.begin(), W.end(), static_cast<std::uint64_t *>(Ports[J]));
-  }
+auto interpInvoker(const CompiledPlan &P) {
+  return [&P](void *const *Ports) {
+    size_t NumIn = P.Lowered.Inputs.size();
+    std::vector<mw::Bignum> In(NumIn);
+    for (size_t J = 0; J < NumIn; ++J)
+      In[J] = unpackWordsMsbFirst(
+          static_cast<const std::uint64_t *>(Ports[P.NumOutputs + J]),
+          P.Lowered.Inputs[J].storedWords());
+    std::vector<mw::Bignum> Out = ir::interpret(*P.InterpKernel, In);
+    for (size_t J = 0; J < P.NumOutputs; ++J) {
+      std::vector<std::uint64_t> W =
+          packWordsMsbFirst(Out[J], P.Lowered.Outputs[J].storedWords());
+      std::copy(W.begin(), W.end(), static_cast<std::uint64_t *>(Ports[J]));
+    }
+    return true;
+  };
+}
+
+/// The serial backend runs serial plans only, through their scalar entry
+/// point.
+bool checkSerialPlan(const CompiledPlan &P, std::string *Err) {
+  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
+    return fail(Err, formatv("serial backend cannot run a %s plan",
+                             rewrite::execBackendName(P.Key.Opts.Backend)));
+  if (!P.Fn)
+    return fail(Err, "serial backend needs a plan compiled with a scalar "
+                     "entry point");
   return true;
 }
 
 /// Element-loop walker shared by the host backends (serial and interp):
 /// one invoker call per element with the same port addressing as the
-/// grid's e = by*n + i indexing. \p N is the flat element count.
+/// grid's e = by*n + i indexing. \p N is the flat element count. Output
+/// may alias input arrays: the emitted kernels load every input word
+/// before storing any output word.
+template <typename InvokeFn>
 bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                      std::string *Err, InvokeFn Invoke) {
-  if (Args.Outs.size() != P.NumOutputs ||
-      Args.Ins.size() != P.NumDataInputs ||
-      Args.Aux.size() != P.AuxWords.size() ||
-      (!Args.InStrides.empty() && Args.InStrides.size() != Args.Ins.size()))
-    return fail(Err, "runBatch: argument shape mismatch");
+  if (Args.Outs.size() != P.NumOutputs)
+    return fail(Err, formatv("runBatch: expected %u output arrays, got %zu",
+                             P.NumOutputs, Args.Outs.size()));
+  if (Args.Ins.size() != P.NumDataInputs)
+    return fail(Err, formatv("runBatch: expected %u input arrays, got %zu",
+                             P.NumDataInputs, Args.Ins.size()));
+  if (!Args.InStrides.empty() && Args.InStrides.size() != Args.Ins.size())
+    return fail(Err, "runBatch: InStrides must be empty or match Ins");
+  if (Args.Aux.size() != P.AuxWords.size())
+    return fail(Err,
+                formatv("runBatch: expected %zu broadcast aux arrays, got %zu",
+                        P.AuxWords.size(), Args.Aux.size()));
   size_t NumPorts = P.numPorts();
   void *Ports[8];
   if (NumPorts > 8)
@@ -137,47 +193,9 @@ bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
     }
     for (const std::uint64_t *A : Args.Aux)
       Ports[Slot++] = const_cast<std::uint64_t *>(A);
-    if (!Invoke(P, Ports))
+    if (!Invoke(Ports))
       return fail(Err,
                   formatv("runBatch: unsupported arity %zu", NumPorts));
-  }
-  return true;
-}
-
-/// Radix-2 NTT stage walker shared by the host backends.
-bool hostRunStage(const CompiledPlan &P, std::uint64_t *Data,
-                  const std::uint64_t *StageTw,
-                  const std::vector<const std::uint64_t *> &Aux,
-                  size_t NPoints, size_t Len, size_t Batch, std::string *Err,
-                  InvokeFn Invoke) {
-  if (!checkButterflyShape(P, Err))
-    return false;
-  unsigned K = P.ElemWords;
-  size_t NumPorts = P.numPorts();
-  if (Aux.size() != P.AuxWords.size() || NumPorts > 8)
-    return fail(Err, "runStage: aux/port shape mismatch");
-
-  // Port frame reused across every butterfly: xo yo | x y w | q aux...
-  void *Ports[8];
-  for (size_t I = 0; I < Aux.size(); ++I)
-    Ports[5 + I] = const_cast<std::uint64_t *>(Aux[I]);
-  for (size_t B = 0; B < Batch; ++B) {
-    std::uint64_t *Poly = Data + B * NPoints * K;
-    for (size_t I0 = 0; I0 < NPoints; I0 += 2 * Len) {
-      for (size_t J = 0; J < Len; ++J) {
-        std::uint64_t *X = Poly + (I0 + J) * K;
-        std::uint64_t *Y = X + Len * K;
-        Ports[0] = X;
-        Ports[1] = Y;
-        Ports[2] = X;
-        Ports[3] = Y;
-        Ports[4] = const_cast<std::uint64_t *>(StageTw + J * K);
-        if (!Invoke(P, Ports))
-          return fail(Err, formatv("runStage: unsupported butterfly arity "
-                                   "%zu",
-                                   NumPorts));
-      }
-    }
   }
   return true;
 }
@@ -185,11 +203,12 @@ bool hostRunStage(const CompiledPlan &P, std::uint64_t *Data,
 /// Fused stage-group walker shared by the host backends: the host-side
 /// mirror of the emitted fused kernel (same geometry, same butterfly
 /// order — bit-identical by construction across invokers too).
-bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
-                       const std::uint64_t *Tw,
-                       const std::vector<const std::uint64_t *> &Aux,
-                       size_t NPoints, size_t Batch, std::string *Err,
-                       InvokeFn Invoke) {
+template <typename InvokeFn>
+bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
+                  const std::uint64_t *Tw,
+                  const std::vector<const std::uint64_t *> &Aux,
+                  size_t NPoints, size_t Batch, std::string *Err,
+                  InvokeFn Invoke) {
   if (!checkButterflyShape(P, Err) || !checkStageGroup(G, NPoints, Err))
     return false;
   unsigned K = P.ElemWords;
@@ -202,7 +221,7 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
   // In-place groups without edge folds need no staging at all on the
   // serial substrate: walk the sub-stages as plain radix-2 passes over
   // the buffer (identical butterfly sequence, so bit-identical results,
-  // at the historical per-stage cost with zero copies).
+  // with zero copies).
   if (!G.Gather && !G.Twist && !G.Scale && G.Src == G.Dst) {
     unsigned KW = P.ElemWords;
     void *Ports[8];
@@ -219,7 +238,7 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
             Ports[0] = Ports[2] = X;
             Ports[1] = Ports[3] = X + L * KW;
             Ports[4] = const_cast<std::uint64_t *>(Stage + J * KW);
-            if (!Invoke(P, Ports))
+            if (!Invoke(Ports))
               return fail(Err, "runStageGroup: unsupported butterfly "
                                "arity");
           }
@@ -260,7 +279,7 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
           Ports[2] = Zero.data();
           Ports[3] = Regs.data() + J * K;
           Ports[4] = const_cast<std::uint64_t *>(G.Twist + S * K);
-          if (!Invoke(P, Ports))
+          if (!Invoke(Ports))
             return fail(Err, "runStageGroup: unsupported butterfly arity");
         }
       }
@@ -277,7 +296,7 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
             Ports[3] = Y;
             Ports[4] = const_cast<std::uint64_t *>(
                 Tw + (L - 1 + R + (J - J0) * G.Len0) * K);
-            if (!Invoke(P, Ports))
+            if (!Invoke(Ports))
               return fail(Err,
                           formatv("runStageGroup: unsupported butterfly "
                                   "arity %zu",
@@ -294,7 +313,7 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
           // per-output untwist table at the natural-order element index.
           Ports[4] = const_cast<std::uint64_t *>(
               G.Scale + (Base + J * G.Len0) * G.ScaleStride);
-          if (!Invoke(P, Ports))
+          if (!Invoke(Ports))
             return fail(Err, "runStageGroup: unsupported butterfly arity");
         }
       for (size_t J = 0; J < M; ++J)
@@ -317,25 +336,12 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
 
 bool SerialBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
                              size_t N, size_t Rows, std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
-    return fail(Err, formatv("serial backend cannot run a %s plan",
-                             rewrite::execBackendName(P.Key.Opts.Backend)));
+  if (!checkSerialPlan(P, Err))
+    return false;
   // Row-major batch rows are contiguous, so the serial element loop is the
   // flat product; broadcast (stride 0) inputs broadcast across every row
   // exactly as the grid's e = by*n + i indexing does.
-  return moma::runtime::runBatch(P, Args, N * Rows, Err);
-}
-
-bool SerialBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
-    return fail(Err, formatv("serial backend cannot run a %s plan",
-                             rewrite::execBackendName(P.Key.Opts.Backend)));
-  return hostRunStage(P, Data, StageTw, Aux, NPoints, Len, Batch, Err,
-                      callPlan);
+  return hostRunElements(P, Args, N * Rows, Err, serialInvoker(P));
 }
 
 bool SerialBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
@@ -344,10 +350,9 @@ bool SerialBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                       &Aux,
                                   size_t NPoints, size_t Batch,
                                   std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
-    return fail(Err, formatv("serial backend cannot run a %s plan",
-                             rewrite::execBackendName(P.Key.Opts.Backend)));
-  return hostRunStageGroup(P, G, Tw, Aux, NPoints, Batch, Err, callPlan);
+  if (!checkSerialPlan(P, Err))
+    return false;
+  return hostRunGroup(P, G, Tw, Aux, NPoints, Batch, Err, serialInvoker(P));
 }
 
 //===----------------------------------------------------------------------===//
@@ -360,18 +365,7 @@ bool InterpBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
     return fail(Err, "interp backend needs an interpreter plan");
   // Same flat element product as the serial backend; every call runs the
   // scalar kernel through ir::interpret.
-  return hostRunElements(P, Args, N * Rows, Err, interpInvoke);
-}
-
-bool InterpBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
-    return fail(Err, "interp backend needs an interpreter plan");
-  return hostRunStage(P, Data, StageTw, Aux, NPoints, Len, Batch, Err,
-                      interpInvoke);
+  return hostRunElements(P, Args, N * Rows, Err, interpInvoker(P));
 }
 
 bool InterpBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
@@ -382,7 +376,7 @@ bool InterpBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                   std::string *Err) const {
   if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
     return fail(Err, "interp backend needs an interpreter plan");
-  return hostRunStageGroup(P, G, Tw, Aux, NPoints, Batch, Err, interpInvoke);
+  return hostRunGroup(P, G, Tw, Aux, NPoints, Batch, Err, interpInvoker(P));
 }
 
 //===----------------------------------------------------------------------===//
@@ -441,41 +435,6 @@ bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   Dev.launchBlocks(Cfg, [&](std::uint32_t BX, std::uint32_t BY) {
     Fn(BX, BY, BD, N, Args.Outs.data(), Args.Ins.data(), Strides.data(),
        Args.Aux.data());
-  });
-  return true;
-}
-
-bool SimGpuBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.StageFn)
-    return fail(Err, "sim-GPU backend needs a plan compiled with a stage "
-                     "entry point");
-  if (!checkButterflyShape(P, Err) || !validGeometry(P, Err))
-    return false;
-  if (Aux.size() != P.AuxWords.size())
-    return fail(Err, "runStage: aux shape mismatch");
-  if (Batch == 0 || NPoints < 2)
-    return true;
-
-  unsigned BD = P.Key.Opts.BlockDim;
-  std::uint64_t Butterflies = NPoints / 2;
-  std::uint64_t GridX = (Butterflies + BD - 1) / BD;
-  if (GridX > std::numeric_limits<std::uint32_t>::max() ||
-      Batch > std::numeric_limits<std::uint32_t>::max())
-    return fail(Err, "sim-GPU runStage: grid too large");
-
-  sim::LaunchConfig Cfg;
-  Cfg.GridX = static_cast<std::uint32_t>(GridX);
-  Cfg.GridY = static_cast<std::uint32_t>(Batch); // paper 5.1 batch dim
-  Cfg.BlockDim = BD;
-  if (std::string VErr = Dev.validate(Cfg); !VErr.empty())
-    return fail(Err, "sim-GPU launch: " + VErr);
-  auto Fn = reinterpret_cast<StageFnTy>(P.StageFn);
-  Dev.launchBlocks(Cfg, [&](std::uint32_t BX, std::uint32_t BY) {
-    Fn(BX, BY, BD, NPoints, Len, Data, StageTw, Aux.data());
   });
   return true;
 }
@@ -545,25 +504,6 @@ bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   auto Fn = reinterpret_cast<VecFnTy>(P.VecFn);
   Fn(P.Key.Opts.VectorWidth, N * Rows, Args.Outs.data(), Args.Ins.data(),
      Strides.data(), Args.Aux.data());
-  return true;
-}
-
-bool VectorBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.VecStageFn)
-    return fail(Err, "vector backend needs a plan compiled with a stage "
-                     "entry point");
-  if (!checkButterflyShape(P, Err))
-    return false;
-  if (Aux.size() != P.AuxWords.size())
-    return fail(Err, "runStage: aux shape mismatch");
-  if (Batch == 0 || NPoints < 2)
-    return true;
-  auto Fn = reinterpret_cast<VecStageFnTy>(P.VecStageFn);
-  Fn(P.Key.Opts.VectorWidth, Batch, NPoints, Len, Data, StageTw, Aux.data());
   return true;
 }
 

@@ -7,10 +7,12 @@
 ///
 /// \file
 /// The execution layer of the runtime: a compiled plan is run through an
-/// ExecutionBackend, of which there are four —
+/// ExecutionBackend, of which there are four. Each has two entry points,
+/// a batched element-wise runBatch and a fused NTT runStageGroup (the
+/// paper's one-launch-per-stage cadence is FuseDepth = 1 stage groups) —
 ///
 ///  * SerialBackend: the original host-JIT model, one scalar call per
-///    element (per butterfly for NTT stages) on the calling thread;
+///    element (per butterfly for NTT stage groups) on the calling thread;
 ///  * SimGpuBackend: the paper's §5.1 grid/block mapping — the plan's
 ///    grid-shaped entry points (codegen/GridEmitter.h) launched block-wise
 ///    over a sim::Device thread pool, grid y indexing the batch;
@@ -20,8 +22,8 @@
 ///    chunk) and compiled by the JIT at -O3 -march=native;
 ///  * InterpBackend: no machine code at all — every element call runs the
 ///    plan's scalar kernel through ir::Interp. It walks the exact same
-///    element/stage/stage-group geometry as the serial backend (the
-///    walkers are shared, parameterized on the per-call invoker), so its
+///    element/stage-group geometry as the serial backend (the walkers
+///    are shared, parameterized on the per-call invoker), so its
 ///    results are bit-identical to every JIT backend; it exists as the
 ///    terminal rung of the degradation ladder when the host compiler is
 ///    unavailable (DESIGN.md "Failure model & the degradation ladder").
@@ -89,16 +91,6 @@ public:
                         size_t N, size_t Rows,
                         std::string *Err = nullptr) const = 0;
 
-  /// One in-place NTT butterfly stage (half-distance \p Len) over
-  /// \p Batch rows of \p NPoints elements in \p Data; \p StageTw points at
-  /// the stage's twiddle table (Len entries of ElemWords words), \p Aux at
-  /// the plan's broadcast tail. \p P must be a butterfly plan.
-  virtual bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                        const std::uint64_t *StageTw,
-                        const std::vector<const std::uint64_t *> &Aux,
-                        size_t NPoints, size_t Len, size_t Batch,
-                        std::string *Err = nullptr) const = 0;
-
   /// One fused stage-group dispatch over \p Batch rows of \p NPoints
   /// elements (see StageGroup). \p Tw is the *full* stage-major twiddle
   /// table for the transform direction — each fused sub-stage of
@@ -120,11 +112,6 @@ public:
   }
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,
@@ -133,7 +120,7 @@ public:
 };
 
 /// Grid-shaped execution on the sim-GPU substrate: launches the plan's
-/// grid/stage entry points block-wise over a sim::Device pool, one block
+/// grid/fused entry points block-wise over a sim::Device pool, one block
 /// per call (threads serialized inside the JIT-compiled block loop, as on
 /// a time-sliced SM). Runs plans compiled for ExecBackend::SimGpu.
 class SimGpuBackend final : public ExecutionBackend {
@@ -148,11 +135,6 @@ public:
 
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,
@@ -178,11 +160,6 @@ public:
   }
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,
@@ -204,11 +181,6 @@ public:
   }
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,

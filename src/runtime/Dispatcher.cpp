@@ -282,40 +282,6 @@ bool Dispatcher::axpy(const Bignum &Q, const std::uint64_t *AScalar,
       .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError);
 }
 
-bool Dispatcher::butterfly(const Bignum &Q, std::uint64_t *X,
-                           std::uint64_t *Y, const std::uint64_t *W,
-                           size_t N) {
-  clearError();
-  BoundPlan *BP = bind(KernelOp::Butterfly, Q, N);
-  if (!BP)
-    return false;
-  // The butterfly kernel reads its twiddle in the plan's reduction
-  // domain; this entry point takes plain values, so Montgomery plans get
-  // a converted scratch copy (the batched NTT path never pays this — its
-  // tables are precomputed in-domain).
-  const std::uint64_t *WPtr = W;
-  ScratchLease SL(*this);
-  if (BP->Plan->Key.Opts.Red == mw::Reduction::Montgomery) {
-    unsigned K = BP->Plan->ElemWords;
-    unsigned Lambda = BP->Plan->Key.ContainerBits;
-    if (SL->Tw.size() < N * K)
-      SL->Tw.resize(N * K);
-    for (size_t I = 0; I < N; ++I) {
-      Bignum Wi = unpackWordsMsbFirst(W + I * K, K);
-      auto WM = packWordsMsbFirst((Wi << Lambda) % Q, K);
-      std::copy(WM.begin(), WM.end(), SL->Tw.begin() + I * K);
-    }
-    WPtr = SL->Tw.data();
-  }
-  BatchArgs Args;
-  Args.Outs = {X, Y}; // in place: kernels load inputs before storing
-  Args.Ins = {X, Y, WPtr};
-  Args.Aux = BP->AuxPtrs;
-  ++DStats.Batches;
-  return Reg.backendFor(BP->Plan->Key)
-      .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError);
-}
-
 const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
                                     mw::Reduction Domain,
                                     rewrite::NttRing Ring) {
@@ -510,60 +476,17 @@ bool Dispatcher::rnsRecombine(const RnsContext &Ctx,
   return true;
 }
 
-bool Dispatcher::rnsElementwise(KernelOp Op, const RnsContext &Ctx,
-                                const std::uint64_t *A,
-                                const std::uint64_t *B, std::uint64_t *C,
-                                size_t N) {
-  // The flat one-shot surface is a thin wrapper over the residue-form
-  // handle API: borrow pooled scratch as two tensors (zero steady-state
-  // allocation, exactly the old member-scratch discipline), decompose,
-  // run the tensor op in place over the A residues, recombine. Same
-  // kernels, same per-limb dispatch sequence, bit-identical results —
-  // the compatibility contract the 500+ pre-tensor tests pin.
-  size_t Total = Ctx.numLimbs() * N;
-  ScratchLease SL(*this);
-  if (SL->RnsA.size() < Total)
-    SL->RnsA.resize(Total); // grow-only: steady-state RNS traffic
-  if (SL->RnsB.size() < Total)
-    SL->RnsB.resize(Total); // allocates nothing
-  RnsTensor TA = RnsTensor::borrow(Ctx, SL->RnsA.data(), N, 1);
-  RnsTensor TB = RnsTensor::borrow(Ctx, SL->RnsB.data(), N, 1);
-  if (!fromWide(A, TA) || !fromWide(B, TB))
-    return false;
-  bool Ok = Op == KernelOp::AddMod   ? rnsVAdd(TA, TB, TA)
-            : Op == KernelOp::SubMod ? rnsVSub(TA, TB, TA)
-                                     : rnsVMul(TA, TB, TA);
-  if (!Ok)
-    return false;
-  return toWide(TA, C);
-}
-
-bool Dispatcher::rnsVAdd(const RnsContext &Ctx, const std::uint64_t *A,
-                         const std::uint64_t *B, std::uint64_t *C,
-                         size_t N) {
-  clearError();
-  return rnsElementwise(KernelOp::AddMod, Ctx, A, B, C, N);
-}
-
-bool Dispatcher::rnsVMul(const RnsContext &Ctx, const std::uint64_t *A,
-                         const std::uint64_t *B, std::uint64_t *C,
-                         size_t N) {
-  clearError();
-  return rnsElementwise(KernelOp::MulMod, Ctx, A, B, C, N);
-}
-
 bool Dispatcher::rnsPolyMul(const RnsContext &Ctx, const std::uint64_t *A,
                             const std::uint64_t *B, std::uint64_t *C,
                             size_t NPoints, size_t Batch,
                             rewrite::NttRing Ring) {
   clearError();
-  // Thin wrapper over the tensor API (see rnsElementwise): decompose
-  // both sides into borrowed scratch tensors, run the lazy product, and
-  // immediately demand coefficient form back — toWide pays the deferred
-  // inverse transforms. The dispatch sequence is exactly the historical
-  // one (per limb: two forward NTTs, one pointwise multiply, one inverse
-  // NTT, plus the decompose/recombine edges), just reordered across
-  // limbs; the exact-count probes in the RNS tests stay pinned.
+  // Thin wrapper over the tensor API: borrow pooled scratch as two
+  // tensors (zero steady-state allocation), decompose both sides, run the
+  // lazy product, and immediately demand coefficient form back — toWide
+  // pays the deferred inverse transforms. Per limb: two forward NTTs, one
+  // pointwise multiply, one inverse NTT, plus the decompose/recombine
+  // edges; the exact-count probes in the RNS tests pin this sequence.
   size_t N = NPoints * Batch;
   size_t Total = Ctx.numLimbs() * N;
   ScratchLease SL(*this);

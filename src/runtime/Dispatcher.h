@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving layer of the runtime: batched modular BLAS, butterfly, NTT
-/// and polynomial-product requests executed through cached compiled plans
+/// The serving layer of the runtime: batched modular BLAS, NTT and
+/// polynomial-product requests executed through cached compiled plans
 /// (KernelRegistry) with per-problem variants picked by the Autotuner.
 /// Many elements — or many polynomials — per call is the point: the JIT
 /// and tuning cost is paid once per (kernel, width) and amortized over
@@ -16,8 +16,8 @@
 ///
 /// Every request routes through the plan's ExecutionBackend
 /// (runtime/Backend.h): serial host-JIT scalar calls, or the grid-shaped
-/// sim-GPU substrate (paper §5.1 thread mapping — NTT stages launch with
-/// grid y = batch index, so large batches parallelize over the worker
+/// sim-GPU substrate (paper §5.1 thread mapping — NTT stage groups launch
+/// with grid y = batch index, so large batches parallelize over the worker
 /// pool). The backend and launch geometry are plan knobs: set them on the
 /// base PlanOptions to pin a backend, or attach an Autotuner to pick the
 /// winner per problem and batch-size class automatically.
@@ -114,16 +114,6 @@ public:
 
   // -- Batched NTT engine (paper §5.3) -----------------------------------
 
-  /// One butterfly per element triple, in place: (x, y) <- (x + w*y,
-  /// x - w*y) mod q. \p W holds plain-domain twiddles; when the bound
-  /// plan uses Montgomery reduction they are converted (w * 2^lambda mod
-  /// q, one host mulmod each) into a scratch copy per call — the NTT
-  /// entry points avoid that cost entirely through their precomputed
-  /// Montgomery-domain tables, so this convenience API stays
-  /// domain-agnostic for callers.
-  bool butterfly(const mw::Bignum &Q, std::uint64_t *X, std::uint64_t *Y,
-                 const std::uint64_t *W, size_t N);
-
   /// In-place forward/inverse NTT over \p Batch contiguous \p NPoints
   /// transforms (inverse includes the 1/n scaling). Each transform walks
   /// its log2(n) stages in ceil(log2(n)/FuseDepth) fused stage-group
@@ -174,12 +164,6 @@ public:
   /// Limb-major residues -> wide batch (CRT reconstruction mod M).
   bool rnsRecombine(const RnsContext &Ctx, const std::uint64_t *Residues,
                     std::uint64_t *C, size_t N);
-  /// C = (A + B) mod M / C = (A * B) mod M, element-wise over wide
-  /// batches. C may alias A or B.
-  bool rnsVAdd(const RnsContext &Ctx, const std::uint64_t *A,
-               const std::uint64_t *B, std::uint64_t *C, size_t N);
-  bool rnsVMul(const RnsContext &Ctx, const std::uint64_t *A,
-               const std::uint64_t *B, std::uint64_t *C, size_t N);
   /// Batched polynomial product over Z_M[x]/(x^n -+ 1): decompose, one
   /// NTT polyMul per limb (negacyclic rides the same edge folds as the
   /// single-modulus path), recombine. A/B/C hold Batch x NPoints wide
@@ -197,12 +181,13 @@ public:
   // default — a chain of k rnsPolyMul calls pays (k+1)·L forward and L
   // inverse transforms instead of the flat path's 3k·L (pointwise
   // products compose in the transformed domain, so intermediates never
-  // leave it). The flat-pointer methods above are thin wrappers over
-  // fromWide -> tensor op -> toWide with bit-identical results and
-  // dispatch counts. Binary ops require congruent operands (same context
-  // identity, shape, ring); tensors are taken by non-const reference
-  // because laziness mutates representation (never value): an operand
-  // may come back forward-transformed with its tag updated.
+  // leave it). Element-wise wide-batch arithmetic is fromWide -> tensor
+  // op -> toWide; the flat rnsPolyMul above is exactly that wrapper, with
+  // bit-identical results and dispatch counts. Binary ops require
+  // congruent operands (same context identity, shape, ring); tensors are
+  // taken by non-const reference because laziness mutates representation
+  // (never value): an operand may come back forward-transformed with its
+  // tag updated.
 
   /// Wide batch (count() elements of Ctx.wideWords() words) -> residues.
   /// \p Out supplies context and shape; its domain resets to Coeff.
@@ -354,11 +339,6 @@ private:
   BoundPlan *bindPlan(KernelOp Op, const mw::Bignum &Q,
                       const rewrite::PlanOptions &Opts,
                       unsigned WideWords = 0);
-  /// Shared decompose + per-limb-op + recombine driver for the
-  /// element-wise RNS entry points.
-  bool rnsElementwise(KernelOp Op, const RnsContext &Ctx,
-                      const std::uint64_t *A, const std::uint64_t *B,
-                      std::uint64_t *C, size_t N);
   /// Tables for (Q, NPoints, Ring) in \p Domain — the bound butterfly
   /// plan's reduction, so Montgomery plans get Montgomery-form twiddles
   /// (and ψ tables). Built once and shared by forward and inverse
@@ -392,7 +372,6 @@ private:
   struct Scratch {
     std::vector<std::uint64_t> Poly; ///< polyMul's B-transform copy
     std::vector<std::uint64_t> Ntt;  ///< stage-group ping-pong
-    std::vector<std::uint64_t> Tw;   ///< butterfly() domain conversion
     std::vector<std::uint64_t> RnsA, RnsB; ///< limb-major residues
     bool InUse = false;
   };

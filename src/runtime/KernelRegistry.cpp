@@ -63,91 +63,7 @@ bool kernelOpMixesWidths(KernelOp Op) {
   return Op == KernelOp::RnsDecompose || Op == KernelOp::RnsRecombineStep;
 }
 
-/// Calls \p Fn with \p Args.size() pointer arguments. The emitted-kernel
-/// ABI is void(f)(port0*, port1*, ...); arities cover every runtime
-/// kernel shape (butterfly/montgomery peaks at 8 ports).
-bool callPorts(void *Fn, void *const *A, size_t N) {
-  using P = void *;
-  switch (N) {
-  case 3:
-    reinterpret_cast<void (*)(P, P, P)>(Fn)(A[0], A[1], A[2]);
-    return true;
-  case 4:
-    reinterpret_cast<void (*)(P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3]);
-    return true;
-  case 5:
-    reinterpret_cast<void (*)(P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
-                                                  A[4]);
-    return true;
-  case 6:
-    reinterpret_cast<void (*)(P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
-                                                     A[4], A[5]);
-    return true;
-  case 7:
-    reinterpret_cast<void (*)(P, P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2],
-                                                        A[3], A[4], A[5],
-                                                        A[6]);
-    return true;
-  case 8:
-    reinterpret_cast<void (*)(P, P, P, P, P, P, P, P)>(Fn)(
-        A[0], A[1], A[2], A[3], A[4], A[5], A[6], A[7]);
-    return true;
-  default:
-    return false;
-  }
-}
-
 } // namespace
-
-bool moma::runtime::callPlan(const CompiledPlan &P, void *const *Ports) {
-  return P.Fn && callPorts(P.Fn, Ports, P.numPorts());
-}
-
-bool moma::runtime::runBatch(const CompiledPlan &P, const BatchArgs &Args,
-                             size_t N, std::string *Err) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Err)
-      *Err = "runBatch: " + Msg;
-    return false;
-  };
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
-    return Fail(formatv("plan compiled for the %s backend; route it "
-                        "through its ExecutionBackend",
-                        rewrite::execBackendName(P.Key.Opts.Backend)));
-  if (Args.Outs.size() != P.NumOutputs)
-    return Fail(formatv("expected %u output arrays, got %zu", P.NumOutputs,
-                        Args.Outs.size()));
-  if (Args.Ins.size() != P.NumDataInputs)
-    return Fail(formatv("expected %u input arrays, got %zu", P.NumDataInputs,
-                        Args.Ins.size()));
-  if (!Args.InStrides.empty() && Args.InStrides.size() != Args.Ins.size())
-    return Fail("InStrides must be empty or match Ins");
-  if (Args.Aux.size() != P.AuxWords.size())
-    return Fail(formatv("expected %zu broadcast aux arrays, got %zu",
-                        P.AuxWords.size(), Args.Aux.size()));
-
-  size_t NumPorts = P.numPorts();
-  void *Ports[8];
-  if (NumPorts > 8 || !P.Fn)
-    return Fail("unsupported plan shape");
-
-  for (size_t I = 0; I < N; ++I) {
-    size_t Slot = 0;
-    for (std::uint64_t *Out : Args.Outs)
-      Ports[Slot++] = Out + I * P.ElemWords;
-    for (size_t J = 0; J < Args.Ins.size(); ++J) {
-      size_t Stride =
-          Args.InStrides.empty() ? P.ElemWords : Args.InStrides[J];
-      Ports[Slot++] =
-          const_cast<std::uint64_t *>(Args.Ins[J] + I * Stride);
-    }
-    for (const std::uint64_t *A : Args.Aux)
-      Ports[Slot++] = const_cast<std::uint64_t *>(A);
-    if (!callPorts(P.Fn, Ports, NumPorts))
-      return Fail(formatv("unsupported arity %zu", NumPorts));
-  }
-  return true;
-}
 
 std::vector<std::uint64_t> moma::runtime::packWordsMsbFirst(const mw::Bignum &V,
                                                             unsigned Words) {
@@ -245,11 +161,6 @@ void KernelRegistry::setRetryPolicy(const RetryPolicy &P) {
     Retry.MaxAttempts = 1;
   if (Retry.BackoffMultiplier == 0)
     Retry.BackoffMultiplier = 1;
-}
-
-KernelRegistry::RetryPolicy KernelRegistry::retryPolicy() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Retry;
 }
 
 void KernelRegistry::setNegativeTtlUs(std::uint64_t Us) {
@@ -579,9 +490,9 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
         Error = "KernelRegistry: data input port width mismatch";
         return nullptr;
       }
-  // The 8-port bound is the serial callPorts arity limit; the grid ABI
-  // passes port arrays but shares it for the serial stage fallback, and
-  // the interp walkers reuse the same 8-slot port frames.
+  // The 8-port bound is the serial callPorts arity limit; the grid and
+  // vector ABIs pass port arrays but share it, and the interp walkers
+  // reuse the same 8-slot port frames.
   if (P->numPorts() > 8) {
     Error = "KernelRegistry: unsupported port shape";
     return nullptr;
@@ -598,7 +509,7 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     return P;
   }
 
-  std::string StageSymbol, FusedSymbol;
+  std::string FusedSymbol;
   if (IsVector) {
     // SIMD lane-loop artifact. The lane count — and, for butterfly
     // kernels, the stage-fusion depth — are runtime launch parameters of
@@ -609,7 +520,6 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     P->Emitted.Source = std::move(V.Source);
     P->Emitted.Symbol = V.VecSymbol;
     P->Emitted.Ports = std::move(V.Ports);
-    StageSymbol = V.StageSymbol;
     FusedSymbol = V.FusedSymbol;
   } else if (IsSimGpu) {
     // Grid-shaped artifact (paper 5.1 thread mapping as host-JIT C). The
@@ -622,7 +532,6 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     P->Emitted.Source = std::move(G.Source);
     P->Emitted.Symbol = G.GridSymbol;
     P->Emitted.Ports = std::move(G.Ports);
-    StageSymbol = G.StageSymbol;
     FusedSymbol = G.FusedSymbol;
   } else {
     P->Emitted = codegen::emitC(P->Lowered);
@@ -654,17 +563,12 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
   }
   if (IsSimGpu || IsVector) {
     (IsVector ? P->VecFn : P->GridFn) = EntryFn;
-    for (const auto &Sym :
-         {std::make_pair(IsVector ? &P->VecStageFn : &P->StageFn,
-                         &StageSymbol),
-          std::make_pair(IsVector ? &P->VecFusedFn : &P->FusedFn,
-                         &FusedSymbol)}) {
-      if (Sym.second->empty())
-        continue;
-      *Sym.first = P->Module->symbol(*Sym.second, &DlErr);
-      if (!*Sym.first) {
+    if (!FusedSymbol.empty()) {
+      void *&Fused = IsVector ? P->VecFusedFn : P->FusedFn;
+      Fused = P->Module->symbol(FusedSymbol, &DlErr);
+      if (!Fused) {
         Error = formatv("KernelRegistry: symbol '%s' missing from %s: %s",
-                        Sym.second->c_str(), P->Module->soPath().c_str(),
+                        FusedSymbol.c_str(), P->Module->soPath().c_str(),
                         DlErr.empty() ? "resolved to null" : DlErr.c_str());
         return nullptr;
       }

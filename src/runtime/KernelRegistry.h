@@ -54,12 +54,11 @@ class ExecutionBackend;
 /// One compiled kernel variant: metadata plus the callable entry points.
 /// Which set is populated depends on the key's backend — serial plans
 /// resolve Fn (pointer-per-port scalar ABI), sim-GPU plans resolve GridFn
-/// and, for butterfly kernels, StageFn (the grid ABI of
+/// and, for butterfly kernels, FusedFn (the grid ABI of
 /// codegen/GridEmitter.h), vector plans resolve VecFn and, for butterfly
-/// kernels, VecStageFn/VecFusedFn (the lane-loop ABI of
-/// codegen/VectorEmitter.h). Kept alive by shared_ptr so a batch in
-/// flight survives registry eviction; the loaded JitModule is released
-/// with the last plan user.
+/// kernels, VecFusedFn (the lane-loop ABI of codegen/VectorEmitter.h).
+/// Kept alive by shared_ptr so a batch in flight survives registry
+/// eviction; the loaded JitModule is released with the last plan user.
 struct CompiledPlan {
   PlanKey Key;
   rewrite::LoweredKernel Lowered; ///< port layout source of truth
@@ -67,12 +66,10 @@ struct CompiledPlan {
   std::shared_ptr<jit::JitModule> Module;
   void *Fn = nullptr;      ///< serial entry point (pointer-per-port ABI)
   void *GridFn = nullptr;  ///< sim-GPU element-wise block entry
-  void *StageFn = nullptr; ///< sim-GPU radix-2 NTT-stage entry (butterfly)
   void *FusedFn = nullptr; ///< sim-GPU fused stage-group entry (butterfly);
                            ///< fusion depth is a launch parameter, so every
                            ///< FuseDepth key of one kernel shares the module
   void *VecFn = nullptr;      ///< vector element-wise lane-loop entry
-  void *VecStageFn = nullptr; ///< vector radix-2 NTT-stage entry (butterfly)
   void *VecFusedFn = nullptr; ///< vector fused stage-group entry
                               ///< (butterfly); the lane count is a launch
                               ///< parameter, so every VectorWidth key of
@@ -94,9 +91,10 @@ struct CompiledPlan {
   }
 };
 
-/// Batched call description for runBatch: flat arrays of N elements with
-/// ElemWords words each (most significant word first, the emitted-kernel
-/// convention), plus the broadcast auxiliary ports.
+/// Batched call description for ExecutionBackend::runBatch
+/// (runtime/Backend.h): flat arrays of N elements with ElemWords words
+/// each (most significant word first, the emitted-kernel convention),
+/// plus the broadcast auxiliary ports.
 struct BatchArgs {
   std::vector<std::uint64_t *> Outs;      ///< NumOutputs arrays
   std::vector<const std::uint64_t *> Ins; ///< NumDataInputs arrays
@@ -106,21 +104,6 @@ struct BatchArgs {
   std::vector<size_t> InStrides;
   std::vector<const std::uint64_t *> Aux; ///< AuxWords.size() arrays
 };
-
-/// Invokes \p P.Fn once per element over \p N elements — the serial
-/// execution path (\p P must be a serial plan; sim-GPU plans route
-/// through their ExecutionBackend, runtime/Backend.h). Returns false on a
-/// shape mismatch (wrong pointer counts or unsupported arity), with a
-/// message in \p Err when non-null. Output may alias input arrays: the
-/// emitted kernels load every input word before storing any output word.
-bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
-              std::string *Err = nullptr);
-
-/// Calls \p P.Fn once with pre-assembled port pointers (P.numPorts()
-/// entries: outputs, data inputs, broadcast tail). The zero-allocation
-/// path for inner loops (the NTT stage driver); batch entry points should
-/// prefer runBatch. Returns false on unsupported arity.
-bool callPlan(const CompiledPlan &P, void *const *Ports);
 
 /// Packs \p V into \p Words 64-bit words, most significant first (the
 /// emitted-kernel port convention). \p V must fit.
@@ -188,7 +171,6 @@ public:
     unsigned MaxBackoffUs = 100000;  ///< backoff ceiling (100ms)
   };
   void setRetryPolicy(const RetryPolicy &P);
-  RetryPolicy retryPolicy() const;
 
   /// TTL of the negative cache: after a terminal build failure the key
   /// fast-fails (error() reports the cached message) for this long

@@ -12,10 +12,10 @@
 /// representation domain the residues are currently in (coefficient or
 /// NTT).
 ///
-/// Why it exists: the flat-pointer RNS entry points are one-shot — every
-/// rnsVMul/rnsPolyMul decomposes its wide inputs and recombines its wide
-/// outputs, so chained FHE-style traffic pays the CRT edges (and a full
-/// inverse/forward NTT round trip) on every hop. Real FHE pipelines keep
+/// Why it exists: the flat-pointer rnsPolyMul is one-shot — every call
+/// decomposes its wide inputs and recombines its wide output, so chained
+/// FHE-style traffic pays the CRT edges (and a full inverse/forward NTT
+/// round trip) on every hop. Real FHE pipelines keep
 /// data resident in residue form across many operations. RnsTensor is
 /// that residency: Dispatcher::fromWide / toWide are the only points
 /// where the CRT edges run, the tensor overloads of rnsVAdd/rnsVMul/
@@ -37,10 +37,10 @@
 ///
 /// Storage: limb-major, limb l owning the count() = nPoints()*batch()
 /// single-word residues at [l*count(), (l+1)*count()) — the same layout
-/// the flat API's scratch uses, which is why the flat methods can wrap
+/// the flat API's scratch uses, which is why the flat rnsPolyMul can wrap
 /// this API bit-for-bit. A tensor either owns its storage (the normal
-/// case) or borrows caller storage (RnsTensor::borrow — the flat-pointer
-/// wrappers lease pooled scratch this way, keeping their zero
+/// case) or borrows caller storage (RnsTensor::borrow — the flat
+/// rnsPolyMul leases pooled scratch this way, keeping its zero
 /// steady-state allocation).
 ///
 /// Lifetime: a tensor references its RnsContext (and, after a rescale,
@@ -85,7 +85,7 @@ public:
   /// Non-owning view over caller storage of numLimbs * NPoints * Batch
   /// words in the limb-major layout. The storage must outlive the view;
   /// Dispatcher ops write through it (that is the point — the flat
-  /// wrappers borrow pooled scratch).
+  /// rnsPolyMul borrows pooled scratch).
   static RnsTensor borrow(const RnsContext &Ctx, std::uint64_t *Data,
                           size_t NPoints, size_t Batch,
                           rewrite::NttRing Ring = rewrite::NttRing::Cyclic,

@@ -123,21 +123,6 @@ std::future<Reply> Server::vadd(const mw::Bignum &Q, const std::uint64_t *A,
   return submit(std::move(R));
 }
 
-std::future<Reply> Server::vsub(const mw::Bignum &Q, const std::uint64_t *A,
-                                const std::uint64_t *B, std::uint64_t *C,
-                                size_t N, std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::VSub;
-  R.Q = Q;
-  R.A = A;
-  R.B = B;
-  R.C = C;
-  R.N = N;
-  R.Key = "vs/" + Q.toHex();
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
-}
-
 std::future<Reply> Server::vmul(const mw::Bignum &Q, const std::uint64_t *A,
                                 const std::uint64_t *B, std::uint64_t *C,
                                 size_t N, std::uint64_t DeadlineUs) {
@@ -417,18 +402,11 @@ bool Server::dispatchBatch(Worker &W, std::vector<Request> &Batch,
 
   switch (R0.Kind) {
   case ReqKind::VAdd:
-  case ReqKind::VSub:
   case ReqKind::VMul: {
     auto Call = [&](const std::uint64_t *A, const std::uint64_t *B,
                     std::uint64_t *C, size_t N) {
-      switch (R0.Kind) {
-      case ReqKind::VAdd:
-        return D.vadd(R0.Q, A, B, C, N);
-      case ReqKind::VSub:
-        return D.vsub(R0.Q, A, B, C, N);
-      default:
-        return D.vmul(R0.Q, A, B, C, N);
-      }
+      return R0.Kind == ReqKind::VAdd ? D.vadd(R0.Q, A, B, C, N)
+                                      : D.vmul(R0.Q, A, B, C, N);
     };
     if (Batch.size() == 1) {
       Ok = Call(R0.A, R0.B, R0.C, R0.N); // zero-copy fast path

@@ -134,9 +134,6 @@ public:
   std::future<Reply> vadd(const mw::Bignum &Q, const std::uint64_t *A,
                           const std::uint64_t *B, std::uint64_t *C,
                           size_t N, std::uint64_t DeadlineUs = 0);
-  std::future<Reply> vsub(const mw::Bignum &Q, const std::uint64_t *A,
-                          const std::uint64_t *B, std::uint64_t *C,
-                          size_t N, std::uint64_t DeadlineUs = 0);
   std::future<Reply> vmul(const mw::Bignum &Q, const std::uint64_t *A,
                           const std::uint64_t *B, std::uint64_t *C,
                           size_t N, std::uint64_t DeadlineUs = 0);
@@ -230,7 +227,6 @@ public:
 private:
   enum class ReqKind {
     VAdd,
-    VSub,
     VMul,
     PolyMul,
     NttForward,

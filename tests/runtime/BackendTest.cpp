@@ -85,16 +85,21 @@ TEST(BackendPlanKey, SimGpuKeysCarryBackendAndGeometry) {
 
 TEST(BackendPlanKey, SerialAndSimGpuAreDistinctCacheEntries) {
   Bignum Q = testModulus(124);
-  auto PS = registry().get(PlanKey::forModulus(KernelOp::MulMod, Q));
-  ASSERT_NE(PS, nullptr) << registry().error();
-  auto PG =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, simGpuBase()));
-  ASSERT_NE(PG, nullptr) << registry().error();
-  EXPECT_NE(PS.get(), PG.get());
-  EXPECT_NE(PS->Fn, nullptr);
-  EXPECT_EQ(PS->GridFn, nullptr);
-  EXPECT_EQ(PG->Fn, nullptr);
-  EXPECT_NE(PG->GridFn, nullptr);
+  for (KernelOp Op : {KernelOp::MulMod, KernelOp::Butterfly}) {
+    auto PS = registry().get(PlanKey::forModulus(Op, Q));
+    ASSERT_NE(PS, nullptr) << registry().error();
+    auto PG = registry().get(PlanKey::forModulus(Op, Q, simGpuBase()));
+    ASSERT_NE(PG, nullptr) << registry().error();
+    EXPECT_NE(PS.get(), PG.get());
+    EXPECT_NE(PS->Fn, nullptr);
+    EXPECT_EQ(PS->GridFn, nullptr);
+    EXPECT_EQ(PS->FusedFn, nullptr);
+    EXPECT_EQ(PG->Fn, nullptr);
+    EXPECT_NE(PG->GridFn, nullptr);
+    // Only butterfly plans resolve the fused NTT stage-group entry.
+    EXPECT_EQ(PG->FusedFn != nullptr, Op == KernelOp::Butterfly)
+        << kernelOpName(Op);
+  }
 }
 
 TEST(BackendPlanKey, GeometriesShareOneCompiledModule) {
@@ -134,11 +139,9 @@ TEST(BackendGeometry, SerialBackendRefusesSimGpuPlans) {
   ASSERT_NE(PG, nullptr) << registry().error();
   BatchArgs Args;
   std::string Err;
-  EXPECT_FALSE(runBatch(*PG, Args, 0, &Err))
+  EXPECT_FALSE(SerialBackend().runBatch(*PG, Args, 0, /*Rows=*/1, &Err))
       << "the serial path must not silently run a grid plan";
   EXPECT_NE(Err.find("simgpu"), std::string::npos) << Err;
-  SerialBackend SB;
-  EXPECT_FALSE(SB.runBatch(*PG, Args, 0, 1, &Err));
 }
 
 //===----------------------------------------------------------------------===//
@@ -235,11 +238,11 @@ TEST(BackendExecution, NttMatchesSerialBitForBit) {
 }
 
 TEST(BackendExecution, StageGeometrySweepMatchesSerial) {
-  // The stage entry's g/j division-and-carry indexing is the trickiest
-  // new code path: sweep transform sizes against block dims that do NOT
-  // divide the butterfly count (partial blocks, non-power-of-two dims,
-  // one-thread blocks) and demand bit-identity with the serial stage
-  // loop at every stage length.
+  // The fused entry's g/r division-and-carry indexing is the trickiest
+  // code path: sweep transform sizes against block dims that do NOT
+  // divide the thread count (partial blocks, non-power-of-two dims,
+  // one-thread blocks) and demand bit-identity with the serial walk at
+  // every stage length.
   Dispatcher DS(registry());
   Bignum Q = testModulus(124);
   unsigned K = Dispatcher::elemWords(Q);

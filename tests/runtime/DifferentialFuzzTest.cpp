@@ -129,7 +129,8 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
       Args.Ins.push_back(I.data());
     Args.Aux = Aux.ptrs();
     std::string Err;
-    ASSERT_TRUE(runBatch(Plan, Args, 1, &Err)) << Err;
+    ASSERT_TRUE(SerialBackend().runBatch(Plan, Args, 1, /*Rows=*/1, &Err))
+        << Err;
 
     // Sim-GPU grid-shaped JIT through its ExecutionBackend (batch of one
     // exercises the block guard: one block, one live thread).
@@ -427,7 +428,9 @@ TEST(DifferentialFuzz, RnsVMulAndPolyMul) {
       }
       auto AW = packBatch(A, WW), BW = packBatch(B, WW);
       std::vector<std::uint64_t> CW(N * WW);
-      ASSERT_TRUE(D.rnsVMul(Ctx, AW.data(), BW.data(), CW.data(), N))
+      RnsTensor TA(Ctx, N, 1), TB(Ctx, N, 1);
+      ASSERT_TRUE(D.fromWide(AW.data(), TA) && D.fromWide(BW.data(), TB) &&
+                  D.rnsVMul(TA, TB, TA) && D.toWide(TA, CW.data()))
           << D.error() << " (trial " << T << ")";
       auto C = unpackBatch(CW, WW);
       for (size_t I = 0; I < N; ++I)

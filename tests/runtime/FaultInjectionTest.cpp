@@ -296,14 +296,19 @@ TEST(InterpBackend, RnsMatchesJit) {
   std::vector<std::uint64_t> A = packBatch(EA, Ctx.wideWords()),
                              B = packBatch(EB, Ctx.wideWords()), Want(Row),
                              Got(Row);
-  ASSERT_TRUE(DJ.rnsVMul(Ctx, A.data(), B.data(), Want.data(), N))
-      << DJ.error();
-  ASSERT_TRUE(DI.rnsVMul(Ctx, A.data(), B.data(), Got.data(), N))
-      << DI.error();
+  // Element-wise ops run fromWide -> tensor op -> toWide.
+  auto Elementwise = [&](Dispatcher &D, bool Mul,
+                         std::vector<std::uint64_t> &Out) {
+    RnsTensor TA(Ctx, N, 1), TB(Ctx, N, 1), TC(Ctx, N, 1);
+    return D.fromWide(A.data(), TA) && D.fromWide(B.data(), TB) &&
+           (Mul ? D.rnsVMul(TA, TB, TC) : D.rnsVAdd(TA, TB, TC)) &&
+           D.toWide(TC, Out.data());
+  };
+  ASSERT_TRUE(Elementwise(DJ, /*Mul=*/true, Want)) << DJ.error();
+  ASSERT_TRUE(Elementwise(DI, /*Mul=*/true, Got)) << DI.error();
   EXPECT_EQ(Got, Want) << "rnsVMul diverges";
-  ASSERT_TRUE(DJ.rnsVAdd(Ctx, A.data(), B.data(), Want.data(), N));
-  ASSERT_TRUE(DI.rnsVAdd(Ctx, A.data(), B.data(), Got.data(), N))
-      << DI.error();
+  ASSERT_TRUE(Elementwise(DJ, /*Mul=*/false, Want)) << DJ.error();
+  ASSERT_TRUE(Elementwise(DI, /*Mul=*/false, Got)) << DI.error();
   EXPECT_EQ(Got, Want) << "rnsVAdd diverges";
   ASSERT_TRUE(DJ.rnsPolyMul(Ctx, A.data(), B.data(), Want.data(), N, 1));
   ASSERT_TRUE(DI.rnsPolyMul(Ctx, A.data(), B.data(), Got.data(), N, 1))

@@ -218,15 +218,19 @@ TEST(RnsRuntime, VAddVMulBitExactVsBignumAndGrnsBaseline) {
     auto AW = packBatch(A, WW), BW = packBatch(B, WW);
     std::vector<std::uint64_t> CW(N * WW);
 
+    // Element-wise RNS arithmetic: fromWide -> tensor op -> toWide.
     Dispatcher D(registry());
-    ASSERT_TRUE(D.rnsVAdd(Ctx, AW.data(), BW.data(), CW.data(), N))
-        << D.error();
+    RnsTensor TA(Ctx, N, 1), TB(Ctx, N, 1), TC(Ctx, N, 1);
+    ASSERT_TRUE(D.fromWide(AW.data(), TA)) << D.error();
+    ASSERT_TRUE(D.fromWide(BW.data(), TB)) << D.error();
+    ASSERT_TRUE(D.rnsVAdd(TA, TB, TC)) << D.error();
+    ASSERT_TRUE(D.toWide(TC, CW.data())) << D.error();
     auto C = unpackBatch(CW, WW);
     for (size_t I = 0; I < N; ++I)
       EXPECT_EQ(C[I], A[I].addMod(B[I], M)) << "vadd elem " << I;
 
-    ASSERT_TRUE(D.rnsVMul(Ctx, AW.data(), BW.data(), CW.data(), N))
-        << D.error();
+    ASSERT_TRUE(D.rnsVMul(TA, TB, TC)) << D.error();
+    ASSERT_TRUE(D.toWide(TC, CW.data())) << D.error();
     C = unpackBatch(CW, WW);
     // The GRNS baseline computes the same products through its own
     // 31-bit channel base and CRT (an entirely independent RNS

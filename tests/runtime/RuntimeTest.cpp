@@ -13,6 +13,7 @@
 #include "ntt/Ntt.h"
 #include "ntt/ReferenceDft.h"
 #include "runtime/Autotuner.h"
+#include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
 
 #include <gtest/gtest.h>
@@ -133,8 +134,19 @@ TEST(KernelRegistry, RunBatchValidatesShapes) {
   ASSERT_NE(P, nullptr) << registry().error();
   BatchArgs Bad; // no pointers at all
   std::string Err;
-  EXPECT_FALSE(runBatch(*P, Bad, 1, &Err));
+  EXPECT_FALSE(SerialBackend().runBatch(*P, Bad, 1, /*Rows=*/1, &Err));
   EXPECT_NE(Err.find("output arrays"), std::string::npos);
+
+  // The interp backend walks the same element loop, so the same malformed
+  // call fails with the same message.
+  rewrite::PlanOptions Interp;
+  Interp.Backend = rewrite::ExecBackend::Interp;
+  auto PI = registry().get(
+      PlanKey::forModulus(KernelOp::MulMod, testModulus(124), Interp));
+  ASSERT_NE(PI, nullptr) << registry().error();
+  Err.clear();
+  EXPECT_FALSE(InterpBackend().runBatch(*PI, Bad, 1, /*Rows=*/1, &Err));
+  EXPECT_NE(Err.find("output arrays"), std::string::npos) << Err;
 }
 
 //===----------------------------------------------------------------------===//

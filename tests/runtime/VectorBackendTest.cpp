@@ -84,17 +84,23 @@ TEST(VectorPlanKey, VectorFoldsTheBlockDimAndSerialFoldsTheWidth) {
 
 TEST(VectorPlanKey, SerialAndVectorAreDistinctCacheEntries) {
   Bignum Q = testModulus(124);
-  auto PS = registry().get(PlanKey::forModulus(KernelOp::MulMod, Q));
-  ASSERT_NE(PS, nullptr) << registry().error();
-  auto PV =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase()));
-  ASSERT_NE(PV, nullptr) << registry().error();
-  EXPECT_NE(PS.get(), PV.get());
-  EXPECT_NE(PS->Fn, nullptr);
-  EXPECT_EQ(PS->VecFn, nullptr);
-  EXPECT_EQ(PV->Fn, nullptr);
-  EXPECT_EQ(PV->GridFn, nullptr);
-  EXPECT_NE(PV->VecFn, nullptr);
+  for (KernelOp Op : {KernelOp::MulMod, KernelOp::Butterfly}) {
+    auto PS = registry().get(PlanKey::forModulus(Op, Q));
+    ASSERT_NE(PS, nullptr) << registry().error();
+    auto PV = registry().get(PlanKey::forModulus(Op, Q, vectorBase()));
+    ASSERT_NE(PV, nullptr) << registry().error();
+    EXPECT_NE(PS.get(), PV.get());
+    EXPECT_NE(PS->Fn, nullptr);
+    EXPECT_EQ(PS->VecFn, nullptr);
+    EXPECT_EQ(PS->VecFusedFn, nullptr);
+    EXPECT_EQ(PV->Fn, nullptr);
+    EXPECT_EQ(PV->GridFn, nullptr);
+    EXPECT_EQ(PV->FusedFn, nullptr);
+    EXPECT_NE(PV->VecFn, nullptr);
+    // Only butterfly plans resolve the fused NTT stage-group entry.
+    EXPECT_EQ(PV->VecFusedFn != nullptr, Op == KernelOp::Butterfly)
+        << kernelOpName(Op);
+  }
 }
 
 TEST(VectorPlanKey, WidthsShareOneCompiledModule) {
@@ -134,11 +140,8 @@ TEST(VectorGeometry, SerialPathRefusesVectorPlans) {
   ASSERT_NE(PV, nullptr) << registry().error();
   BatchArgs Args;
   std::string Err;
-  EXPECT_FALSE(runBatch(*PV, Args, 0, &Err))
+  EXPECT_FALSE(SerialBackend().runBatch(*PV, Args, 0, /*Rows=*/1, &Err))
       << "the serial path must not silently run a vector plan";
-  EXPECT_NE(Err.find("vector"), std::string::npos) << Err;
-  SerialBackend SB;
-  EXPECT_FALSE(SB.runBatch(*PV, Args, 0, 1, &Err));
   EXPECT_NE(Err.find("vector"), std::string::npos) << Err;
 }
 

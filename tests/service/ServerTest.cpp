@@ -14,6 +14,7 @@
 #include "ParkedWorker.h"
 
 #include "field/PrimeGen.h"
+#include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
 #include "service/Server.h"
 
@@ -502,7 +503,8 @@ TEST(KernelRegistry, LruEvictionKeepsHeldPlansCallable) {
   Args.Ins = {AW.data(), BW.data()};
   Args.Aux = Aux.ptrs();
   std::string Err;
-  ASSERT_TRUE(runBatch(*PA, Args, 1, &Err)) << Err;
+  ASSERT_TRUE(SerialBackend().runBatch(*PA, Args, 1, /*Rows=*/1, &Err))
+      << Err;
   EXPECT_EQ(unpackWordsMsbFirst(CW.data(), K), Bignum(15));
 
   // Re-requesting the evicted key rebuilds (memory-only cache).

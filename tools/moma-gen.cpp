@@ -33,8 +33,8 @@
 // `--emit c` with `--backend simgpu` prints the grid-shaped source (the
 // §5.1 CUDA thread mapping as host-JIT C; butterfly kernels include the
 // fused radix-2^k stage-group entry) and with `--backend vector` the
-// SIMD lane-loop source (SoA chunk helpers plus the batch-axis stage and
-// fused entries); `--emit tune` sweeps the backend, block-dim, and
+// SIMD lane-loop source (SoA chunk helpers plus the batch-axis fused
+// entry for butterflies); `--emit tune` sweeps the backend, block-dim, and
 // lane-width axes alongside reduction/pruning/scheduling — butterfly
 // kernels tune the transform-shaped problem (a batched 256-point NTT
 // through the fused pipeline), so the fusion depth is swept and reported
@@ -410,13 +410,13 @@ int main(int argc, char **argv) {
   if (Emit == "c") {
     if (Plan.Backend == rewrite::ExecBackend::SimGpu)
       // The grid-shaped source the sim-GPU backend compiles: the 5.1
-      // thread mapping as host-JIT C (element-wise entry, plus the NTT
-      // stage entry for butterfly kernels).
+      // thread mapping as host-JIT C (element-wise entry, plus the fused
+      // NTT stage-group entry for butterfly kernels).
       std::printf("%s", codegen::emitGridC(L).Source.c_str());
     else if (Plan.Backend == rewrite::ExecBackend::Vector)
       // The SIMD lane-loop source the vector backend compiles at
       // -O3 [-march=native]: SoA fixed-trip chunk helpers over the
-      // batch axis, plus the stage/fused entries for butterflies.
+      // batch axis, plus the fused entry for butterflies.
       std::printf("%s", codegen::emitVectorC(L).Source.c_str());
     else
       std::printf("%s", codegen::emitC(L).Source.c_str());
