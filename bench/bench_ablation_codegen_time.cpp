@@ -14,7 +14,7 @@
 #include "codegen/CEmitter.h"
 #include "kernels/ScalarKernels.h"
 #include "rewrite/Lower.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 #include "rewrite/Stats.h"
 
 #include <benchmark/benchmark.h>
@@ -41,8 +41,7 @@ void registerWidth(unsigned Bits) {
       formatv("lower+simplify+emit/%u", Bits), [Spec](benchmark::State &S) {
         for (auto _ : S) {
           LoweredKernel L =
-              lowerToWords(kernels::buildMulModKernel(Spec), {});
-          simplifyLowered(L);
+              lowerWithPlan(kernels::buildMulModKernel(Spec), PlanOptions());
           codegen::EmittedKernel EK = codegen::emitC(L);
           benchmark::DoNotOptimize(EK.Source.size());
         }
@@ -70,8 +69,8 @@ int main(int argc, char **argv) {
     double Lower = lookupNs(C, formatv("lower/%u", Bits));
     double Full = lookupNs(C, formatv("lower+simplify+emit/%u", Bits));
     kernels::ScalarKernelSpec Spec{Bits, 0};
-    LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-    simplifyLowered(L);
+    LoweredKernel L =
+        lowerWithPlan(kernels::buildMulModKernel(Spec), PlanOptions());
     T.addRow({formatv("%u", Bits), formatNanos(Lower), formatNanos(Full),
               formatv("%zu", L.K.size()),
               Prev > 0 ? formatv("%.1fx", Full / Prev) : "-"});

@@ -17,7 +17,7 @@
 #include "kernels/ScalarKernels.h"
 #include "mw/Barrett.h"
 #include "rewrite/Lower.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 #include "rewrite/Stats.h"
 #include "support/Rng.h"
 
@@ -34,8 +34,8 @@ namespace {
 
 OpStats loweredStats(unsigned Container, unsigned ModBits) {
   kernels::ScalarKernelSpec Spec{Container, ModBits};
-  LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-  simplifyLowered(L);
+  LoweredKernel L =
+      lowerWithPlan(kernels::buildMulModKernel(Spec), PlanOptions());
   return countOps(L.K);
 }
 

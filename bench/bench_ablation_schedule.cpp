@@ -13,7 +13,7 @@
 #include "kernels/ScalarKernels.h"
 #include "rewrite/Lower.h"
 #include "rewrite/Schedule.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 
 #include <benchmark/benchmark.h>
 
@@ -32,8 +32,8 @@ int main(int, char **) {
   for (unsigned Bits : {128u, 256u, 384u, 512u, 768u, 1024u}) {
     unsigned Words = Bits / 64;
     kernels::ScalarKernelSpec Spec{Words * 64, Bits - 4};
-    LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-    simplifyLowered(L);
+    LoweredKernel L =
+        lowerWithPlan(kernels::buildButterflyKernel(Spec), PlanOptions());
     PressureStats Before = measurePressure(L.K);
     ir::Kernel Scheduled = L.K;
     PressureStats After = scheduleForPressure(Scheduled);
@@ -50,8 +50,8 @@ int main(int, char **) {
   TextTable T2({"bits", "schedule time"});
   for (unsigned Bits : {128u, 256u, 512u, 1024u}) {
     kernels::ScalarKernelSpec Spec{Bits, 0};
-    LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-    simplifyLowered(L);
+    LoweredKernel L =
+        lowerWithPlan(kernels::buildButterflyKernel(Spec), PlanOptions());
     auto T0 = std::chrono::steady_clock::now();
     scheduleForPressure(L.K);
     double Ns = std::chrono::duration<double, std::nano>(

@@ -14,7 +14,7 @@
 #include "ir/Printer.h"
 #include "jit/HostJit.h"
 #include "kernels/NttKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Stats.h"
 
 #include <cstdio>
@@ -46,12 +46,13 @@ int main(int argc, char **argv) {
   std::printf("\n== simplification (constant folding, zero-word pruning, "
               "DCE) ==\n");
   rewrite::OpStats Before = rewrite::countOps(L.K);
-  rewrite::SimplifyStats SS = rewrite::simplifyLowered(L);
+  rewrite::PipelineStats PS = rewrite::defaultPipeline().runLowered(L);
   rewrite::OpStats After = rewrite::countOps(L.K);
   std::printf("  %u -> %u statements (folded %u, identities %u, "
               "strength-reduced %u, dead %u)\n",
-              Before.Total, After.Total, SS.FoldedConst, SS.Identities,
-              SS.StrengthReduced, SS.DeadRemoved);
+              Before.Total, After.Total, PS.pass("constfold")->Changes,
+              PS.pass("algebraic")->Changes, PS.pass("knownbits")->Changes,
+              PS.pass("dce")->Removed);
   std::printf("\n  final op mix:\n%s\n", After.report().c_str());
 
   std::printf("== port layout (stored words, msb first) ==\n");

@@ -287,6 +287,31 @@ std::string moma::codegen::portLoadArgs(const LoweredPort &P,
   return Args;
 }
 
+std::vector<PortSig> moma::codegen::portSignature(const LoweredKernel &L) {
+  std::vector<PortSig> Ports;
+  for (const LoweredPort &P : L.Outputs)
+    Ports.push_back(PortSig{P.Name, P.storedWords(), /*IsOutput=*/true});
+  for (const LoweredPort &P : L.Inputs)
+    Ports.push_back(PortSig{P.Name, P.storedWords(), /*IsOutput=*/false});
+  return Ports;
+}
+
+size_t moma::codegen::broadcastStart(const LoweredKernel &L) {
+  for (size_t I = 0; I < L.Inputs.size(); ++I)
+    if (L.Inputs[I].Name == "q")
+      return I;
+  return L.Inputs.size();
+}
+
+const LoweredPort *
+moma::codegen::findPort(const std::vector<LoweredPort> &Ports,
+                        const std::string &Name) {
+  for (const LoweredPort &P : Ports)
+    if (P.Name == Name)
+      return &P;
+  return nullptr;
+}
+
 EmittedKernel moma::codegen::emitC(const LoweredKernel &L,
                                    const CEmitOptions &Opts) {
   const Kernel &K = L.K;
@@ -308,18 +333,14 @@ EmittedKernel moma::codegen::emitC(const LoweredKernel &L,
   Src += "#include <stdint.h>\n\n";
 
   // Signature: outputs first, then inputs (paper listing order).
+  Out.Ports = portSignature(L);
   std::string Sig;
-  auto AddPort = [&](const LoweredPort &P, bool IsOutput) {
+  for (const PortSig &P : Out.Ports) {
     if (!Sig.empty())
       Sig += ", ";
-    Sig += formatv("%s%s %s[%u]", IsOutput ? "" : "const ", WT,
-                   P.Name.c_str(), P.storedWords());
-    Out.Ports.push_back(PortSig{P.Name, P.storedWords(), IsOutput});
-  };
-  for (const LoweredPort &P : L.Outputs)
-    AddPort(P, /*IsOutput=*/true);
-  for (const LoweredPort &P : L.Inputs)
-    AddPort(P, /*IsOutput=*/false);
+    Sig += formatv("%s%s %s[%u]", P.IsOutput ? "" : "const ", WT,
+                   P.Name.c_str(), P.StoredWords);
+  }
 
   if (Opts.ExternC)
     Src += "#ifdef __cplusplus\nextern \"C\"\n#endif\n";

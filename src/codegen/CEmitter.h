@@ -51,12 +51,32 @@ struct PortSig {
   bool IsOutput = false;
 };
 
-/// A complete emitted translation unit for one kernel.
+/// A complete emitted translation unit for one kernel, from any of the
+/// three C emitters (emitC, emitGridC, emitVectorC).
 struct EmittedKernel {
-  std::string Source;         ///< self-contained C/C++ source text
-  std::string Symbol;         ///< function name (C linkage)
+  std::string Source; ///< self-contained C/C++ source text
+  /// Element entry (C linkage): the pointer-per-port function of emitC,
+  /// the `_grid` block entry of emitGridC, or the `_vec` lane-loop entry
+  /// of emitVectorC.
+  std::string Symbol;
+  /// Fused radix-2^k stage-group entry (`_fused` or `_vfused`). Set only
+  /// by the grid and vector emitters, and only for butterfly kernels.
+  std::string FusedSymbol;
   std::vector<PortSig> Ports; ///< outputs first, then inputs
 };
+
+/// \p L's port signature in emitted order: outputs first, then inputs.
+std::vector<PortSig> portSignature(const rewrite::LoweredKernel &L);
+
+/// Index of the first broadcast input (the modulus port "q"); inputs from
+/// there on are broadcast in the grid and vector ABIs. Inputs.size() when
+/// the kernel has no "q" port.
+size_t broadcastStart(const rewrite::LoweredKernel &L);
+
+/// The port named \p Name in \p Ports, or null.
+const rewrite::LoweredPort *
+findPort(const std::vector<rewrite::LoweredPort> &Ports,
+         const std::string &Name);
 
 /// Emits \p L as a C function. \p L must be fully lowered to
 /// Opts.WordBits (verified; aborts otherwise).

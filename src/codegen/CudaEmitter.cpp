@@ -36,14 +36,6 @@ std::string emitDeviceScalar(const LoweredKernel &L,
                             "__device__ static __forceinline__", "u64");
 }
 
-const LoweredPort *findPort(const std::vector<LoweredPort> &Ports,
-                            const std::string &Name) {
-  for (const LoweredPort &P : Ports)
-    if (P.Name == Name)
-      return &P;
-  return nullptr;
-}
-
 } // namespace
 
 std::string
@@ -66,11 +58,8 @@ moma::codegen::emitCudaElementwise(const LoweredKernel &L,
   };
   for (const LoweredPort &P : L.Outputs)
     Add(formatv("u64 *%s", P.Name.c_str()));
-  for (const LoweredPort &P : L.Inputs) {
-    bool Broadcast = P.Name == "q" || P.Name == "mu";
+  for (const LoweredPort &P : L.Inputs)
     Add(formatv("const u64 *%s", P.Name.c_str()));
-    (void)Broadcast;
-  }
   Add("long long n");
 
   Src += formatv("__global__ void %s(%s) {\n", Name.c_str(), Sig.c_str());

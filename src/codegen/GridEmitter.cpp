@@ -18,23 +18,6 @@ using rewrite::LoweredPort;
 
 namespace {
 
-/// Index of the first broadcast input (the modulus port); Inputs.size()
-/// when the kernel has no "q" port.
-size_t broadcastStart(const LoweredKernel &L) {
-  for (size_t I = 0; I < L.Inputs.size(); ++I)
-    if (L.Inputs[I].Name == "q")
-      return I;
-  return L.Inputs.size();
-}
-
-const LoweredPort *findPort(const std::vector<LoweredPort> &Ports,
-                            const std::string &Name) {
-  for (const LoweredPort &P : Ports)
-    if (P.Name == Name)
-      return &P;
-  return nullptr;
-}
-
 /// Declares per-block locals b<i>_<w> holding broadcast port \p I's stored
 /// words (loaded once per block, hoisted out of the element loop), and
 /// returns the matching scalar-call argument list.
@@ -52,17 +35,17 @@ std::string hoistBroadcast(std::string &Src, const LoweredPort &P, size_t I) {
 
 } // namespace
 
-EmittedGridKernel moma::codegen::emitGridC(const LoweredKernel &L,
-                                           const GridEmitOptions &Opts) {
+EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
+                                       const GridEmitOptions &Opts) {
   const ir::Kernel &K = L.K;
   if (K.maxBits() > Opts.WordBits)
     fatalError("emitGridC: kernel not lowered to the requested word width");
   if (Opts.WordBits != 64)
     fatalError("emitGridC: the grid ABI is 64-bit words");
 
-  EmittedGridKernel Out;
+  EmittedKernel Out;
   std::string Base = "moma_" + K.Name;
-  Out.GridSymbol = Base + "_grid";
+  Out.Symbol = Base + "_grid";
 
   size_t BStart = broadcastStart(L);
   if (BStart == L.Inputs.size())
@@ -85,11 +68,7 @@ EmittedGridKernel moma::codegen::emitGridC(const LoweredKernel &L,
   Src += emitScalarFunction(L, Opts.WordBits, ScalarFn, "static inline",
                             "u64");
 
-  // Port signature metadata, emitC order: outputs then inputs.
-  for (const LoweredPort &P : L.Outputs)
-    Out.Ports.push_back(PortSig{P.Name, P.storedWords(), /*IsOutput=*/true});
-  for (const LoweredPort &P : L.Inputs)
-    Out.Ports.push_back(PortSig{P.Name, P.storedWords(), /*IsOutput=*/false});
+  Out.Ports = portSignature(L);
 
   //===--------------------------------------------------------------------===//
   // Element-wise grid entry: one virtual thread per element, batch row in
@@ -100,7 +79,7 @@ EmittedGridKernel moma::codegen::emitGridC(const LoweredKernel &L,
   Src += formatv("void %s(u64 blockIdxX, u64 blockIdxY, u64 blockDim,\n"
                  "    u64 n, u64 *const *outs, const u64 *const *ins,\n"
                  "    const u64 *instride, const u64 *const *aux) {\n",
-                 Out.GridSymbol.c_str());
+                 Out.Symbol.c_str());
   Src += "  u64 i = blockIdxX * blockDim;\n";
   Src += "  u64 end = i + blockDim;\n";
   Src += "  if (end > n) end = n;\n";

@@ -37,7 +37,6 @@
 #include "rewrite/Lower.h"
 
 #include <string>
-#include <vector>
 
 namespace moma {
 namespace codegen {
@@ -51,21 +50,13 @@ struct GridEmitOptions {
   std::string Banner;
 };
 
-/// A complete emitted translation unit for one grid-shaped kernel.
-struct EmittedGridKernel {
-  std::string Source;      ///< self-contained C/C++ source text
-  std::string GridSymbol;  ///< element-wise block entry (C linkage)
-  std::string FusedSymbol; ///< fused radix-2^k stage-group entry; empty
-                           ///< unless the kernel has the butterfly port
-                           ///< shape
-  std::vector<PortSig> Ports; ///< outputs first, then inputs (as emitC)
-};
-
 /// Emits \p L as a grid-shaped C translation unit. \p L must be fully
 /// lowered to Opts.WordBits (aborts otherwise). Ports from "q" onward are
-/// broadcast; earlier inputs and all outputs are per-element arrays.
+/// broadcast; earlier inputs and all outputs are per-element arrays. The
+/// result's Symbol names the `_grid` entry; for kernels with the
+/// butterfly port shape, FusedSymbol names the `_fused` entry.
 ///
-/// Grid-function ABI (all entry points, C linkage):
+/// Entry ABIs (C linkage):
 ///
 ///   void grid(u64 blockIdxX, u64 blockIdxY, u64 blockDim, u64 n,
 ///             u64 *const *outs, const u64 *const *ins,
@@ -114,8 +105,8 @@ struct EmittedGridKernel {
 /// store, so Src == Dst is safe whenever each thread's read and write
 /// sets coincide (any group without rev, or a single-group transform
 /// where one thread owns the whole row).
-EmittedGridKernel emitGridC(const rewrite::LoweredKernel &L,
-                            const GridEmitOptions &Opts = {});
+EmittedKernel emitGridC(const rewrite::LoweredKernel &L,
+                        const GridEmitOptions &Opts = {});
 
 } // namespace codegen
 } // namespace moma

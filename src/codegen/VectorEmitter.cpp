@@ -20,23 +20,6 @@ using rewrite::LoweredPort;
 
 namespace {
 
-/// Index of the first broadcast input (the modulus port); Inputs.size()
-/// when the kernel has no "q" port.
-size_t broadcastStart(const LoweredKernel &L) {
-  for (size_t I = 0; I < L.Inputs.size(); ++I)
-    if (L.Inputs[I].Name == "q")
-      return I;
-  return L.Inputs.size();
-}
-
-const LoweredPort *findPort(const std::vector<LoweredPort> &Ports,
-                            const std::string &Name) {
-  for (const LoweredPort &P : Ports)
-    if (P.Name == Name)
-      return &P;
-  return nullptr;
-}
-
 /// Stored-word slots of \p P the scalar function actually consumes:
 /// const-zero and dead words have no parameter, so the staging arrays
 /// skip them too.
@@ -75,17 +58,17 @@ std::string joinArgs(const std::vector<std::string> &Parts) {
 
 } // namespace
 
-EmittedVectorKernel moma::codegen::emitVectorC(const LoweredKernel &L,
-                                               const VectorEmitOptions &Opts) {
+EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
+                                         const VectorEmitOptions &Opts) {
   const ir::Kernel &K = L.K;
   if (K.maxBits() > Opts.WordBits)
     fatalError("emitVectorC: kernel not lowered to the requested word width");
   if (Opts.WordBits != 64)
     fatalError("emitVectorC: the vector ABI is 64-bit words");
 
-  EmittedVectorKernel Out;
+  EmittedKernel Out;
   std::string Base = "moma_" + K.Name;
-  Out.VecSymbol = Base + "_vec";
+  Out.Symbol = Base + "_vec";
 
   size_t BStart = broadcastStart(L);
   if (BStart == L.Inputs.size())
@@ -113,11 +96,7 @@ EmittedVectorKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   Src += emitScalarFunction(L, Opts.WordBits, ScalarFn, "static inline",
                             "u64");
 
-  // Port signature metadata, emitC order: outputs then inputs.
-  for (const LoweredPort &P : L.Outputs)
-    Out.Ports.push_back(PortSig{P.Name, P.storedWords(), /*IsOutput=*/true});
-  for (const LoweredPort &P : L.Inputs)
-    Out.Ports.push_back(PortSig{P.Name, P.storedWords(), /*IsOutput=*/false});
+  Out.Ports = portSignature(L);
 
   // Broadcast scalar-call argument names (also the chunk value params).
   std::vector<std::string> AuxNames;
@@ -201,7 +180,7 @@ EmittedVectorKernel moma::codegen::emitVectorC(const LoweredKernel &L,
                  "    const u64 *const *ins, const u64 *__restrict__ "
                  "instride,\n"
                  "    const u64 *const *__restrict__ aux) {\n",
-                 Out.VecSymbol.c_str());
+                 Out.Symbol.c_str());
   {
     std::vector<std::string> Hoisted;
     for (size_t I = BStart; I < L.Inputs.size(); ++I)

@@ -40,7 +40,6 @@
 #include "rewrite/Lower.h"
 
 #include <string>
-#include <vector>
 
 namespace moma {
 namespace codegen {
@@ -58,19 +57,11 @@ struct VectorEmitOptions {
 /// requests are clamped by the entry points themselves.
 constexpr unsigned VectorMaxLanes = 16;
 
-/// A complete emitted translation unit for one vectorized kernel.
-struct EmittedVectorKernel {
-  std::string Source;      ///< self-contained C/C++ source text
-  std::string VecSymbol;   ///< batched element-wise lane-loop entry
-  std::string FusedSymbol; ///< fused radix-2^k stage-group entry; empty
-                           ///< unless the kernel has the butterfly port
-                           ///< shape
-  std::vector<PortSig> Ports; ///< outputs first, then inputs (as emitC)
-};
-
 /// Emits \p L as a vectorized C translation unit. \p L must be fully
 /// lowered to Opts.WordBits (aborts otherwise). Ports from "q" onward are
-/// broadcast; earlier inputs and all outputs are per-element arrays.
+/// broadcast; earlier inputs and all outputs are per-element arrays. The
+/// result's Symbol names the `_vec` entry; for kernels with the butterfly
+/// port shape, FusedSymbol names the `_vfused` entry.
 ///
 /// Entry ABIs (C linkage; vw is the lane count, clamped to
 /// [1, VectorMaxLanes]):
@@ -96,8 +87,8 @@ struct EmittedVectorKernel {
 /// construction), batch rows in lanes instead of grid y. Tw is the full
 /// stage-major twiddle table; rev/twist/scale are the edge-stage folds;
 /// none of the tables may alias Src/Dst.
-EmittedVectorKernel emitVectorC(const rewrite::LoweredKernel &L,
-                                const VectorEmitOptions &Opts = {});
+EmittedKernel emitVectorC(const rewrite::LoweredKernel &L,
+                          const VectorEmitOptions &Opts = {});
 
 } // namespace codegen
 } // namespace moma

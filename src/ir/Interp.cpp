@@ -176,7 +176,7 @@ moma::ir::interpret(const Kernel &K, const std::vector<Bignum> &InputValues) {
   Evaluator E(K);
   for (size_t I = 0; I < InputValues.size(); ++I) {
     const Param &P = K.inputs()[I];
-    // KnownBits is a contract: the Simplify pass prunes code based on it,
+    // KnownBits is a contract: the rewrite passes prune code based on it,
     // so feeding a wider value would silently diverge. Reject it here.
     if (InputValues[I].bitWidth() > K.value(P.Id).KnownBits)
       fatalError("interpret: input '" + P.Name + "' exceeds its KnownBits");

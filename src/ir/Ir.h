@@ -12,8 +12,8 @@
 /// Values carry a storage bit width plus KnownBits, an upper bound on the
 /// significant bits; KnownBits < Bits is how non-power-of-two input widths
 /// (381/753-bit ZKP fields embedded in power-of-two containers) are
-/// represented, and is what the Simplify pass exploits to prune no-ops at
-/// code generation time (paper §4, Eq. 35/36).
+/// represented, and is what the rewrite passes (rewrite/Passes.h) exploit
+/// to prune no-ops at code generation time (paper §4, Eq. 35/36).
 ///
 /// Multi-result statements model the paper's explicit carry discipline:
 ///   Add: (carry:1, sum:w)   = a + b [+ cin]        — rules (22)(23)(29)

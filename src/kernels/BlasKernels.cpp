@@ -2,7 +2,6 @@
 
 #include "kernels/BlasKernels.h"
 
-#include "rewrite/Simplify.h"
 #include "support/Error.h"
 #include "support/Format.h"
 

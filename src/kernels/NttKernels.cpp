@@ -2,7 +2,6 @@
 
 #include "kernels/NttKernels.h"
 
-#include "rewrite/Simplify.h"
 #include "support/Format.h"
 
 using namespace moma;

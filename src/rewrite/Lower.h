@@ -27,7 +27,8 @@
 ///
 /// Statically-zero hi halves of inputs (non-power-of-two widths embedded in
 /// power-of-two containers, §4 Eq. 35/36) become constants instead of
-/// parameters; the Simplify pass then prunes the operations they feed.
+/// parameters; the default pass pipeline (rewrite/PassManager.h) then
+/// prunes the operations they feed.
 ///
 /// lowerToWords drives rounds until maxBits <= TargetWordBits and reports,
 /// for every original input/output, its word decomposition (most

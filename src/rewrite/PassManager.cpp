@@ -369,8 +369,7 @@ static void accumulateStats(PipelineStats &Total, const PipelineStats &Iter) {
 }
 
 unsigned PassPipeline::sweep(Kernel &K, AnalysisCache &AC,
-                             PipelineStats &Stats,
-                             std::vector<ValueId> *TotalSubst) {
+                             PipelineStats &Stats) {
   unsigned Work = 0;
   for (size_t I = 0; I < Passes.size(); ++I) {
     PassStats &PS = Stats.PerPass[I];
@@ -401,9 +400,6 @@ unsigned PassPipeline::sweep(Kernel &K, AnalysisCache &AC,
         for (auto &BP : L->WordBounds)
           BP.first = R.Subst[BP.first];
       }
-      if (TotalSubst)
-        for (ValueId &V : *TotalSubst)
-          V = R.Subst[V];
     } else if (R.Changes || R.Removed) {
       AC.invalidate();
     }
@@ -418,7 +414,7 @@ static PipelineStats runPipeline(PassPipeline &P, Kernel &K,
   for (unsigned I = 0; I < MaxIters; ++I) {
     PipelineStats Iter = P.initStats();
     size_t Before = K.Body.size();
-    unsigned Work = P.sweep(K, AC, Iter, nullptr);
+    unsigned Work = P.sweep(K, AC, Iter);
     accumulateStats(Total, Iter);
     ++Total.Iterations;
     Last = std::move(Iter);

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pass manager behind rewrite/Simplify.h. The §4 pruning rewrite used
-/// to be one monolithic Rewriter; it is now a pipeline of small passes
-/// (rewrite/Passes.h) driven to a fixed point by PassPipeline, so each rule
-/// family is testable alone and new passes (CSE, interval range analysis,
-/// dead-port elimination) compose with the originals.
+/// The pass manager that runs the §4 pruning rewrite: a pipeline of small
+/// passes (rewrite/Passes.h) driven to a fixed point by PassPipeline, so
+/// each rule family is testable alone and the extended passes (CSE,
+/// interval range analysis, dead-port elimination) compose with the rest.
+/// rewrite::lowerWithPlan (rewrite/PlanOptions.h) is the entry point that
+/// runs a pipeline after lowering.
 ///
 /// The contract every pass obeys:
 ///
@@ -22,9 +23,10 @@
 ///  * a pass that finds nothing to do must leave K untouched and report
 ///    zero changes — fixpoint detection depends on it.
 ///
-/// Pipelines are built by name (makePipeline) from the pass catalog; the
-/// "default" pipeline reproduces the historical Simplify behaviour and the
-/// "extended" pipeline adds the passes the monolith could not express.
+/// Pipelines are built by name (parsePipeline) from the pass catalog: the
+/// "default" pipeline folds, prunes and removes dead code, and the
+/// "extended" pipeline adds interval range analysis, CSE and dead-port
+/// elimination.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,11 +126,11 @@ public:
   }
   size_t size() const { return Passes.size(); }
 
-  /// One sweep: runs every pass once, composing substitutions into
-  /// \p TotalSubst (when non-null) and accumulating \p Stats. Returns the
-  /// number of changes+removals observed.
-  unsigned sweep(ir::Kernel &K, AnalysisCache &AC, PipelineStats &Stats,
-                 std::vector<ir::ValueId> *TotalSubst);
+  /// One sweep: runs every pass once, remapping the lowered kernel's port
+  /// words (when \p AC carries one) through each pass substitution and
+  /// accumulating \p Stats. Returns the number of changes+removals
+  /// observed.
+  unsigned sweep(ir::Kernel &K, AnalysisCache &AC, PipelineStats &Stats);
 
   /// Sweeps until no pass reports work and the body size is stable, or
   /// MaxIters sweeps have run; a non-converged run emits a diagnostic on
@@ -161,12 +163,13 @@ std::unique_ptr<Pass> createPass(const std::string &Name);
 bool parsePipeline(const std::string &Spec, PassPipeline &Out,
                    std::string *Err = nullptr);
 
-/// The pipeline equivalent to the historical Simplify monolith:
-/// constfold, algebraic, knownbits, copyprop, dce.
+/// The pipeline lowerWithPlan runs when pruning is on and no other spec is
+/// named: constfold, algebraic, knownbits, copyprop, dce.
 PassPipeline defaultPipeline();
 
-/// The default pipeline plus the passes the monolith could not express:
-/// constfold, algebraic, knownbits, range, cse, copyprop, dce, deadports.
+/// The default pipeline plus interval range analysis, CSE and dead-port
+/// elimination: constfold, algebraic, knownbits, range, cse, copyprop,
+/// dce, deadports.
 PassPipeline extendedPipeline();
 
 //===--------------------------------------------------------------------===//
@@ -212,8 +215,8 @@ public:
   }
 
   /// Re-emits \p S unchanged (operands already mapped), recomputing result
-  /// KnownBits with the same formulas the monolith used. Returns the
-  /// emitted statement.
+  /// KnownBits from the mapped operands, never looser than the old
+  /// result's bound. Returns the emitted statement.
   ir::Stmt &emitDefault(const ir::Stmt &S, const std::vector<ir::ValueId> &Ops);
 
   /// Pass hook: return true when the statement was handled (operands come

@@ -1,10 +1,9 @@
 //===- rewrite/Passes.cpp - The rewrite pass catalog ----------------------===//
 //
-// The first five passes are the decomposed Simplify monolith: each owns one
-// rule family from the old Rewriter::rewriteStmt, and the default pipeline
-// (constfold, algebraic, knownbits, copyprop, dce) run to a fixed point
-// reproduces its behaviour. CSE and dead-port elimination are new; interval
-// range analysis lives in rewrite/RangeAnalysis.cpp.
+// The first five passes each own one rule family of the default pipeline
+// (constfold, algebraic, knownbits, copyprop, dce), which runs them to a
+// fixed point. CSE and dead-port elimination join them in the extended
+// pipeline; interval range analysis lives in rewrite/RangeAnalysis.cpp.
 //
 //===----------------------------------------------------------------------===//
 

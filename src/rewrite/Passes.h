@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concrete passes behind rewrite/PassManager.h. The first five are
-/// the decomposed Simplify monolith — together (in pipeline order) they
-/// reproduce its behaviour exactly; each also preserves ir::Interp
-/// semantics alone. The last three are new:
+/// The concrete passes behind rewrite/PassManager.h. The first five form
+/// the default pipeline (constant folding, algebraic identities, KnownBits
+/// strength reduction, copy propagation, DCE); each also preserves
+/// ir::Interp semantics alone. The last three join them in the extended
+/// pipeline:
 ///
 ///  * RangeAnalysisPass — interval propagation (exact [lo, hi] Bignum
 ///    bounds) through the kernel, generalizing the KnownBits significant-

@@ -9,7 +9,6 @@
 
 #include "rewrite/PassManager.h"
 #include "rewrite/Schedule.h"
-#include "rewrite/Simplify.h"
 #include "support/Error.h"
 #include "support/Format.h"
 
@@ -57,8 +56,7 @@ std::string PlanOptions::str() const {
   // Cyclic is the historical ring; only negacyclic plans extend the key.
   if (Ring == NttRing::Negacyclic)
     S += "/neg";
-  // The default pipeline is the historical simplifier; only other pass
-  // specs extend the key.
+  // Only pass specs other than the default pipeline extend the key.
   if (!normalizedPasses().empty())
     S += "/p=" + normalizedPasses();
   return S;
@@ -68,15 +66,11 @@ LoweredKernel moma::rewrite::lowerWithPlan(const ir::Kernel &K,
                                            const PlanOptions &Opts) {
   LoweredKernel L = lowerToWords(K, Opts.lowerOptions());
   if (Opts.Prune) {
-    if (Opts.normalizedPasses().empty()) {
-      simplifyLowered(L);
-    } else {
-      PassPipeline P;
-      std::string Err;
-      if (!parsePipeline(Opts.Passes, P, &Err))
-        fatalError(formatv("lowerWithPlan: %s", Err.c_str()));
-      P.runLowered(L);
-    }
+    PassPipeline P;
+    std::string Err;
+    if (!parsePipeline(Opts.Passes, P, &Err))
+      fatalError(formatv("lowerWithPlan: %s", Err.c_str()));
+    P.runLowered(L);
   }
   if (Opts.Schedule)
     scheduleForPressure(L.K, Opts.TargetWordBits);

@@ -12,8 +12,8 @@
 /// promoting them into `PlanOptions` gives the runtime's plan cache and
 /// autotuner (src/runtime/) a single canonical description of a lowering
 /// variant, and gives `lowerWithPlan` one entry point that drives
-/// Lower -> Simplify -> Schedule consistently everywhere (tests, tools,
-/// examples, benches, runtime).
+/// lower -> pass pipeline -> schedule consistently everywhere (tests,
+/// tools, examples, benches, runtime).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,8 +78,9 @@ struct PlanOptions {
   /// Double-word multiplication rule (§2.2, Fig. 5b).
   mw::MulAlgorithm MulAlg = mw::MulAlgorithm::Schoolbook;
 
-  /// Run Simplify to a fixed point after lowering (the §4 zero-word
-  /// pruning plus folding/DCE). Off reproduces the "no pruning" ablation.
+  /// Run the Passes pipeline to a fixed point after lowering (the §4
+  /// zero-word pruning plus folding/DCE). Off reproduces the "no pruning"
+  /// ablation.
   bool Prune = true;
 
   /// Run the pressure-aware list scheduler (rewrite/Schedule.h) after
@@ -116,11 +117,11 @@ struct PlanOptions {
   /// when a Vector plan leaves it 0.
   unsigned VectorWidth = 0;
 
-  /// Simplify pass pipeline spec (rewrite/PassManager.h parsePipeline):
-  /// "" or "default" is the monolith-equivalent pipeline, "extended" adds
-  /// interval range analysis, CSE, and dead-port elimination, and a
-  /// comma-separated catalog list picks passes by hand. Only consulted
-  /// when Prune is on (PlanKey canonicalization folds it otherwise).
+  /// Pass pipeline spec (rewrite/PassManager.h parsePipeline): "" or
+  /// "default" is the default pipeline, "extended" adds interval range
+  /// analysis, CSE, and dead-port elimination, and a comma-separated
+  /// catalog list picks passes by hand. Only consulted when Prune is on
+  /// (PlanKey canonicalization folds it otherwise).
   std::string Passes;
 
   /// The pass spec with the default spelled canonically: "" and "default"
@@ -166,10 +167,10 @@ struct PlanOptions {
   bool operator!=(const PlanOptions &O) const { return !(*this == O); }
 };
 
-/// The full generation pipeline under one set of knobs:
-/// lowerToWords, then (if Prune) simplifyLowered, then (if Schedule)
-/// scheduleForPressure. This is the one lowering entry point the runtime,
-/// tools, and tests share.
+/// The full generation pipeline under one set of knobs: lowerToWords,
+/// then (if Prune) the pass pipeline Passes names, run over the lowered
+/// kernel, then (if Schedule) scheduleForPressure. This is the one
+/// lowering entry point the runtime, tools, and tests share.
 LoweredKernel lowerWithPlan(const ir::Kernel &K, const PlanOptions &Opts);
 
 } // namespace rewrite

@@ -134,8 +134,9 @@ public:
 
   /// Merges decisions from a JSON file produced by save(). Entries loaded
   /// here are served with FromCache = true and are never re-timed.
-  /// Returns false (with error()) on I/O or parse failure; a missing file
-  /// is reported as failure but leaves the tuner usable.
+  /// Returns false (with error()) on I/O or parse failure, or when the
+  /// file is not a version-5 tune cache; a missing or rejected file is
+  /// reported as failure but leaves the tuner usable.
   bool load(const std::string &Path);
 
   /// Diagnostics from the calling thread's most recent failed call;

@@ -30,18 +30,18 @@ using GridFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                           const std::uint64_t *const *,
                           const std::uint64_t *,
                           const std::uint64_t *const *);
-using FusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t *, const std::uint64_t *,
-                           const std::uint64_t *, const std::uint32_t *,
-                           const std::uint64_t *, const std::uint64_t *,
-                           std::uint64_t, const std::uint64_t *const *);
+using GridGroupFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
+                               std::uint64_t, std::uint64_t, std::uint64_t,
+                               std::uint64_t *, const std::uint64_t *,
+                               const std::uint64_t *, const std::uint32_t *,
+                               const std::uint64_t *, const std::uint64_t *,
+                               std::uint64_t, const std::uint64_t *const *);
 
 /// The JIT-compiled lane-loop ABI (codegen/VectorEmitter.h).
 using VecFnTy = void (*)(std::uint64_t, std::uint64_t,
                          std::uint64_t *const *, const std::uint64_t *const *,
                          const std::uint64_t *, const std::uint64_t *const *);
-using VecFusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
+using VecGroupFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                               std::uint64_t, std::uint64_t, std::uint64_t *,
                               const std::uint64_t *, const std::uint64_t *,
                               const std::uint32_t *, const std::uint64_t *,
@@ -400,7 +400,7 @@ bool SimGpuBackend::validGeometry(const CompiledPlan &P,
 
 bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
                              size_t N, size_t Rows, std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.GridFn)
+  if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.Fn)
     return fail(Err, "sim-GPU backend needs a plan compiled with a grid "
                      "entry point");
   if (!validGeometry(P, Err))
@@ -431,7 +431,7 @@ bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   // fault) is a graceful dispatch error, not the launch-path abort.
   if (std::string VErr = Dev.validate(Cfg); !VErr.empty())
     return fail(Err, "sim-GPU launch: " + VErr);
-  auto Fn = reinterpret_cast<GridFnTy>(P.GridFn);
+  auto Fn = reinterpret_cast<GridFnTy>(P.Fn);
   Dev.launchBlocks(Cfg, [&](std::uint32_t BX, std::uint32_t BY) {
     Fn(BX, BY, BD, N, Args.Outs.data(), Args.Ins.data(), Strides.data(),
        Args.Aux.data());
@@ -445,7 +445,7 @@ bool SimGpuBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                       &Aux,
                                   size_t NPoints, size_t Batch,
                                   std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.FusedFn)
+  if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.GroupFn)
     return fail(Err, "sim-GPU backend needs a plan compiled with a fused "
                      "stage-group entry point");
   if (!checkButterflyShape(P, Err) || !validGeometry(P, Err) ||
@@ -469,7 +469,7 @@ bool SimGpuBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
   Cfg.BlockDim = BD;
   if (std::string VErr = Dev.validate(Cfg); !VErr.empty())
     return fail(Err, "sim-GPU launch: " + VErr);
-  auto Fn = reinterpret_cast<FusedFnTy>(P.FusedFn);
+  auto Fn = reinterpret_cast<GridGroupFnTy>(P.GroupFn);
   Dev.launchBlocks(Cfg, [&](std::uint32_t BX, std::uint32_t BY) {
     Fn(BX, BY, BD, NPoints, G.Len0, G.Depth, G.Dst, G.Src, Tw, G.Gather,
        G.Twist, G.Scale, G.ScaleStride, Aux.data());
@@ -483,7 +483,7 @@ bool SimGpuBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
 
 bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
                              size_t N, size_t Rows, std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.VecFn)
+  if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.Fn)
     return fail(Err, "vector backend needs a plan compiled with a lane-loop "
                      "entry point");
   if (Args.Outs.size() != P.NumOutputs ||
@@ -501,7 +501,7 @@ bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   // Row-major batch rows are contiguous and broadcast (stride 0) inputs
   // broadcast across every row, so the lane loop runs over the flat
   // N * Rows element product in one call.
-  auto Fn = reinterpret_cast<VecFnTy>(P.VecFn);
+  auto Fn = reinterpret_cast<VecFnTy>(P.Fn);
   Fn(P.Key.Opts.VectorWidth, N * Rows, Args.Outs.data(), Args.Ins.data(),
      Strides.data(), Args.Aux.data());
   return true;
@@ -513,7 +513,7 @@ bool VectorBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                       &Aux,
                                   size_t NPoints, size_t Batch,
                                   std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.VecFusedFn)
+  if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.GroupFn)
     return fail(Err, "vector backend needs a plan compiled with a fused "
                      "stage-group entry point");
   if (!checkButterflyShape(P, Err) || !checkStageGroup(G, NPoints, Err))
@@ -522,7 +522,7 @@ bool VectorBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
     return fail(Err, "runStageGroup: aux shape mismatch");
   if (Batch == 0 || NPoints < 2)
     return true;
-  auto Fn = reinterpret_cast<VecFusedFnTy>(P.VecFusedFn);
+  auto Fn = reinterpret_cast<VecGroupFnTy>(P.GroupFn);
   Fn(P.Key.Opts.VectorWidth, Batch, NPoints, G.Len0, G.Depth, G.Dst, G.Src,
      Tw, G.Gather, G.Twist, G.Scale, G.ScaleStride, Aux.data());
   return true;

@@ -56,6 +56,20 @@ ir::Kernel buildOpKernel(const PlanKey &Key) {
   moma_unreachable("unknown kernel op");
 }
 
+/// Resolves \p Name in \p M, or sets \p Error with the loader's dlerror()
+/// reason, so a stripped or mis-emitted module does not report a bare
+/// "missing".
+void *resolveSymbol(const jit::JitModule &M, const std::string &Name,
+                    std::string &Error) {
+  std::string DlErr;
+  void *Sym = M.symbol(Name, &DlErr);
+  if (!Sym)
+    Error = formatv("KernelRegistry: symbol '%s' missing from %s: %s",
+                    Name.c_str(), M.soPath().c_str(),
+                    DlErr.empty() ? "resolved to null" : DlErr.c_str());
+  return Sym;
+}
+
 /// The RNS CRT edge kernels mix port widths by design (a wide element on
 /// one side, a single-word limb residue on the other); every other op
 /// keeps the uniform elemWords ABI.
@@ -463,12 +477,7 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
   // path below can return without touching the JIT.
   P->NumOutputs = static_cast<unsigned>(P->Lowered.Outputs.size());
   P->ElemWords = (Key.ModBits + 63) / 64;
-  size_t QAt = P->Lowered.Inputs.size();
-  for (size_t I = 0; I < P->Lowered.Inputs.size(); ++I)
-    if (P->Lowered.Inputs[I].Name == "q") {
-      QAt = I;
-      break;
-    }
+  size_t QAt = codegen::broadcastStart(P->Lowered);
   if (QAt == P->Lowered.Inputs.size()) {
     Error = "KernelRegistry: kernel has no modulus port";
     return nullptr;
@@ -509,33 +518,13 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     return P;
   }
 
-  std::string FusedSymbol;
-  if (IsVector) {
-    // SIMD lane-loop artifact. The lane count — and, for butterfly
-    // kernels, the stage-fusion depth — are runtime launch parameters of
-    // the vector ABI, so plans differing only in VectorWidth or FuseDepth
-    // share one module through HostJit's source-identity dedup while
-    // remaining distinct cache entries.
-    codegen::EmittedVectorKernel V = codegen::emitVectorC(P->Lowered);
-    P->Emitted.Source = std::move(V.Source);
-    P->Emitted.Symbol = V.VecSymbol;
-    P->Emitted.Ports = std::move(V.Ports);
-    FusedSymbol = V.FusedSymbol;
-  } else if (IsSimGpu) {
-    // Grid-shaped artifact (paper 5.1 thread mapping as host-JIT C). The
-    // block dimension — and, for butterfly kernels, the stage-fusion
-    // depth — are runtime launch parameters of the grid ABI, so plans
-    // differing only in BlockDim or FuseDepth share one module through
-    // HostJit's source-identity dedup while remaining distinct cache
-    // entries.
-    codegen::EmittedGridKernel G = codegen::emitGridC(P->Lowered);
-    P->Emitted.Source = std::move(G.Source);
-    P->Emitted.Symbol = G.GridSymbol;
-    P->Emitted.Ports = std::move(G.Ports);
-    FusedSymbol = G.FusedSymbol;
-  } else {
-    P->Emitted = codegen::emitC(P->Lowered);
-  }
+  // One emitter per compiled backend. Block dimension, lane count and
+  // fusion depth are launch parameters of the grid and vector ABIs, so
+  // plans differing only in them share one module through HostJit's
+  // source-identity dedup while remaining distinct cache entries.
+  P->Emitted = IsSimGpu   ? codegen::emitGridC(P->Lowered)
+               : IsVector ? codegen::emitVectorC(P->Lowered)
+                          : codegen::emitC(P->Lowered);
 
   // Vector artifacts carry per-plan extra flags: the JIT's default -O1
   // keeps plan builds fast, but the lane loops need the optimizer (and
@@ -551,30 +540,13 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     Transient = true;
     return nullptr;
   }
-  // Symbol lookups carry the dlerror() diagnostic: a stripped or
-  // mis-emitted module reports the loader's reason, not a bare "missing".
-  std::string DlErr;
-  void *EntryFn = P->Module->symbol(P->Emitted.Symbol, &DlErr);
-  if (!EntryFn) {
-    Error = formatv("KernelRegistry: symbol '%s' missing from %s: %s",
-                    P->Emitted.Symbol.c_str(), P->Module->soPath().c_str(),
-                    DlErr.empty() ? "resolved to null" : DlErr.c_str());
+  P->Fn = resolveSymbol(*P->Module, P->Emitted.Symbol, Error);
+  if (!P->Fn)
     return nullptr;
-  }
-  if (IsSimGpu || IsVector) {
-    (IsVector ? P->VecFn : P->GridFn) = EntryFn;
-    if (!FusedSymbol.empty()) {
-      void *&Fused = IsVector ? P->VecFusedFn : P->FusedFn;
-      Fused = P->Module->symbol(FusedSymbol, &DlErr);
-      if (!Fused) {
-        Error = formatv("KernelRegistry: symbol '%s' missing from %s: %s",
-                        FusedSymbol.c_str(), P->Module->soPath().c_str(),
-                        DlErr.empty() ? "resolved to null" : DlErr.c_str());
-        return nullptr;
-      }
-    }
-  } else {
-    P->Fn = EntryFn;
+  if (!P->Emitted.FusedSymbol.empty()) {
+    P->GroupFn = resolveSymbol(*P->Module, P->Emitted.FusedSymbol, Error);
+    if (!P->GroupFn)
+      return nullptr;
   }
 
   // The emitted signature must agree with the lowered port layout

@@ -52,28 +52,25 @@ namespace runtime {
 class ExecutionBackend;
 
 /// One compiled kernel variant: metadata plus the callable entry points.
-/// Which set is populated depends on the key's backend — serial plans
-/// resolve Fn (pointer-per-port scalar ABI), sim-GPU plans resolve GridFn
-/// and, for butterfly kernels, FusedFn (the grid ABI of
-/// codegen/GridEmitter.h), vector plans resolve VecFn and, for butterfly
-/// kernels, VecFusedFn (the lane-loop ABI of codegen/VectorEmitter.h).
+/// Fn is the element entry named by Emitted.Symbol, in the ABI of the
+/// key's backend: the pointer-per-port scalar function (serial), the
+/// `_grid` block entry (sim-GPU, codegen/GridEmitter.h) or the `_vec`
+/// lane-loop entry (vector, codegen/VectorEmitter.h). GroupFn is the fused
+/// stage-group entry named by Emitted.FusedSymbol, which only sim-GPU and
+/// vector butterfly plans have. Interp plans have neither.
 /// Kept alive by shared_ptr so a batch in flight survives registry
 /// eviction; the loaded JitModule is released with the last plan user.
 struct CompiledPlan {
   PlanKey Key;
   rewrite::LoweredKernel Lowered; ///< port layout source of truth
-  codegen::EmittedKernel Emitted; ///< source + symbol + port signature
+  codegen::EmittedKernel Emitted; ///< source + symbols + port signature
   std::shared_ptr<jit::JitModule> Module;
-  void *Fn = nullptr;      ///< serial entry point (pointer-per-port ABI)
-  void *GridFn = nullptr;  ///< sim-GPU element-wise block entry
-  void *FusedFn = nullptr; ///< sim-GPU fused stage-group entry (butterfly);
-                           ///< fusion depth is a launch parameter, so every
-                           ///< FuseDepth key of one kernel shares the module
-  void *VecFn = nullptr;      ///< vector element-wise lane-loop entry
-  void *VecFusedFn = nullptr; ///< vector fused stage-group entry
-                              ///< (butterfly); the lane count is a launch
-                              ///< parameter, so every VectorWidth key of
-                              ///< one kernel shares the module
+  void *Fn = nullptr;      ///< element entry (Emitted.Symbol)
+  void *GroupFn = nullptr; ///< stage-group entry (Emitted.FusedSymbol);
+                           ///< block dimension, lane count and fusion
+                           ///< depth are launch parameters, so every
+                           ///< BlockDim, VectorWidth and FuseDepth key of
+                           ///< one kernel shares the module
   /// Interp plans carry the scalar kernel itself instead of an entry
   /// point: InterpBackend runs it through ir::interpret per element, with
   /// no compiled code at all (the degradation ladder's terminal rung).

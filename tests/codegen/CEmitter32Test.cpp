@@ -13,7 +13,7 @@
 #include "field/PrimeGen.h"
 #include "jit/HostJit.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 
 #include <gtest/gtest.h>
 
@@ -26,10 +26,9 @@ using mw::Bignum;
 TEST(CEmitter32, MulMod128OnThirtyTwoBitWords) {
   kernels::ScalarKernelSpec Spec{128, 0};
   ir::Kernel K = kernels::buildMulModKernel(Spec);
-  LowerOptions Opts;
+  PlanOptions Opts;
   Opts.TargetWordBits = 32;
-  LoweredKernel L = lowerToWords(K, Opts);
-  simplifyLowered(L);
+  LoweredKernel L = lowerWithPlan(K, Opts);
   EXPECT_EQ(L.Rounds, 2u);
   ASSERT_EQ(L.Inputs[0].Words.size(), 4u) << "four 32-bit words per input";
 
@@ -87,10 +86,9 @@ TEST(CEmitter32, SixteenBitWordsEmit) {
   // Deep recursion (128 -> 16 is three rounds) still emits valid-looking
   // code; uint32_t is the double word.
   kernels::ScalarKernelSpec Spec{128, 0};
-  LowerOptions Opts;
+  PlanOptions Opts;
   Opts.TargetWordBits = 16;
-  LoweredKernel L = lowerToWords(kernels::buildAddModKernel(Spec), Opts);
-  simplifyLowered(L);
+  LoweredKernel L = lowerWithPlan(kernels::buildAddModKernel(Spec), Opts);
   CEmitOptions EOpts;
   EOpts.WordBits = 16;
   EmittedKernel EK = emitC(L, EOpts);

@@ -15,7 +15,7 @@
 #include "kernels/BlasKernels.h"
 #include "kernels/NttKernels.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 
 #include <gtest/gtest.h>
 
@@ -111,8 +111,7 @@ void checkEmittedAgainstInterp(const LoweredKernel &L, jit::JitModule &M,
 /// compare on \p Iters random field inputs.
 void pipelineCheck(Kernel K, unsigned MBits, unsigned NumData, bool HasMu,
                    int Iters = 25) {
-  LoweredKernel L = lowerToWords(K, {});
-  simplifyLowered(L);
+  LoweredKernel L = lowerWithPlan(K, PlanOptions());
   EmittedKernel EK = emitC(L);
   std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
   ASSERT_NE(M, nullptr) << hostJit().error() << "\n" << EK.Source;
@@ -135,8 +134,8 @@ void pipelineCheck(Kernel K, unsigned MBits, unsigned NumData, bool HasMu,
 
 TEST(CEmitter, StructureMatchesListings) {
   ScalarKernelSpec Spec{128, 0};
-  LoweredKernel L = lowerToWords(kernels::buildAddModKernel(Spec), {});
-  simplifyLowered(L);
+  LoweredKernel L =
+      lowerWithPlan(kernels::buildAddModKernel(Spec), PlanOptions());
   EmittedKernel EK = emitC(L);
   // Shape of the paper's listings: u64 locals, extern C symbol, pointer
   // ports, no loops, no divisions.
@@ -153,8 +152,8 @@ TEST(CEmitter, StructureMatchesListings) {
 
 TEST(CEmitter, MulModUsesInt128LikeListingOne) {
   ScalarKernelSpec Spec{128, 0};
-  LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-  simplifyLowered(L);
+  LoweredKernel L =
+      lowerWithPlan(kernels::buildMulModKernel(Spec), PlanOptions());
   EmittedKernel EK = emitC(L);
   EXPECT_NE(EK.Source.find("unsigned __int128"), std::string::npos)
       << "the compiler-supported double word (3.1)";
@@ -191,8 +190,7 @@ TEST(CEmitterIntegration, Axpy128) {
 // in a 512 container emits 6-word ports.
 TEST(CEmitterIntegration, MulMod380In512) {
   Kernel K = kernels::buildMulModKernel({512, 380});
-  LoweredKernel L = lowerToWords(K, {});
-  simplifyLowered(L);
+  LoweredKernel L = lowerWithPlan(K, PlanOptions());
   EmittedKernel EK = emitC(L);
   EXPECT_NE(EK.Source.find("const uint64_t a[6]"), std::string::npos)
       << EK.Source.substr(0, 400);
@@ -201,10 +199,9 @@ TEST(CEmitterIntegration, MulMod380In512) {
 
 TEST(CEmitterIntegration, KaratsubaMulMod256) {
   Kernel K = kernels::buildMulModKernel({256, 0});
-  LowerOptions Opts;
+  PlanOptions Opts;
   Opts.MulAlg = mw::MulAlgorithm::Karatsuba;
-  LoweredKernel L = lowerToWords(K, Opts);
-  simplifyLowered(L);
+  LoweredKernel L = lowerWithPlan(K, Opts);
   EmittedKernel EK = emitC(L);
   std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
   ASSERT_NE(M, nullptr) << hostJit().error();
@@ -223,8 +220,8 @@ TEST(CEmitterIntegration, KaratsubaMulMod256) {
 // memory hit; a fresh HostJit sharing the cache directory reuses the .so
 // from disk without reaching the compiler.
 TEST(CEmitterIntegration, IdenticalKernelReusesJitModule) {
-  LoweredKernel L = lowerToWords(kernels::buildMulModKernel({128, 0}), {});
-  simplifyLowered(L);
+  LoweredKernel L =
+      lowerWithPlan(kernels::buildMulModKernel({128, 0}), PlanOptions());
   EmittedKernel EK = emitC(L);
 
   std::shared_ptr<jit::JitModule> M1 = hostJit().load(EK.Source);

@@ -11,7 +11,6 @@
 
 #include "kernels/BlasKernels.h"
 #include "kernels/NttKernels.h"
-#include "rewrite/Simplify.h"
 
 #include <gtest/gtest.h>
 

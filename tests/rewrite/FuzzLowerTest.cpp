@@ -11,7 +11,7 @@
 #include "../TestUtil.h"
 
 #include "ir/Builder.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 
 #include <gtest/gtest.h>
 
@@ -139,12 +139,11 @@ TEST_P(FuzzLower, LoweredAndSimplifiedAgree) {
     Kernel K = randomKernel(C.Width, 3, C.Steps, Gen);
     ASSERT_TRUE(verify(K).empty()) << printKernel(K);
 
-    LowerOptions Opts;
+    PlanOptions Opts;
     Opts.TargetWordBits = C.Target;
     Opts.MulAlg = (Round & 1) ? mw::MulAlgorithm::Karatsuba
                               : mw::MulAlgorithm::Schoolbook;
-    LoweredKernel L = lowerToWords(K, Opts);
-    simplifyLowered(L);
+    LoweredKernel L = lowerWithPlan(K, Opts);
     ASSERT_TRUE(verify(L.K).empty());
     EXPECT_LE(L.K.maxBits(), C.Target);
 

@@ -11,7 +11,7 @@
 #include "field/PrimeGen.h"
 #include "kernels/BlasKernels.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 #include "rewrite/Stats.h"
 
 #include <gtest/gtest.h>
@@ -81,13 +81,12 @@ TEST_P(LowerSweep, MulModEquivalence) {
   const LowerCase &C = GetParam();
   ScalarKernelSpec Spec{C.ContainerBits, C.ModBits};
   Kernel K = kernels::buildMulModKernel(Spec);
-  LowerOptions Opts;
+  PlanOptions Opts;
   Opts.TargetWordBits = C.TargetBits;
   Opts.MulAlg = C.Alg;
-  LoweredKernel L = lowerToWords(K, Opts);
+  Opts.Prune = C.Simplify;
+  LoweredKernel L = lowerWithPlan(K, Opts);
   EXPECT_LE(L.K.maxBits(), C.TargetBits);
-  if (C.Simplify)
-    simplifyLowered(L);
   FieldInputs Gen(Spec.modBits(), 2, 33);
   Rng R(1000 + C.ContainerBits + C.TargetBits);
   int Iters = C.ContainerBits >= 512 ? 25 : 80;
@@ -98,12 +97,11 @@ TEST_P(LowerSweep, ButterflyEquivalence) {
   const LowerCase &C = GetParam();
   ScalarKernelSpec Spec{C.ContainerBits, C.ModBits};
   Kernel K = kernels::buildButterflyKernel(Spec);
-  LowerOptions Opts;
+  PlanOptions Opts;
   Opts.TargetWordBits = C.TargetBits;
   Opts.MulAlg = C.Alg;
-  LoweredKernel L = lowerToWords(K, Opts);
-  if (C.Simplify)
-    simplifyLowered(L);
+  Opts.Prune = C.Simplify;
+  LoweredKernel L = lowerWithPlan(K, Opts);
   FieldInputs Gen(Spec.modBits(), 3, 34);
   Rng R(2000 + C.ContainerBits + C.TargetBits);
   int Iters = C.ContainerBits >= 512 ? 20 : 60;

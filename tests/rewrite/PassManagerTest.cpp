@@ -1,10 +1,10 @@
 //===- tests/rewrite/PassManagerTest.cpp - pass pipeline unit tests -------===//
 //
-// The composable pass manager that replaced the Simplify monolith: catalog
-// and spec parsing, per-pass semantic preservation on randomized kernels,
-// the non-convergence diagnostic, and golden op-count ablations showing
-// what the extended passes (CSE, interval range analysis, dead-port
-// elimination) buy on the representative kernel classes.
+// The composable pass manager: catalog and spec parsing, per-pass semantic
+// preservation on randomized kernels, the non-convergence diagnostic, and
+// golden op-count ablations showing what the extended passes (CSE,
+// interval range analysis, dead-port elimination) buy on the
+// representative kernel classes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #include "rewrite/PassManager.h"
 #include "rewrite/Passes.h"
 #include "rewrite/PlanOptions.h"
-#include "rewrite/Simplify.h"
 #include "rewrite/Stats.h"
 
 #include <gtest/gtest.h>
@@ -170,25 +169,26 @@ TEST(PassManager, EachPassAlonePreservesSemantics) {
   }
 }
 
-// The "default" spec and the simplifyLowered wrapper must produce the
-// same kernel, statement for statement.
-TEST(PassManager, DefaultSpecMatchesSimplifyLowered) {
+// The three spellings of the default pipeline — the "" spec a default
+// PlanOptions carries, "default", and the explicit five-pass list — must
+// produce the same kernel, statement for statement.
+TEST(PassManager, DefaultSpellingsAgreeStatementForStatement) {
   kernels::ScalarKernelSpec Spec;
   Spec.ContainerBits = 256;
   Spec.ModBits = 250;
   Kernel K = kernels::buildMulModKernel(Spec);
 
-  LoweredKernel A = lowerToWords(K);
-  LoweredKernel B = lowerToWords(K);
-  simplifyLowered(A);
-  PassPipeline P;
-  std::string Err;
-  ASSERT_TRUE(parsePipeline("default", P, &Err)) << Err;
-  P.runLowered(B);
-  EXPECT_EQ(printKernel(A.K), printKernel(B.K));
-  ASSERT_EQ(A.Inputs.size(), B.Inputs.size());
-  for (size_t I = 0; I < A.Inputs.size(); ++I)
-    EXPECT_EQ(A.Inputs[I].Words, B.Inputs[I].Words);
+  LoweredKernel A = lowerWithPlan(K, PlanOptions());
+  for (const char *Passes :
+       {"default", "constfold,algebraic,knownbits,copyprop,dce"}) {
+    PlanOptions Opts;
+    Opts.Passes = Passes;
+    LoweredKernel B = lowerWithPlan(K, Opts);
+    EXPECT_EQ(printKernel(A.K), printKernel(B.K)) << Passes;
+    ASSERT_EQ(A.Inputs.size(), B.Inputs.size());
+    for (size_t I = 0; I < A.Inputs.size(); ++I)
+      EXPECT_EQ(A.Inputs[I].Words, B.Inputs[I].Words) << Passes;
+  }
 }
 
 // Satellite regression: a pipeline that keeps reporting work must stop at

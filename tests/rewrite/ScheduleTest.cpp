@@ -6,7 +6,7 @@
 #include "field/PrimeGen.h"
 #include "kernels/ScalarKernels.h"
 #include "rewrite/Schedule.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PlanOptions.h"
 
 #include <gtest/gtest.h>
 
@@ -58,8 +58,7 @@ TEST(Schedule, SchedulerPreservesSemantics) {
   for (unsigned Container : {128u, 256u}) {
     kernels::ScalarKernelSpec Spec{Container, 0};
     Kernel K = kernels::buildButterflyKernel(Spec);
-    LoweredKernel L = lowerToWords(K, {});
-    simplifyLowered(L);
+    LoweredKernel L = lowerWithPlan(K, PlanOptions());
     Kernel Scheduled = L.K;
     scheduleForPressure(Scheduled);
     ASSERT_TRUE(verify(Scheduled).empty())
@@ -87,8 +86,8 @@ TEST(Schedule, NeverWorsensLoweredKernels) {
   // already close to optimal; the scheduler must at worst keep it.
   for (unsigned Container : {128u, 256u, 512u}) {
     kernels::ScalarKernelSpec Spec{Container, 0};
-    LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-    simplifyLowered(L);
+    LoweredKernel L =
+        lowerWithPlan(kernels::buildMulModKernel(Spec), PlanOptions());
     PressureStats Before = measurePressure(L.K);
     PressureStats After = scheduleForPressure(L.K);
     EXPECT_LE(After.MaxLiveWords, Before.MaxLiveWords) << Container;
@@ -139,8 +138,8 @@ TEST(Schedule, PressureGrowsLinearlyWithWidth) {
   unsigned Prev = 0;
   for (unsigned Container : {128u, 256u, 512u, 1024u}) {
     kernels::ScalarKernelSpec Spec{Container, 0};
-    LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-    simplifyLowered(L);
+    LoweredKernel L =
+        lowerWithPlan(kernels::buildButterflyKernel(Spec), PlanOptions());
     unsigned Peak = measurePressure(L.K).MaxLiveWords;
     if (Prev) {
       EXPECT_GE(Peak, 2 * Prev - 4) << Container;
@@ -151,20 +150,19 @@ TEST(Schedule, PressureGrowsLinearlyWithWidth) {
   // Halving the machine word doubles the pressure (paper 7 small-word
   // hardware pays twice over).
   kernels::ScalarKernelSpec Spec{256, 0};
-  LowerOptions Opts;
+  PlanOptions Opts;
   Opts.TargetWordBits = 32;
-  LoweredKernel L32 = lowerToWords(kernels::buildButterflyKernel(Spec), Opts);
-  simplifyLowered(L32);
-  LoweredKernel L64 = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-  simplifyLowered(L64);
+  LoweredKernel L32 = lowerWithPlan(kernels::buildButterflyKernel(Spec), Opts);
+  LoweredKernel L64 =
+      lowerWithPlan(kernels::buildButterflyKernel(Spec), PlanOptions());
   EXPECT_GT(measurePressure(L32.K, 32).MaxLiveWords,
             measurePressure(L64.K, 64).MaxLiveWords);
 }
 
 TEST(Schedule, IdempotentOnScheduledKernel) {
   kernels::ScalarKernelSpec Spec{256, 0};
-  LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-  simplifyLowered(L);
+  LoweredKernel L =
+      lowerWithPlan(kernels::buildMulModKernel(Spec), PlanOptions());
   PressureStats Once = scheduleForPressure(L.K);
   PressureStats Twice = scheduleForPressure(L.K);
   EXPECT_EQ(Twice.MaxLiveWords, Once.MaxLiveWords);

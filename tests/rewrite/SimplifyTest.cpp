@@ -11,7 +11,8 @@
 #include "ir/Builder.h"
 #include "field/PrimeGen.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
+#include "rewrite/PlanOptions.h"
 #include "rewrite/Stats.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +34,7 @@ TEST(Simplify, FoldsConstantArithmetic) {
   HiLoResult P = B.mul(C1, C2);
   K.addOutput(S.Value, "s");
   K.addOutput(P.Lo, "p");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   // Everything folds to constants; only Const statements remain.
   for (const Stmt &St : K.Body)
     EXPECT_EQ(St.Kind, OpKind::Const);
@@ -51,7 +52,7 @@ TEST(Simplify, AddWithZeroBecomesIdentity) {
   ValueId Z = B.constantZero(64);
   CarryResult S = B.add(A, Z);
   K.addOutput(S.Value, "s");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Add), 0u);
   auto Out = interpret(K, {Bignum(123)});
   EXPECT_EQ(Out[0], Bignum(123));
@@ -67,7 +68,7 @@ TEST(Simplify, MulByZeroAndOne) {
   HiLoResult P1 = B.mul(A, B.constant(64, Bignum(1)));
   K.addOutput(P0.Lo, "z");
   K.addOutput(P1.Lo, "o");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).multiplies(), 0u);
   auto Out = interpret(K, {Bignum(77)});
   EXPECT_TRUE(Out[0].isZero());
@@ -87,7 +88,7 @@ TEST(Simplify, KnownBitsKillsImpossibleCarry) {
   // Make the carry observable: out = select(carry, a, b).
   K.addOutput(B.select(S.Carry, A, Bv), "o");
   K.addOutput(S.Value, "s");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Select), 0u)
       << "carry is provably zero, select must fold to its false arm";
   auto Out = interpret(K, {Bignum(5), Bignum(9)});
@@ -105,7 +106,7 @@ TEST(Simplify, KnownBitsTurnsMulIntoMulLow) {
   HiLoResult P = B.mul(A, Bv);
   K.addOutput(P.Lo, "lo");
   K.addOutput(B.select(B.eq(P.Hi, B.constantZero(64)), A, Bv), "probe");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Mul), 0u);
   EXPECT_EQ(countOps(K).count(OpKind::MulLow), 1u);
   // hi == 0 folds true, probe = a.
@@ -121,7 +122,7 @@ TEST(Simplify, ShrPastKnownBitsIsZero) {
   K.addInput(A, "a");
   Builder B(K);
   K.addOutput(B.shr(A, 20), "o"); // a < 2^10, so a >> 20 == 0
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Shr), 0u);
   EXPECT_TRUE(interpret(K, {Bignum(1023)})[0].isZero());
 }
@@ -136,9 +137,9 @@ TEST(Simplify, DeadCodeIsRemoved) {
   B.mul(A, A);
   CarryResult S = B.add(A, A);
   K.addOutput(S.Value, "s");
-  SimplifyStats Stats = simplifyToFixpoint(K);
+  PipelineStats Stats = defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).multiplies(), 0u);
-  EXPECT_GT(Stats.DeadRemoved, 0u);
+  EXPECT_GT(Stats.pass("dce")->Removed, 0u);
 }
 
 TEST(Simplify, CopyChainsCollapse) {
@@ -149,7 +150,7 @@ TEST(Simplify, CopyChainsCollapse) {
   Builder B(K);
   ValueId C = B.copy(B.copy(B.copy(A)));
   K.addOutput(C, "o");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Copy), 0u);
   EXPECT_EQ(K.outputs()[0].Id, K.inputs()[0].Id)
       << "output rebinds to the input value";
@@ -166,7 +167,7 @@ TEST(Simplify, SelectIdentities) {
   K.addOutput(B.select(C, A, A), "same");
   K.addOutput(B.select(B.constant(1, Bignum(1)), A, B.constantZero(64)),
               "true");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Select), 0u);
   auto Out = interpret(K, {Bignum(0), Bignum(9)});
   EXPECT_EQ(Out[0], Bignum(9));
@@ -185,7 +186,7 @@ TEST(Simplify, ComparisonIdentities) {
   K.addOutput(B.select(Lt, A, B.constantZero(64)), "o1");
   K.addOutput(B.select(Eq, A, B.constantZero(64)), "o2");
   K.addOutput(B.select(LtZ, A, B.constantZero(64)), "o3");
-  simplifyToFixpoint(K);
+  defaultPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Lt), 0u);
   EXPECT_EQ(countOps(K).count(OpKind::Eq), 0u);
   auto Out = interpret(K, {Bignum(5)});
@@ -200,8 +201,7 @@ TEST(Simplify, PreservesSemanticsOnLoweredKernels) {
     ScalarKernelSpec Spec{Container, 0};
     Kernel K = kernels::buildButterflyKernel(Spec);
     LoweredKernel L = lowerToWords(K, {});
-    LoweredKernel LS = L;
-    simplifyLowered(LS);
+    LoweredKernel LS = lowerWithPlan(K, PlanOptions());
     Bignum Q = field::nttPrime(Spec.modBits(), 8, 77);
     Bignum Mu = Bignum::powerOfTwo(2 * Spec.modBits() + 3) / Q;
     Rng R(4000 + Container);
@@ -218,11 +218,10 @@ TEST(Simplify, NonPowerOfTwoPruningShrinksKernels) {
   // 512-bit container must need fewer word operations than a 508-bit one.
   ScalarKernelSpec Full{512, 0};    // 508-bit modulus
   ScalarKernelSpec Narrow{512, 380}; // 380-bit modulus, 2 words pruned
-  LoweredKernel LFull = lowerToWords(kernels::buildMulModKernel(Full), {});
+  LoweredKernel LFull =
+      lowerWithPlan(kernels::buildMulModKernel(Full), PlanOptions());
   LoweredKernel LNarrow =
-      lowerToWords(kernels::buildMulModKernel(Narrow), {});
-  simplifyLowered(LFull);
-  simplifyLowered(LNarrow);
+      lowerWithPlan(kernels::buildMulModKernel(Narrow), PlanOptions());
   OpStats F = countOps(LFull.K), N = countOps(LNarrow.K);
   EXPECT_LT(N.Total, F.Total);
   EXPECT_LT(N.multiplies(), F.multiplies())
@@ -233,11 +232,10 @@ TEST(Simplify, PruningSavingsGrowWithPadding) {
   // 753-bit modulus in a 1024 container saves more than 1020-bit.
   ScalarKernelSpec Full{1024, 0};
   ScalarKernelSpec Narrow{1024, 753};
-  LoweredKernel LFull = lowerToWords(kernels::buildMulModKernel(Full), {});
+  LoweredKernel LFull =
+      lowerWithPlan(kernels::buildMulModKernel(Full), PlanOptions());
   LoweredKernel LNarrow =
-      lowerToWords(kernels::buildMulModKernel(Narrow), {});
-  simplifyLowered(LFull);
-  simplifyLowered(LNarrow);
+      lowerWithPlan(kernels::buildMulModKernel(Narrow), PlanOptions());
   double Ratio = double(countOps(LNarrow.K).Total) /
                  double(countOps(LFull.K).Total);
   EXPECT_LT(Ratio, 0.8) << "753/1024 should prune well over 20% of the ops";
@@ -246,11 +244,12 @@ TEST(Simplify, PruningSavingsGrowWithPadding) {
 TEST(Simplify, FixpointTerminates) {
   ScalarKernelSpec Spec{256, 0};
   Kernel K = kernels::buildMulModKernel(Spec);
-  LoweredKernel L = lowerToWords(K, {});
-  simplifyLowered(L);
+  LoweredKernel L = lowerWithPlan(K, PlanOptions());
   // A second run must be a no-op.
   Kernel Before = L.K;
-  SimplifyStats S = simplify(L.K);
-  EXPECT_EQ(S.FoldedConst + S.Identities + S.StrengthReduced, 0u);
+  PipelineStats S = defaultPipeline().run(L.K);
+  EXPECT_EQ(S.pass("constfold")->Changes + S.pass("algebraic")->Changes +
+                S.pass("knownbits")->Changes,
+            0u);
   EXPECT_EQ(L.K.size(), Before.size());
 }

@@ -85,19 +85,19 @@ TEST(BackendPlanKey, SimGpuKeysCarryBackendAndGeometry) {
 
 TEST(BackendPlanKey, SerialAndSimGpuAreDistinctCacheEntries) {
   Bignum Q = testModulus(124);
-  for (KernelOp Op : {KernelOp::MulMod, KernelOp::Butterfly}) {
+  for (KernelOp Op : {KernelOp::AddMod, KernelOp::SubMod, KernelOp::MulMod,
+                      KernelOp::Axpy, KernelOp::Butterfly}) {
     auto PS = registry().get(PlanKey::forModulus(Op, Q));
     ASSERT_NE(PS, nullptr) << registry().error();
     auto PG = registry().get(PlanKey::forModulus(Op, Q, simGpuBase()));
     ASSERT_NE(PG, nullptr) << registry().error();
     EXPECT_NE(PS.get(), PG.get());
+    EXPECT_NE(PS->Emitted.Symbol, PG->Emitted.Symbol) << kernelOpName(Op);
     EXPECT_NE(PS->Fn, nullptr);
-    EXPECT_EQ(PS->GridFn, nullptr);
-    EXPECT_EQ(PS->FusedFn, nullptr);
-    EXPECT_EQ(PG->Fn, nullptr);
-    EXPECT_NE(PG->GridFn, nullptr);
+    EXPECT_EQ(PS->GroupFn, nullptr);
+    EXPECT_NE(PG->Fn, nullptr);
     // Only butterfly plans resolve the fused NTT stage-group entry.
-    EXPECT_EQ(PG->FusedFn != nullptr, Op == KernelOp::Butterfly)
+    EXPECT_EQ(PG->GroupFn != nullptr, Op == KernelOp::Butterfly)
         << kernelOpName(Op);
   }
 }

@@ -446,6 +446,31 @@ TEST(Autotuner, LoadRejectsGarbage) {
   std::remove(Path.c_str());
 }
 
+TEST(Autotuner, LoadRejectsOlderCacheVersions) {
+  // A well-formed cache from an older format is a cold start, not a
+  // partial load with defaulted fields.
+  namespace fs = std::filesystem;
+  std::string Path =
+      (fs::temp_directory_path() / "moma-tune-v4.json").string();
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "w");
+    ASSERT_NE(F, nullptr);
+    std::fputs("{\"version\": 4, \"entries\": [{\"problem\": "
+               "\"mulmod/c128/m124/n1\", \"word_bits\": 64, "
+               "\"reduction\": \"barrett\", \"mulalg\": \"schoolbook\", "
+               "\"prune\": true, \"schedule\": false, \"backend\": "
+               "\"simgpu\", \"block_dim\": 256, \"fuse_depth\": 1, "
+               "\"ring\": \"cyclic\", \"ns_per_elem\": 12.5}]}",
+               F);
+    std::fclose(F);
+  }
+  Autotuner T(registry(), quickTune());
+  EXPECT_FALSE(T.load(Path));
+  EXPECT_NE(T.error().find("version"), std::string::npos) << T.error();
+  EXPECT_EQ(T.numDecisions(), 0u);
+  std::remove(Path.c_str());
+}
+
 TEST(Autotuner, DispatcherUsesTheTunedVariant) {
   Autotuner T(registry(), quickTune());
   Dispatcher D(registry(), &T);

@@ -84,21 +84,19 @@ TEST(VectorPlanKey, VectorFoldsTheBlockDimAndSerialFoldsTheWidth) {
 
 TEST(VectorPlanKey, SerialAndVectorAreDistinctCacheEntries) {
   Bignum Q = testModulus(124);
-  for (KernelOp Op : {KernelOp::MulMod, KernelOp::Butterfly}) {
+  for (KernelOp Op : {KernelOp::AddMod, KernelOp::SubMod, KernelOp::MulMod,
+                      KernelOp::Axpy, KernelOp::Butterfly}) {
     auto PS = registry().get(PlanKey::forModulus(Op, Q));
     ASSERT_NE(PS, nullptr) << registry().error();
     auto PV = registry().get(PlanKey::forModulus(Op, Q, vectorBase()));
     ASSERT_NE(PV, nullptr) << registry().error();
     EXPECT_NE(PS.get(), PV.get());
+    EXPECT_NE(PS->Emitted.Symbol, PV->Emitted.Symbol) << kernelOpName(Op);
     EXPECT_NE(PS->Fn, nullptr);
-    EXPECT_EQ(PS->VecFn, nullptr);
-    EXPECT_EQ(PS->VecFusedFn, nullptr);
-    EXPECT_EQ(PV->Fn, nullptr);
-    EXPECT_EQ(PV->GridFn, nullptr);
-    EXPECT_EQ(PV->FusedFn, nullptr);
-    EXPECT_NE(PV->VecFn, nullptr);
+    EXPECT_EQ(PS->GroupFn, nullptr);
+    EXPECT_NE(PV->Fn, nullptr);
     // Only butterfly plans resolve the fused NTT stage-group entry.
-    EXPECT_EQ(PV->VecFusedFn != nullptr, Op == KernelOp::Butterfly)
+    EXPECT_EQ(PV->GroupFn != nullptr, Op == KernelOp::Butterfly)
         << kernelOpName(Op);
   }
 }

@@ -154,6 +154,50 @@ TEST(Server, BurstCoalescesAndMatchesSerial) {
   EXPECT_EQ(St.Coalesced, Reqs - 1);
 }
 
+TEST(Server, RaggedElementwiseBurstConcatenates) {
+  // Element-wise requests coalesce on the modulus alone: requests of
+  // different lengths are concatenated into one flat dispatch and
+  // scattered back by offset.
+  SeededRng R(0x7a66);
+  const Bignum Q = q124();
+  const std::vector<size_t> Lens = {16, 1, 7, 33, 2, 64};
+  const size_t Reqs = Lens.size();
+  const unsigned K = Dispatcher::elemWords(Q);
+
+  Dispatcher Serial(registry());
+  std::vector<std::vector<std::uint64_t>> A, B, C(Reqs), Want(Reqs);
+  for (size_t I = 0; I < Reqs; ++I) {
+    A.push_back(randomWords(R, Q, Lens[I]));
+    B.push_back(randomWords(R, Q, Lens[I]));
+    C[I].resize(Lens[I] * K);
+    Want[I].resize(Lens[I] * K);
+    ASSERT_TRUE(Serial.vmul(Q, A[I].data(), B[I].data(), Want[I].data(),
+                            Lens[I]))
+        << Serial.error();
+  }
+
+  ServerOptions O;
+  O.Workers = 1;
+  O.MaxBatch = 64;
+  service::Server Srv(registry(), O);
+  std::vector<std::future<Reply>> F;
+  submitBehindParkedWorker(Reqs, [&](size_t I) {
+    F.push_back(
+        Srv.vmul(Q, A[I].data(), B[I].data(), C[I].data(), Lens[I]));
+  });
+  Srv.drain();
+
+  for (size_t I = 0; I < Reqs; ++I) {
+    Reply Rep = F[I].get();
+    ASSERT_TRUE(Rep.Ok) << Rep.Error;
+    EXPECT_EQ(C[I], Want[I]) << "request " << I << " (length " << Lens[I]
+                             << ") diverges from serial dispatch";
+  }
+  service::Server::Stats St = Srv.stats();
+  EXPECT_EQ(St.Dispatches, 2u) << "the ragged burst was not one batch";
+  EXPECT_EQ(St.MaxBatchSize, Reqs - 1);
+}
+
 TEST(Server, MixedConcurrentClientsMatchSerial) {
   SeededRng R(0xc0a1);
   const Bignum Q60 = q60(), Q124 = q124();
