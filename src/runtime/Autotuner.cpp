@@ -364,12 +364,15 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
     for (unsigned VW : O.VectorWidths)
       Backends.push_back({rewrite::ExecBackend::Vector, 0, VW});
   }
-  // The stage-fusion axis only exists for transform-shaped problems;
-  // like block dim it is a launch parameter, so the sweep adds timing
-  // runs but no compiles.
+  // The stage-fusion axis only exists for transform-shaped problems,
+  // which sweep every depth in [1, MaxFuseDepth]; like block dim it is a
+  // launch parameter, so the sweep adds timing runs but no compiles.
   std::vector<unsigned> Fuses = {Base.FuseDepth};
-  if (SweepFuse && O.TuneFuseDepth && !O.FuseDepths.empty())
-    Fuses = O.FuseDepths;
+  if (SweepFuse) {
+    Fuses.clear();
+    for (unsigned FD = 1; FD <= rewrite::PlanOptions::MaxFuseDepth; ++FD)
+      Fuses.push_back(FD);
+  }
 
   std::vector<rewrite::PlanOptions> Out;
   for (mw::Reduction Red : Reds)
@@ -501,10 +504,6 @@ const TuneDecision *Autotuner::chooseNtt(const Bignum &Q,
   // profile, so the winning depth may differ).
   if (Base.Ring == rewrite::NttRing::Negacyclic)
     Problem += "/neg";
-  if (!O.TuneFuseDepth)
-    Problem += formatv(
-        "/f%u", PlanKey::forModulus(KernelOp::Butterfly, Q, Base)
-                    .Opts.FuseDepth);
   return serveOrTune(Problem, [&](TuneDecision &D, unsigned &Timed,
                                   std::string &Error) {
     return tuneNttProblem(Q, Base, NPoints, Bucket, D, Timed, Error);

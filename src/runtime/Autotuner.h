@@ -68,13 +68,6 @@ struct AutotunerOptions {
   /// share one compiled module per knob combination. Empty skips the
   /// vector backend from the sweep.
   std::vector<unsigned> VectorWidths = {4, 8, 16};
-  /// Sweep the NTT stage-fusion depth for transform-shaped problems
-  /// (chooseNtt). Off pins the base plan's FuseDepth. Like the block
-  /// dimension, depth is a launch parameter — the sweep costs timing
-  /// only, no extra compiles.
-  bool TuneFuseDepth = true;
-  /// Fusion depths swept (clamped to PlanOptions::MaxFuseDepth).
-  std::vector<unsigned> FuseDepths = {1, 2, 3};
   /// When non-empty: load(CachePath) at construction and save(CachePath)
   /// after every tuning run, so decisions survive process restarts.
   std::string CachePath;

@@ -234,21 +234,20 @@ Dispatcher::BoundPlan *Dispatcher::bindPlan(KernelOp Op, const Bignum &Q,
   return &Ins.first->second;
 }
 
+bool Dispatcher::launch(const BoundPlan &BP, BatchArgs Args, size_t N) {
+  Args.Aux = BP.AuxPtrs;
+  ++DStats.Batches;
+  return Reg.backendFor(BP.Plan->Key)
+      .runBatch(*BP.Plan, Args, N, /*Rows=*/1, &LastError);
+}
+
 bool Dispatcher::runElementwise(KernelOp Op, const Bignum &Q,
                                 const std::uint64_t *A,
                                 const std::uint64_t *B, std::uint64_t *C,
                                 size_t N) {
   clearError();
   BoundPlan *BP = bind(Op, Q, N);
-  if (!BP)
-    return false;
-  BatchArgs Args;
-  Args.Outs = {C};
-  Args.Ins = {A, B};
-  Args.Aux = BP->AuxPtrs;
-  ++DStats.Batches;
-  return Reg.backendFor(BP->Plan->Key)
-      .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError);
+  return BP && launch(*BP, {{C}, {A, B}, {}, {}}, N);
 }
 
 bool Dispatcher::vadd(const Bignum &Q, const std::uint64_t *A,
@@ -272,14 +271,9 @@ bool Dispatcher::axpy(const Bignum &Q, const std::uint64_t *AScalar,
   BoundPlan *BP = bind(KernelOp::Axpy, Q, N);
   if (!BP)
     return false;
-  BatchArgs Args;
-  Args.Outs = {Y}; // yo aliases y: inputs load before the store
-  Args.Ins = {AScalar, X, Y};
-  Args.InStrides = {0, BP->Plan->ElemWords, BP->Plan->ElemWords};
-  Args.Aux = BP->AuxPtrs;
-  ++DStats.Batches;
-  return Reg.backendFor(BP->Plan->Key)
-      .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError);
+  // yo aliases y: inputs load before the store.
+  const size_t EW = BP->Plan->ElemWords;
+  return launch(*BP, {{Y}, {AScalar, X, Y}, {0, EW, EW}, {}}, N);
 }
 
 const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
@@ -433,16 +427,7 @@ bool Dispatcher::rnsDecompose(const RnsContext &Ctx, const std::uint64_t *A,
   // differs per binding.
   for (size_t L = 0; L < Ctx.numLimbs(); ++L) {
     BoundPlan *BP = bindPlan(KernelOp::RnsDecompose, Ctx.limb(L), Base, WW);
-    if (!BP)
-      return false;
-    BatchArgs Args;
-    Args.Outs = {Residues + L * N};
-    Args.Ins = {A};
-    Args.InStrides = {WW};
-    Args.Aux = BP->AuxPtrs;
-    ++DStats.Batches;
-    if (!Reg.backendFor(BP->Plan->Key)
-             .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError))
+    if (!BP || !launch(*BP, {{Residues + L * N}, {A}, {WW}, {}}, N))
       return false;
   }
   return true;
@@ -463,14 +448,8 @@ bool Dispatcher::rnsRecombine(const RnsContext &Ctx,
   if (!BP)
     return false;
   for (size_t L = 0; L < Ctx.numLimbs(); ++L) {
-    BatchArgs Args;
-    Args.Outs = {C};
-    Args.Ins = {Ctx.weightWords(L).data(), Residues + L * N, C};
-    Args.InStrides = {0, 1, WW};
-    Args.Aux = BP->AuxPtrs;
-    ++DStats.Batches;
-    if (!Reg.backendFor(BP->Plan->Key)
-             .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError))
+    const std::uint64_t *W = Ctx.weightWords(L).data();
+    if (!launch(*BP, {{C}, {W, Residues + L * N, C}, {0, 1, WW}, {}}, N))
       return false;
   }
   return true;
@@ -545,20 +524,24 @@ bool Dispatcher::toWide(RnsTensor &T, std::uint64_t *C) {
   return rnsRecombine(T.context(), T.data(), C, T.count());
 }
 
+bool Dispatcher::transformLimbs(RnsTensor &T, RnsDomain To) {
+  if (T.domain() == To)
+    return true;
+  const RnsContext &Ctx = T.context();
+  for (size_t L = 0; L < Ctx.numLimbs(); ++L)
+    if (!transform(Ctx.limb(L), T.limbData(L), T.nPoints(), T.batch(),
+                   /*Inverse=*/To == RnsDomain::Coeff, T.ring()))
+      return false;
+  T.setDomain(To);
+  return true;
+}
+
 bool Dispatcher::rnsNttForward(RnsTensor &T) {
   clearError();
   if (!T.valid())
     return fail("Dispatcher: rnsNttForward on an empty tensor",
                 DispatchErrorCode::InvalidArgument);
-  if (T.domain() == RnsDomain::Ntt)
-    return true;
-  const RnsContext &Ctx = T.context();
-  for (size_t L = 0; L < Ctx.numLimbs(); ++L)
-    if (!transform(Ctx.limb(L), T.limbData(L), T.nPoints(), T.batch(),
-                   /*Inverse=*/false, T.ring()))
-      return false;
-  T.setDomain(RnsDomain::Ntt);
-  return true;
+  return transformLimbs(T, RnsDomain::Ntt);
 }
 
 bool Dispatcher::rnsNttInverse(RnsTensor &T) {
@@ -566,14 +549,17 @@ bool Dispatcher::rnsNttInverse(RnsTensor &T) {
   if (!T.valid())
     return fail("Dispatcher: rnsNttInverse on an empty tensor",
                 DispatchErrorCode::InvalidArgument);
-  if (T.domain() == RnsDomain::Coeff)
-    return true;
-  const RnsContext &Ctx = T.context();
+  return transformLimbs(T, RnsDomain::Coeff);
+}
+
+bool Dispatcher::limbwise(KernelOp Op, RnsTensor &A, RnsTensor &B,
+                          RnsTensor &C) {
+  const RnsContext &Ctx = A.context();
   for (size_t L = 0; L < Ctx.numLimbs(); ++L)
-    if (!transform(Ctx.limb(L), T.limbData(L), T.nPoints(), T.batch(),
-                   /*Inverse=*/true, T.ring()))
+    if (!runElementwise(Op, Ctx.limb(L), A.limbData(L), B.limbData(L),
+                        C.limbData(L), A.count()))
       return false;
-  T.setDomain(RnsDomain::Coeff);
+  C.setDomain(A.domain());
   return true;
 }
 
@@ -588,13 +574,7 @@ bool Dispatcher::rnsVAdd(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
   if (A.domain() != B.domain() &&
       (!rnsNttForward(A) || !rnsNttForward(B)))
     return false;
-  const RnsContext &Ctx = A.context();
-  for (size_t L = 0; L < Ctx.numLimbs(); ++L)
-    if (!runElementwise(KernelOp::AddMod, Ctx.limb(L), A.limbData(L),
-                        B.limbData(L), C.limbData(L), A.count()))
-      return false;
-  C.setDomain(A.domain());
-  return true;
+  return limbwise(KernelOp::AddMod, A, B, C);
 }
 
 bool Dispatcher::rnsVSub(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
@@ -604,13 +584,7 @@ bool Dispatcher::rnsVSub(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
   if (A.domain() != B.domain() &&
       (!rnsNttForward(A) || !rnsNttForward(B)))
     return false;
-  const RnsContext &Ctx = A.context();
-  for (size_t L = 0; L < Ctx.numLimbs(); ++L)
-    if (!runElementwise(KernelOp::SubMod, Ctx.limb(L), A.limbData(L),
-                        B.limbData(L), C.limbData(L), A.count()))
-      return false;
-  C.setDomain(A.domain());
-  return true;
+  return limbwise(KernelOp::SubMod, A, B, C);
 }
 
 bool Dispatcher::rnsVMul(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
@@ -622,13 +596,7 @@ bool Dispatcher::rnsVMul(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
   // both operands come back to Coeff first.
   if (!rnsNttInverse(A) || !rnsNttInverse(B))
     return false;
-  const RnsContext &Ctx = A.context();
-  for (size_t L = 0; L < Ctx.numLimbs(); ++L)
-    if (!runElementwise(KernelOp::MulMod, Ctx.limb(L), A.limbData(L),
-                        B.limbData(L), C.limbData(L), A.count()))
-      return false;
-  C.setDomain(RnsDomain::Coeff);
-  return true;
+  return limbwise(KernelOp::MulMod, A, B, C);
 }
 
 bool Dispatcher::rnsPolyMul(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
@@ -642,13 +610,7 @@ bool Dispatcher::rnsPolyMul(RnsTensor &A, RnsTensor &B, RnsTensor &C) {
   // multiply is pointwise.
   if (!rnsNttForward(A) || !rnsNttForward(B))
     return false;
-  const RnsContext &Ctx = A.context();
-  for (size_t L = 0; L < Ctx.numLimbs(); ++L)
-    if (!runElementwise(KernelOp::MulMod, Ctx.limb(L), A.limbData(L),
-                        B.limbData(L), C.limbData(L), A.count()))
-      return false;
-  C.setDomain(RnsDomain::Ntt);
-  return true;
+  return limbwise(KernelOp::MulMod, A, B, C);
 }
 
 bool Dispatcher::rnsRescale(RnsTensor &T) {
@@ -678,14 +640,8 @@ bool Dispatcher::rnsRescale(RnsTensor &T) {
     if (!BP)
       return false;
     std::uint64_t Inv = (QLast % Q).invMod(Q).low64();
-    BatchArgs Args;
-    Args.Outs = {T.limbData(I)};
-    Args.Ins = {&Inv, T.limbData(I), LastRow};
-    Args.InStrides = {0, 1, 1};
-    Args.Aux = BP->AuxPtrs;
-    ++DStats.Batches;
-    if (!Reg.backendFor(BP->Plan->Key)
-             .runBatch(*BP->Plan, Args, T.count(), /*Rows=*/1, &LastError))
+    std::uint64_t *Row = T.limbData(I);
+    if (!launch(*BP, {{Row}, {&Inv, Row, LastRow}, {0, 1, 1}, {}}, T.count()))
       return false;
   }
   T.rebindContext(Ctx.subChain(L - 1));

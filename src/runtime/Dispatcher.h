@@ -345,11 +345,20 @@ private:
   /// transforms.
   const NttTables *tables(const mw::Bignum &Q, size_t NPoints,
                           mw::Reduction Domain, rewrite::NttRing Ring);
+  /// The one element-wise backend launch: fills \p Args' broadcast tail
+  /// from \p BP, counts DispatchStats::Batches and runs \p N elements.
+  bool launch(const BoundPlan &BP, BatchArgs Args, size_t N);
   bool runElementwise(KernelOp Op, const mw::Bignum &Q,
                       const std::uint64_t *A, const std::uint64_t *B,
                       std::uint64_t *C, size_t N);
   bool transform(const mw::Bignum &Q, std::uint64_t *Data, size_t NPoints,
                  size_t Batch, bool Inverse, rewrite::NttRing Ring);
+  /// Moves every limb of \p T into \p To, one transform per limb (a
+  /// no-op when T is already there).
+  bool transformLimbs(RnsTensor &T, RnsDomain To);
+  /// C = A op B with one element-wise dispatch per limb; C then takes
+  /// A's domain. The tensor ops settle the operands' domains first.
+  bool limbwise(KernelOp Op, RnsTensor &A, RnsTensor &B, RnsTensor &C);
   /// Shared precondition checks of the binary tensor ops.
   bool checkTensors(const char *Op, const RnsTensor &A, const RnsTensor &B,
                     const RnsTensor &C);

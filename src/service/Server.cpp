@@ -13,8 +13,27 @@ using namespace moma::service;
 
 namespace {
 
-char ringTag(rewrite::NttRing Ring) {
-  return Ring == rewrite::NttRing::Negacyclic ? 'n' : 'c';
+/// Key of a polynomial-shaped request: op tag, modulus hex or context
+/// identity, point count, ring.
+std::string polyKey(const char *Op, const std::string &Id, size_t NPoints,
+                    rewrite::NttRing Ring) {
+  return std::string(Op) + "/" + Id + "/" + std::to_string(NPoints) + "/" +
+         (Ring == rewrite::NttRing::Negacyclic ? 'n' : 'c');
+}
+
+/// The address of \p P as a key component (identity, not value).
+std::string identity(const void *P) {
+  return std::to_string(reinterpret_cast<std::uintptr_t>(P));
+}
+
+/// A reply stamped now; Ok exactly when \p Code is.
+Reply makeReply(ErrorCode Code, std::string Error = {}) {
+  Reply R;
+  R.Ok = Code == ErrorCode::Ok;
+  R.Code = Code;
+  R.Error = std::move(Error);
+  R.Done = std::chrono::steady_clock::now();
+  return R;
 }
 
 } // namespace
@@ -76,9 +95,21 @@ Server::~Server() {
 // Submission
 //===----------------------------------------------------------------------===//
 
-std::future<Reply> Server::submit(Request R) {
-  std::uint64_t Budget =
-      R.DeadlineUs ? R.DeadlineUs : Opts.DefaultDeadlineUs;
+std::future<Reply> Server::submit(std::string Key, BatchCall Call,
+                                  const std::uint64_t *A,
+                                  const std::uint64_t *B, std::uint64_t *C,
+                                  size_t Rows, size_t RowWords,
+                                  std::uint64_t DeadlineUs) {
+  Request R;
+  R.Key = std::move(Key);
+  R.Call = std::move(Call);
+  R.A = A;
+  R.B = B;
+  R.C = C;
+  R.Rows = Rows;
+  R.RowWords = RowWords;
+  const std::uint64_t Budget =
+      DeadlineUs ? DeadlineUs : Opts.DefaultDeadlineUs;
   if (Budget) {
     R.HasDeadline = true;
     R.Deadline = std::chrono::steady_clock::now() +
@@ -98,95 +129,79 @@ std::future<Reply> Server::submit(Request R) {
     Code = Stop ? ErrorCode::ShuttingDown : ErrorCode::QueueFull;
     ++S.Rejected;
   }
-  Reply Rej;
-  Rej.Code = Code;
-  Rej.Error = Code == ErrorCode::ShuttingDown
-                  ? "server: submission rejected (shutting down)"
-                  : "server: submission rejected (queue full)";
-  Rej.Done = std::chrono::steady_clock::now();
-  R.Promise.set_value(std::move(Rej));
+  R.Promise.set_value(makeReply(
+      Code, Code == ErrorCode::ShuttingDown
+                ? "server: submission rejected (shutting down)"
+                : "server: submission rejected (queue full)"));
   return F;
 }
 
+// Element-wise requests are one row per element, so requests of any
+// lengths under one modulus concatenate into a single flat dispatch.
 std::future<Reply> Server::vadd(const mw::Bignum &Q, const std::uint64_t *A,
                                 const std::uint64_t *B, std::uint64_t *C,
                                 size_t N, std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::VAdd;
-  R.Q = Q;
-  R.A = A;
-  R.B = B;
-  R.C = C;
-  R.N = N;
-  R.Key = "va/" + Q.toHex();
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  return submit(
+      "va/" + Q.toHex(),
+      [Q](runtime::Dispatcher &D, auto *A, auto *B, auto *C, size_t Rows) {
+        return D.vadd(Q, A, B, C, Rows);
+      },
+      A, B, C, N, runtime::Dispatcher::elemWords(Q), DeadlineUs);
 }
 
 std::future<Reply> Server::vmul(const mw::Bignum &Q, const std::uint64_t *A,
                                 const std::uint64_t *B, std::uint64_t *C,
                                 size_t N, std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::VMul;
-  R.Q = Q;
-  R.A = A;
-  R.B = B;
-  R.C = C;
-  R.N = N;
-  R.Key = "vm/" + Q.toHex();
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  return submit(
+      "vm/" + Q.toHex(),
+      [Q](runtime::Dispatcher &D, auto *A, auto *B, auto *C, size_t Rows) {
+        return D.vmul(Q, A, B, C, Rows);
+      },
+      A, B, C, N, runtime::Dispatcher::elemWords(Q), DeadlineUs);
 }
 
+// Polynomial requests are one row per polynomial.
 std::future<Reply> Server::polyMul(const mw::Bignum &Q,
                                    const std::uint64_t *A,
                                    const std::uint64_t *B, std::uint64_t *C,
                                    size_t NPoints, rewrite::NttRing Ring,
                                    std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::PolyMul;
-  R.Q = Q;
-  R.Ring = Ring;
-  R.A = A;
-  R.B = B;
-  R.C = C;
-  R.N = NPoints;
-  R.Key = "pm/" + Q.toHex() + "/" + std::to_string(NPoints) + "/" +
-          ringTag(Ring);
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  return submit(
+      polyKey("pm", Q.toHex(), NPoints, Ring),
+      [Q, NPoints, Ring](runtime::Dispatcher &D, auto *A, auto *B, auto *C,
+                         size_t Rows) {
+        return D.polyMul(Q, A, B, C, NPoints, Rows, Ring);
+      },
+      A, B, C, 1, NPoints * runtime::Dispatcher::elemWords(Q), DeadlineUs);
 }
 
+// The transforms run in place: A = C = Data.
 std::future<Reply> Server::nttForward(const mw::Bignum &Q,
                                       std::uint64_t *Data, size_t NPoints,
                                       rewrite::NttRing Ring,
                                       std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::NttForward;
-  R.Q = Q;
-  R.Ring = Ring;
-  R.C = Data;
-  R.N = NPoints;
-  R.Key = "nf/" + Q.toHex() + "/" + std::to_string(NPoints) + "/" +
-          ringTag(Ring);
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  return submit(
+      polyKey("nf", Q.toHex(), NPoints, Ring),
+      [Q, NPoints, Ring](runtime::Dispatcher &D, auto *, auto *, auto *C,
+                         size_t Rows) {
+        return D.nttForward(Q, C, NPoints, Rows, Ring);
+      },
+      Data, nullptr, Data, 1, NPoints * runtime::Dispatcher::elemWords(Q),
+      DeadlineUs);
 }
 
 std::future<Reply> Server::nttInverse(const mw::Bignum &Q,
                                       std::uint64_t *Data, size_t NPoints,
                                       rewrite::NttRing Ring,
                                       std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::NttInverse;
-  R.Q = Q;
-  R.Ring = Ring;
-  R.C = Data;
-  R.N = NPoints;
-  R.Key = "ni/" + Q.toHex() + "/" + std::to_string(NPoints) + "/" +
-          ringTag(Ring);
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  return submit(
+      polyKey("ni", Q.toHex(), NPoints, Ring),
+      [Q, NPoints, Ring](runtime::Dispatcher &D, auto *, auto *, auto *C,
+                         size_t Rows) {
+        return D.nttInverse(Q, C, NPoints, Rows, Ring);
+      },
+      Data, nullptr, Data, 1, NPoints * runtime::Dispatcher::elemWords(Q),
+      DeadlineUs);
 }
 
 std::future<Reply> Server::rnsPolyMul(const runtime::RnsContext &Ctx,
@@ -195,57 +210,43 @@ std::future<Reply> Server::rnsPolyMul(const runtime::RnsContext &Ctx,
                                       std::uint64_t *C, size_t NPoints,
                                       rewrite::NttRing Ring,
                                       std::uint64_t DeadlineUs) {
-  Request R;
-  R.Kind = ReqKind::RnsPolyMul;
-  R.Ctx = &Ctx;
-  R.Ring = Ring;
-  R.A = A;
-  R.B = B;
-  R.C = C;
-  R.N = NPoints;
   // Context identity (not value) keys the batch: requests through the
   // same RnsContext share limb bases and tables by construction.
-  R.Key = "rp/" +
-          std::to_string(reinterpret_cast<std::uintptr_t>(&Ctx)) + "/" +
-          std::to_string(NPoints) + "/" + ringTag(Ring);
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  return submit(
+      polyKey("rp", identity(&Ctx), NPoints, Ring),
+      [&Ctx, NPoints, Ring](runtime::Dispatcher &D, auto *A, auto *B,
+                            auto *C, size_t Rows) {
+        return D.rnsPolyMul(Ctx, A, B, C, NPoints, Rows, Ring);
+      },
+      A, B, C, 1, NPoints * Ctx.wideWords(), DeadlineUs);
 }
 
 std::future<Reply> Server::submitCtMul(fhe::Ciphertext &A,
                                        fhe::Ciphertext &B,
                                        fhe::Ciphertext &Out,
                                        std::uint64_t DeadlineUs) {
-  Request R;
   // Malformed products are rejected at the door with the typed code —
   // no queue slot, no worker wakeup.
   if (!A.valid() || !B.valid() || A.size() != 2 || B.size() != 2 ||
       &A.context() != &B.context()) {
-    std::future<Reply> F = R.Promise.get_future();
     {
       std::lock_guard<std::mutex> G(QMu);
       ++S.Rejected;
     }
-    Reply Rej;
-    Rej.Code = ErrorCode::InvalidRequest;
-    Rej.Error = "server: ctMul needs two degree-1 ciphertexts over one "
-                "chain";
-    Rej.Done = std::chrono::steady_clock::now();
-    R.Promise.set_value(std::move(Rej));
-    return F;
+    std::promise<Reply> P;
+    P.set_value(makeReply(ErrorCode::InvalidRequest,
+                          "server: ctMul needs two degree-1 ciphertexts "
+                          "over one chain"));
+    return P.get_future();
   }
-  R.Kind = ReqKind::CtMul;
-  R.Ctx = &A.context();
-  R.Ring = A.Polys[0].ring();
-  R.CtA = &A;
-  R.CtB = &B;
-  R.CtOut = &Out;
-  R.N = A.Polys[0].nPoints();
-  R.Key = "cm/" +
-          std::to_string(reinterpret_cast<std::uintptr_t>(R.Ctx)) + "/" +
-          std::to_string(R.N) + "/" + ringTag(R.Ring);
-  R.DeadlineUs = DeadlineUs;
-  return submit(std::move(R));
+  // Unstaged (RowWords = 0): ciphertexts carry per-request lazy-domain
+  // state, so staging them would undo the NTT elision.
+  const runtime::RnsTensor &T = A.Polys[0];
+  return submit(
+      polyKey("cm", identity(&T.context()), T.nPoints(), T.ring()),
+      [&A, &B, &Out](runtime::Dispatcher &D, auto *, auto *, auto *,
+                     size_t) { return fhe::ciphertextMul(D, A, B, Out); },
+      nullptr, nullptr, nullptr, 1, 0, DeadlineUs);
 }
 
 void Server::drain() {
@@ -297,13 +298,9 @@ void Server::sweepExpiredLocked(std::vector<Request> &Expired) {
 void Server::replyExpired(std::vector<Request> &Expired) {
   if (Expired.empty())
     return;
-  for (Request &R : Expired) {
-    Reply Rep;
-    Rep.Code = ErrorCode::DeadlineExceeded;
-    Rep.Error = "server: deadline exceeded while queued";
-    Rep.Done = std::chrono::steady_clock::now();
-    R.Promise.set_value(std::move(Rep));
-  }
+  for (Request &R : Expired)
+    R.Promise.set_value(makeReply(ErrorCode::DeadlineExceeded,
+                                  "server: deadline exceeded while queued"));
   {
     // Pending drops only after the promises are fulfilled, preserving
     // the drain() invariant: Pending == 0 => every future is ready.
@@ -365,13 +362,10 @@ void Server::execute(Worker &W, std::vector<Request> &Batch) {
   ErrorCode Code = ErrorCode::Ok;
   const bool Ok = dispatchBatch(W, Batch, Error, Code);
 
-  Reply R;
-  R.Ok = Ok;
-  if (!Ok) {
-    R.Code = Code == ErrorCode::Ok ? ErrorCode::DispatchFailed : Code;
-    R.Error = Error.empty() ? "server: dispatch failed" : Error;
-  }
-  R.Done = std::chrono::steady_clock::now();
+  const Reply R =
+      Ok ? makeReply(ErrorCode::Ok)
+         : makeReply(Code == ErrorCode::Ok ? ErrorCode::DispatchFailed : Code,
+                     Error.empty() ? "server: dispatch failed" : Error);
   for (auto &Req : Batch)
     Req.Promise.set_value(R);
 
@@ -397,129 +391,43 @@ bool Server::dispatchBatch(Worker &W, std::vector<Request> &Batch,
     return false;
   }
   runtime::Dispatcher &D = *W.D;
-  Request &R0 = Batch.front();
+  const Request &R0 = Batch.front();
   bool Ok = false;
-
-  switch (R0.Kind) {
-  case ReqKind::VAdd:
-  case ReqKind::VMul: {
-    auto Call = [&](const std::uint64_t *A, const std::uint64_t *B,
-                    std::uint64_t *C, size_t N) {
-      return R0.Kind == ReqKind::VAdd ? D.vadd(R0.Q, A, B, C, N)
-                                      : D.vmul(R0.Q, A, B, C, N);
-    };
-    if (Batch.size() == 1) {
-      Ok = Call(R0.A, R0.B, R0.C, R0.N); // zero-copy fast path
-      break;
-    }
-    // Element-wise ops are pointwise, so requests of any lengths under
-    // one modulus concatenate into a single flat dispatch.
-    const unsigned K = runtime::Dispatcher::elemWords(R0.Q);
-    size_t Total = 0;
+  if (Batch.size() == 1 || R0.RowWords == 0) {
+    // Each request's own call on its own buffers: the zero-copy path for
+    // a lone request, and the only path for unstaged requests (ciphertext
+    // products share the worker wakeup but not their lazy-domain state).
+    // The first failure fails the whole batch, so replies stay uniform.
+    Ok = std::all_of(Batch.begin(), Batch.end(), [&](const Request &R) {
+      return R.Call(D, R.A, R.B, R.C, R.Rows);
+    });
+  } else {
+    // One call over the concatenated rows: A rows stage straight into
+    // the output array (every call accepts C aliasing A), B rows beside
+    // them, and C rows scatter back by offset.
+    const size_t RW = R0.RowWords;
+    size_t Rows = 0;
     for (const Request &R : Batch)
-      Total += R.N;
-    W.SA.resize(Total * K);
-    W.SB.resize(Total * K);
-    W.SC.resize(Total * K);
+      Rows += R.Rows;
+    W.SC.resize(Rows * RW);
+    if (R0.B)
+      W.SB.resize(Rows * RW);
     size_t Off = 0;
     for (const Request &R : Batch) {
-      std::copy(R.A, R.A + R.N * K, W.SA.data() + Off);
-      std::copy(R.B, R.B + R.N * K, W.SB.data() + Off);
-      Off += R.N * K;
+      std::copy(R.A, R.A + R.Rows * RW, W.SC.data() + Off);
+      if (R.B)
+        std::copy(R.B, R.B + R.Rows * RW, W.SB.data() + Off);
+      Off += R.Rows * RW;
     }
-    Ok = Call(W.SA.data(), W.SB.data(), W.SC.data(), Total);
+    Ok = R0.Call(D, W.SC.data(), R0.B ? W.SB.data() : nullptr, W.SC.data(),
+                 Rows);
     if (Ok) {
       Off = 0;
-      for (Request &R : Batch) {
-        std::copy(W.SC.data() + Off, W.SC.data() + Off + R.N * K, R.C);
-        Off += R.N * K;
+      for (const Request &R : Batch) {
+        std::copy(W.SC.data() + Off, W.SC.data() + Off + R.Rows * RW, R.C);
+        Off += R.Rows * RW;
       }
     }
-    break;
-  }
-
-  case ReqKind::PolyMul: {
-    if (Batch.size() == 1) {
-      Ok = D.polyMul(R0.Q, R0.A, R0.B, R0.C, R0.N, 1, R0.Ring);
-      break;
-    }
-    const unsigned K = runtime::Dispatcher::elemWords(R0.Q);
-    const size_t Row = R0.N * K; // words per polynomial
-    W.SA.resize(Batch.size() * Row);
-    W.SB.resize(Batch.size() * Row);
-    W.SC.resize(Batch.size() * Row);
-    for (size_t I = 0; I < Batch.size(); ++I) {
-      std::copy(Batch[I].A, Batch[I].A + Row, W.SA.data() + I * Row);
-      std::copy(Batch[I].B, Batch[I].B + Row, W.SB.data() + I * Row);
-    }
-    Ok = D.polyMul(R0.Q, W.SA.data(), W.SB.data(), W.SC.data(), R0.N,
-                   Batch.size(), R0.Ring);
-    if (Ok)
-      for (size_t I = 0; I < Batch.size(); ++I)
-        std::copy(W.SC.data() + I * Row, W.SC.data() + (I + 1) * Row,
-                  Batch[I].C);
-    break;
-  }
-
-  case ReqKind::NttForward:
-  case ReqKind::NttInverse: {
-    const bool Fwd = R0.Kind == ReqKind::NttForward;
-    if (Batch.size() == 1) {
-      Ok = Fwd ? D.nttForward(R0.Q, R0.C, R0.N, 1, R0.Ring)
-               : D.nttInverse(R0.Q, R0.C, R0.N, 1, R0.Ring);
-      break;
-    }
-    const unsigned K = runtime::Dispatcher::elemWords(R0.Q);
-    const size_t Row = R0.N * K;
-    W.SA.resize(Batch.size() * Row);
-    for (size_t I = 0; I < Batch.size(); ++I)
-      std::copy(Batch[I].C, Batch[I].C + Row, W.SA.data() + I * Row);
-    Ok = Fwd ? D.nttForward(R0.Q, W.SA.data(), R0.N, Batch.size(), R0.Ring)
-             : D.nttInverse(R0.Q, W.SA.data(), R0.N, Batch.size(), R0.Ring);
-    if (Ok)
-      for (size_t I = 0; I < Batch.size(); ++I)
-        std::copy(W.SA.data() + I * Row, W.SA.data() + (I + 1) * Row,
-                  Batch[I].C);
-    break;
-  }
-
-  case ReqKind::RnsPolyMul: {
-    if (Batch.size() == 1) {
-      Ok = D.rnsPolyMul(*R0.Ctx, R0.A, R0.B, R0.C, R0.N, 1, R0.Ring);
-      break;
-    }
-    const size_t Row = R0.N * R0.Ctx->wideWords();
-    W.SA.resize(Batch.size() * Row);
-    W.SB.resize(Batch.size() * Row);
-    W.SC.resize(Batch.size() * Row);
-    for (size_t I = 0; I < Batch.size(); ++I) {
-      std::copy(Batch[I].A, Batch[I].A + Row, W.SA.data() + I * Row);
-      std::copy(Batch[I].B, Batch[I].B + Row, W.SB.data() + I * Row);
-    }
-    Ok = D.rnsPolyMul(*R0.Ctx, W.SA.data(), W.SB.data(), W.SC.data(), R0.N,
-                      Batch.size(), R0.Ring);
-    if (Ok)
-      for (size_t I = 0; I < Batch.size(); ++I)
-        std::copy(W.SC.data() + I * Row, W.SC.data() + (I + 1) * Row,
-                  Batch[I].C);
-    break;
-  }
-
-  case ReqKind::CtMul: {
-    // Ciphertext products carry per-request lazy-domain state in their
-    // tensors, so the coalesced batch shares a worker wakeup but each
-    // product runs as its own dispatcher-call sequence — cross-request
-    // staging would force every operand back to one domain and destroy
-    // the NTT elision the tensor API provides. The first failure fails
-    // the whole batch (uniform replies, same contract as other kinds).
-    Ok = true;
-    for (Request &R : Batch)
-      if (!fhe::ciphertextMul(D, *R.CtA, *R.CtB, *R.CtOut)) {
-        Ok = false;
-        break;
-      }
-    break;
-  }
   }
 
   if (!Ok) {

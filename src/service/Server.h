@@ -36,9 +36,10 @@
 ///
 /// Buffer ownership: request buffers (A/B/C/Data) belong to the caller
 /// and must stay valid and untouched until the returned future resolves.
-/// The coalescer stages them into worker-local contiguous arrays for the
-/// batched dispatch and scatters results back, so callers never see a
-/// partially-written output before their future is ready.
+/// An output may alias its request's A input. The coalescer stages
+/// buffers into worker-local contiguous arrays for the batched dispatch
+/// and scatters results back, so callers never see a partially-written
+/// output before their future is ready.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +52,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -225,45 +227,48 @@ public:
   runtime::Autotuner *tuner() { return Tuner.get(); }
 
 private:
-  enum class ReqKind {
-    VAdd,
-    VMul,
-    PolyMul,
-    NttForward,
-    NttInverse,
-    RnsPolyMul,
-    CtMul
-  };
+  /// The batched dispatcher call a coalescing key stands for: C = op(A, B)
+  /// over \p Rows rows. Contract: C may alias A (staged batches pass one
+  /// array as both), and B is null for one-input ops.
+  using BatchCall =
+      std::function<bool(runtime::Dispatcher &, const std::uint64_t *A,
+                         const std::uint64_t *B, std::uint64_t *C,
+                         size_t Rows)>;
 
-  /// One queued request. Coalescing key: requests with equal Key strings
-  /// are safe to serve in one batched dispatch.
+  /// One queued request: a coalescing key, the call it stands for, and
+  /// the request's rows. Requests with equal Key strings share Call and
+  /// RowWords, so any set of them is one Call over their concatenated
+  /// rows.
   struct Request {
-    ReqKind Kind;
-    mw::Bignum Q;
-    const runtime::RnsContext *Ctx = nullptr;
-    rewrite::NttRing Ring = rewrite::NttRing::Cyclic;
-    const std::uint64_t *A = nullptr;
-    const std::uint64_t *B = nullptr;
-    std::uint64_t *C = nullptr; ///< output (or in-place data)
-    fhe::Ciphertext *CtA = nullptr, *CtB = nullptr; ///< CtMul operands
-    fhe::Ciphertext *CtOut = nullptr;               ///< CtMul result
-    size_t N = 0;               ///< elements (BLAS) or points (NTT/poly)
     std::string Key;
-    std::uint64_t DeadlineUs = 0; ///< caller's budget (0 = server default)
+    BatchCall Call;
+    const std::uint64_t *A = nullptr;
+    const std::uint64_t *B = nullptr; ///< null for one-input ops
+    std::uint64_t *C = nullptr;       ///< output rows; may alias A
+    size_t Rows = 0;
+    /// Words per row. 0 marks an unstaged request, whose Call only ever
+    /// runs on the request's own buffers.
+    size_t RowWords = 0;
     bool HasDeadline = false;
     std::chrono::steady_clock::time_point Deadline; ///< if HasDeadline
     std::promise<Reply> Promise;
   };
 
   /// One worker: thread + private Dispatcher + staging buffers for
-  /// coalesced batches (grow-only, reused across dispatches).
+  /// coalesced batches (grow-only, reused across dispatches): SC holds
+  /// the A rows and receives C, SB holds the B rows.
   struct Worker {
     std::unique_ptr<runtime::Dispatcher> D;
-    std::vector<std::uint64_t> SA, SB, SC;
+    std::vector<std::uint64_t> SB, SC;
     std::thread T;
   };
 
-  std::future<Reply> submit(Request R);
+  /// Queues one request (or replies a typed rejection at once).
+  /// \p DeadlineUs 0 means ServerOptions::DefaultDeadlineUs.
+  std::future<Reply> submit(std::string Key, BatchCall Call,
+                            const std::uint64_t *A, const std::uint64_t *B,
+                            std::uint64_t *C, size_t Rows, size_t RowWords,
+                            std::uint64_t DeadlineUs);
   void workerLoop(Worker &W);
   /// Moves every queued request whose deadline has passed (any key) into
   /// \p Expired and bumps Stats::DeadlineExpired for the new entries.
@@ -280,10 +285,14 @@ private:
   void takeBatchLocked(std::vector<Request> &Batch);
   /// Serves one coalesced batch (all sharing Batch[0].Key) on \p W.
   void execute(Worker &W, std::vector<Request> &Batch);
-  /// Runs the actual dispatcher call(s) for \p Batch staged as one
-  /// batched dispatch; returns false with \p Error and \p Code set —
-  /// \p Code classified from the dispatcher's typed lastErrorCode()
-  /// rather than by matching message strings.
+  /// Runs \p Batch with no per-kind code. A batch of one, or of unstaged
+  /// requests, runs each request's own Call on its own buffers (the
+  /// first failure fails the batch). Any other batch copies every A row
+  /// into W.SC and every B row into W.SB, runs one Call over the summed
+  /// rows with C = W.SC, and scatters the C rows back. Returns false
+  /// with \p Error and \p Code set — \p Code classified from the
+  /// dispatcher's typed lastErrorCode() rather than by matching message
+  /// strings.
   bool dispatchBatch(Worker &W, std::vector<Request> &Batch,
                      std::string &Error, ErrorCode &Code);
 

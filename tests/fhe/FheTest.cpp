@@ -26,11 +26,13 @@
 //    (add / multiply+relinearize / rescale) with the device and the
 //    oracle marched in lockstep;
 //  * Server::submitCtMul serving products through the coalescer and the
-//    typed InvalidRequest admission reply.
+//    typed InvalidRequest admission reply, and a burst of products
+//    sharing one worker wakeup while each runs on its own operands.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../TestUtil.h"
+#include "../service/ParkedWorker.h"
 
 #include "fhe/Fhe.h"
 #include "ntt/ReferenceDft.h"
@@ -586,4 +588,44 @@ TEST(Fhe, ServerCtMulServesAndRejectsTyped) {
   service::Reply Rej2 = Srv.submitCtMul(P, B, Out).get();
   EXPECT_FALSE(Rej2.Ok);
   EXPECT_EQ(Rej2.Code, service::ErrorCode::InvalidRequest);
+}
+
+TEST(Fhe, ServerCtMulBurstSharesOneWakeup) {
+  // Queued same-context products coalesce onto one worker wakeup but are
+  // never staged: each runs its own dispatcher-call sequence on its own
+  // ciphertexts, so every result must still match the oracle.
+  SeededRng R(0xb125);
+  FheContext FC = makeFhe(2, NttRing::Negacyclic);
+  SecretKey SK = keyGen(FC, R);
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+
+  const size_t Reqs = 4;
+  std::vector<Ciphertext> A(Reqs), B(Reqs), Out(Reqs);
+  std::vector<RefCiphertext> Want(Reqs);
+  for (size_t I = 0; I < Reqs; ++I) {
+    ASSERT_TRUE(encrypt(FC, D, SK, randomMsg(R, FC), R, A[I]));
+    ASSERT_TRUE(encrypt(FC, D, SK, randomMsg(R, FC), R, B[I]));
+    RefCiphertext RA, RB;
+    ASSERT_TRUE(ciphertextToRef(D, A[I], RA));
+    ASSERT_TRUE(ciphertextToRef(D, B[I], RB));
+    Want[I] = refMul(RA, RB, FC.rns().modulus(), /*Negacyclic=*/true);
+  }
+
+  service::ServerOptions SO;
+  SO.Workers = 1;
+  service::Server Srv(registry(), SO);
+  std::vector<std::future<service::Reply>> F;
+  submitBehindParkedWorker(Reqs, [&](size_t I) {
+    F.push_back(Srv.submitCtMul(A[I], B[I], Out[I]));
+  });
+  Srv.drain();
+
+  for (size_t I = 0; I < Reqs; ++I) {
+    service::Reply Rep = F[I].get();
+    ASSERT_TRUE(Rep.Ok) << Rep.Error;
+    expectCtEq(D, Out[I], Want[I], "burst ctmul");
+  }
+  service::Server::Stats St = Srv.stats();
+  EXPECT_EQ(St.Dispatches, 2u) << "the burst was not one wakeup";
+  EXPECT_EQ(St.MaxBatchSize, Reqs - 1);
 }

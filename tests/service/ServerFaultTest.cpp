@@ -299,21 +299,32 @@ TEST(ServerFault, MixedClientsBitIdenticalOnInterpFallback) {
   FreshCacheDir DirA("mixed_ok");
   KernelRegistry RegA(DirA.options());
   Dispatcher Ref(RegA);
+  std::string Err;
+  RnsContext Ctx;
+  ASSERT_TRUE(RnsContext::create(2, Ctx, &Err)) << Err;
+  // Every staged request kind: 0 vadd q60, 1 vmul q60, 2 vmul q124,
+  // 3 pm cyc, 4 pm neg, 5 nttForward, 6 nttInverse (in place),
+  // 7 rnsPolyMul.
+  const int Kinds = 8;
   struct Item {
-    int Kind; // 0 vadd q60, 1 vmul q60, 2 vmul q124, 3 pm cyc, 4 pm neg
+    int Kind;
     std::vector<std::uint64_t> A, B, C, Want;
   };
   std::vector<std::vector<Item>> Work(Clients);
   for (int T = 0; T < Clients; ++T)
     for (int I = 0; I < PerClient; ++I) {
       Item It;
-      It.Kind = (T + I) % 5;
-      const Bignum &Q = It.Kind == 2 ? Q124 : Q60;
+      It.Kind = (T + I) % Kinds;
+      const Bignum &Q =
+          It.Kind == 2 ? Q124 : It.Kind == 7 ? Ctx.modulus() : Q60;
       const size_t N = It.Kind >= 3 ? PolyN : VecN;
       It.A = randomWords(R, Q, N);
       It.B = randomWords(R, Q, N);
-      It.C.resize(It.A.size());
-      It.Want.resize(It.A.size());
+      // The transforms run in place on C, so C starts as the input.
+      It.C = It.Kind == 5 || It.Kind == 6
+                 ? It.A
+                 : std::vector<std::uint64_t>(It.A.size());
+      It.Want = It.C;
       bool Ok = false;
       switch (It.Kind) {
       case 0:
@@ -327,9 +338,19 @@ TEST(ServerFault, MixedClientsBitIdenticalOnInterpFallback) {
         Ok = Ref.polyMul(Q, It.A.data(), It.B.data(), It.Want.data(), N, 1,
                          rewrite::NttRing::Cyclic);
         break;
-      default:
+      case 4:
         Ok = Ref.polyMul(Q, It.A.data(), It.B.data(), It.Want.data(), N, 1,
                          rewrite::NttRing::Negacyclic);
+        break;
+      case 5:
+        Ok = Ref.nttForward(Q, It.Want.data(), N, 1);
+        break;
+      case 6:
+        Ok = Ref.nttInverse(Q, It.Want.data(), N, 1);
+        break;
+      default:
+        Ok = Ref.rnsPolyMul(Ctx, It.A.data(), It.B.data(), It.Want.data(),
+                            N, 1);
         break;
       }
       ASSERT_TRUE(Ok) << Ref.error();
@@ -367,9 +388,19 @@ TEST(ServerFault, MixedClientsBitIdenticalOnInterpFallback) {
         F.push_back(Srv.polyMul(Q, It.A.data(), It.B.data(), It.C.data(),
                                 PolyN, rewrite::NttRing::Cyclic));
         break;
-      default:
+      case 4:
         F.push_back(Srv.polyMul(Q, It.A.data(), It.B.data(), It.C.data(),
                                 PolyN, rewrite::NttRing::Negacyclic));
+        break;
+      case 5:
+        F.push_back(Srv.nttForward(Q, It.C.data(), PolyN));
+        break;
+      case 6:
+        F.push_back(Srv.nttInverse(Q, It.C.data(), PolyN));
+        break;
+      default:
+        F.push_back(Srv.rnsPolyMul(Ctx, It.A.data(), It.B.data(),
+                                   It.C.data(), PolyN));
         break;
       }
     }

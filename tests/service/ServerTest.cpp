@@ -157,7 +157,8 @@ TEST(Server, BurstCoalescesAndMatchesSerial) {
 TEST(Server, RaggedElementwiseBurstConcatenates) {
   // Element-wise requests coalesce on the modulus alone: requests of
   // different lengths are concatenated into one flat dispatch and
-  // scattered back by offset.
+  // scattered back by offset. Odd requests pass C = A, so their product
+  // overwrites A.
   SeededRng R(0x7a66);
   const Bignum Q = q124();
   const std::vector<size_t> Lens = {16, 1, 7, 33, 2, 64};
@@ -181,17 +182,20 @@ TEST(Server, RaggedElementwiseBurstConcatenates) {
   O.MaxBatch = 64;
   service::Server Srv(registry(), O);
   std::vector<std::future<Reply>> F;
+  auto Out = [&](size_t I) -> std::vector<std::uint64_t> & {
+    return I % 2 ? A[I] : C[I];
+  };
   submitBehindParkedWorker(Reqs, [&](size_t I) {
     F.push_back(
-        Srv.vmul(Q, A[I].data(), B[I].data(), C[I].data(), Lens[I]));
+        Srv.vmul(Q, A[I].data(), B[I].data(), Out(I).data(), Lens[I]));
   });
   Srv.drain();
 
   for (size_t I = 0; I < Reqs; ++I) {
     Reply Rep = F[I].get();
     ASSERT_TRUE(Rep.Ok) << Rep.Error;
-    EXPECT_EQ(C[I], Want[I]) << "request " << I << " (length " << Lens[I]
-                             << ") diverges from serial dispatch";
+    EXPECT_EQ(Out(I), Want[I]) << "request " << I << " (length " << Lens[I]
+                               << ") diverges from serial dispatch";
   }
   service::Server::Stats St = Srv.stats();
   EXPECT_EQ(St.Dispatches, 2u) << "the ragged burst was not one batch";
