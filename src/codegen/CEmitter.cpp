@@ -67,6 +67,21 @@ private:
 
   std::string freshTemp() { return formatv("t%u", TempCount++); }
 
+  /// All ones when the 0/1 flag \p Cond holds, zero otherwise. The
+  /// corrections below are mask arithmetic rather than `?:`: compilers
+  /// turn data-dependent selects into branches, which mispredict on
+  /// random residues (and crypto kernels should not branch on data).
+  std::string mask(const std::string &Cond) const {
+    return formatv("-(%s)(%s)", WT, Cond.c_str());
+  }
+
+  /// (WT)T - q when T >= q, else (WT)T: the single conditional
+  /// subtraction that ends _saddmod and _smulmod.
+  std::string condSubtract(const std::string &T, const std::string &Q) const {
+    return formatv("(%s)%s - (%s & %s)", WT, T.c_str(), Q.c_str(),
+                   mask(T + " >= " + Q).c_str());
+  }
+
   void emitStmt(const Stmt &S);
 
   const Kernel &K;
@@ -139,21 +154,18 @@ void BodyEmitter::emitStmt(const Stmt &S) {
     std::string T = freshTemp();
     line(formatv("%s %s = (%s)%s + %s;", DT, T.c_str(), DT, Op(0).c_str(),
                  Op(1).c_str()));
-    def(S.Results[0],
-        formatv("%s >= %s ? (%s)(%s - %s) : (%s)%s", T.c_str(),
-                Op(2).c_str(), WT, T.c_str(), Op(2).c_str(), WT, T.c_str()));
+    def(S.Results[0], condSubtract(T, Op(2)));
     return;
   }
   case OpKind::SubMod: {
-    // Listing 1 _ssubmod.
+    // Listing 1 _ssubmod: add q back under the borrow mask.
     std::string T = freshTemp();
     line(formatv("%s %s = %s;", WT, T.c_str(),
                  masked(Op(0) + " - " + Op(1), Width(S.Results[0])).c_str()));
     def(S.Results[0],
-        formatv("%s < %s ? %s : %s",
-                Op(0).c_str(), Op(1).c_str(),
-                masked(T + " + " + Op(2), Width(S.Results[0])).c_str(),
-                T.c_str()));
+        masked(formatv("%s + (%s & %s)", T.c_str(), Op(2).c_str(),
+                       mask(Op(0) + " < " + Op(1)).c_str()),
+               Width(S.Results[0])));
     return;
   }
   case OpKind::MulMod: {
@@ -167,9 +179,7 @@ void BodyEmitter::emitStmt(const Stmt &S) {
     line(formatv("%s >>= %u;", R.c_str(), S.ModBits + 5));
     line(formatv("%s -= %s * (%s)%s;", T.c_str(), R.c_str(), DT,
                  Op(2).c_str()));
-    def(S.Results[0],
-        formatv("%s >= %s ? (%s)(%s - %s) : (%s)%s", T.c_str(),
-                Op(2).c_str(), WT, T.c_str(), Op(2).c_str(), WT, T.c_str()));
+    def(S.Results[0], condSubtract(T, Op(2)));
     return;
   }
   case OpKind::Lt:
@@ -199,9 +209,10 @@ void BodyEmitter::emitStmt(const Stmt &S) {
     def(S.Results[0], formatv("%s >> %u", Op(0).c_str(), S.Amount));
     return;
   case OpKind::Select:
-    def(S.Results[0],
-        formatv("%s ? %s : %s", Op(0).c_str(), Op(1).c_str(),
-                Op(2).c_str()));
+    // b ^ ((a ^ b) & mask): the flag is 0 or 1, so the mask picks an arm.
+    def(S.Results[0], formatv("%s ^ ((%s ^ %s) & %s)", Op(2).c_str(),
+                              Op(1).c_str(), Op(2).c_str(),
+                              mask(Op(0)).c_str()));
     return;
   case OpKind::Split: {
     unsigned H = Width(S.Results[0]);
@@ -310,6 +321,29 @@ moma::codegen::findPort(const std::vector<LoweredPort> &Ports,
     if (P.Name == Name)
       return &P;
   return nullptr;
+}
+
+unsigned moma::codegen::twiddleEntryWords(const LoweredKernel &L) {
+  const LoweredPort *W = findPort(L.Inputs, "w");
+  const LoweredPort *WQ = findPort(L.Inputs, "wq");
+  assert(W && "not a butterfly kernel");
+  return W->storedWords() + (WQ ? WQ->storedWords() : 0);
+}
+
+std::string moma::codegen::twiddleEntryArgs(const LoweredKernel &L,
+                                            const std::string &EntryExpr) {
+  const LoweredPort *W = findPort(L.Inputs, "w");
+  const LoweredPort *WQ = findPort(L.Inputs, "wq");
+  assert(W && "not a butterfly kernel");
+  std::string Args = portLoadArgs(*W, EntryExpr);
+  if (WQ) {
+    std::string A = portLoadArgs(
+        *WQ, formatv("(%s + %u)", EntryExpr.c_str(), W->storedWords()));
+    if (!Args.empty() && !A.empty())
+      Args += ", ";
+    Args += A;
+  }
+  return Args;
 }
 
 EmittedKernel moma::codegen::emitC(const LoweredKernel &L,

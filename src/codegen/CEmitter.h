@@ -10,7 +10,10 @@
 /// structure of the paper's Listings 1-4: machine-word locals, the
 /// compiler-supported double word (unsigned __int128 for a 64-bit word)
 /// used only to capture carries and wide products, explicit carry/borrow
-/// propagation, and Barrett's single conditional subtraction.
+/// propagation, and Barrett's single conditional subtraction. Every
+/// correction and select is emitted as mask arithmetic (`b ^ ((a ^ b) &
+/// -(WT)c)`, `t - (q & -(WT)(t >= q))`), never `?:`, so the generated
+/// kernels do not branch on data.
 ///
 /// The emitted function takes one pointer per kernel port; each port array
 /// holds the value's stored words, most significant first (the paper's
@@ -77,6 +80,18 @@ size_t broadcastStart(const rewrite::LoweredKernel &L);
 const rewrite::LoweredPort *
 findPort(const std::vector<rewrite::LoweredPort> &Ports,
          const std::string &Name);
+
+/// Stored words of one twiddle-table entry for butterfly kernel \p L: w's,
+/// plus those of its Shoup companion wq when \p L has that port (the
+/// runtime's NttTables::EntryWords for the kernel's domain).
+unsigned twiddleEntryWords(const rewrite::LoweredKernel &L);
+
+/// Comma-separated scalar-call arguments loading butterfly kernel \p L's
+/// w and (when present) wq ports from the twiddle-table entry at
+/// \p EntryExpr: w from the entry's first words, wq from the words after
+/// them. Shared by the fused walkers and the CUDA NTT stage.
+std::string twiddleEntryArgs(const rewrite::LoweredKernel &L,
+                             const std::string &EntryExpr);
 
 /// Emits \p L as a C function. \p L must be fully lowered to
 /// Opts.WordBits (verified; aborts otherwise).

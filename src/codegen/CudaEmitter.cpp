@@ -103,15 +103,16 @@ std::string moma::codegen::emitCudaNttStage(const LoweredKernel &L,
   const LoweredPort *X = findPort(L.Inputs, "x");
   const LoweredPort *Y = findPort(L.Inputs, "y");
   const LoweredPort *W = findPort(L.Inputs, "w");
+  const LoweredPort *WQ = findPort(L.Inputs, "wq");
   const LoweredPort *Q = findPort(L.Inputs, "q");
-  const LoweredPort *Mu = findPort(L.Inputs, "mu");
   const LoweredPort *XO = findPort(L.Outputs, "xo");
   const LoweredPort *YO = findPort(L.Outputs, "yo");
-  if (!X || !Y || !W || !Q || !Mu || !XO || !YO)
-    fatalError("emitCudaNttStage: expected butterfly ports x,y,w,q,mu -> "
+  if (!X || !Y || !W || !WQ || !Q || !XO || !YO)
+    fatalError("emitCudaNttStage: expected butterfly ports x,y,w,wq,q -> "
                "xo,yo");
 
   unsigned K = X->storedWords();
+  unsigned TE = twiddleEntryWords(L);
   std::string Name = "moma_" + L.K.Name;
   std::string Src =
       cudaHeader(Opts, "NTT stage kernel (radix-2 DIT butterflies)");
@@ -120,11 +121,12 @@ std::string moma::codegen::emitCudaNttStage(const LoweredKernel &L,
   Src += formatv(
       "// In-place stage over X (bit-reversed input order). len is the\n"
       "// butterfly half-distance of this stage; Wst points at the stage's\n"
-      "// twiddle table (len entries of %u words).\n",
-      K);
+      "// twiddle table: len entries [w | wq] of %u words, w (%u words)\n"
+      "// followed by its Shoup quotient wq = floor(w * 2^%u / q).\n",
+      TE, W->storedWords(), WQ->ContainerBits);
   Src += formatv(
       "__global__ void %s_stage(u64 *X, const u64 *Wst, const u64 *q,\n"
-      "                         const u64 *mu, long long n, long long len) {\n",
+      "                         long long n, long long len) {\n",
       Name.c_str());
   Src += "  // One thread per butterfly (n/2 butterflies per stage,\n"
          "  // paper 5.1); blockIdx.y = batch index.\n";
@@ -134,29 +136,24 @@ std::string moma::codegen::emitCudaNttStage(const LoweredKernel &L,
   Src += "  long long i0 = g * 2 * len + j, i1 = i0 + len;\n";
   Src += formatv("  u64 *base = X + (long long)blockIdx.y * n * %u;\n", K);
   Src += formatv("  u64 *px = base + i0 * %u, *py = base + i1 * %u;\n", K, K);
-  Src += formatv("  const u64 *pw = Wst + j * %u;\n", K);
+  Src += formatv("  const u64 *pw = Wst + j * %u;\n", TE);
 
   std::string CallArgs;
   for (unsigned I = 0; I < XO->storedWords(); ++I)
     CallArgs += formatv("%s&px[%u]", CallArgs.empty() ? "" : ", ", I);
   for (unsigned I = 0; I < YO->storedWords(); ++I)
     CallArgs += formatv(", &py[%u]", I);
-  auto Append = [&](const LoweredPort *P, const std::string &Base) {
-    std::string Args = portLoadArgs(*P, Base);
+  for (const std::string &Args :
+       {portLoadArgs(*X, "px"), portLoadArgs(*Y, "py"),
+        twiddleEntryArgs(L, "pw"), portLoadArgs(*Q, "q")})
     if (!Args.empty())
       CallArgs += ", " + Args;
-  };
-  Append(X, "px");
-  Append(Y, "py");
-  Append(W, "pw");
-  Append(Q, "q");
-  Append(Mu, "mu");
   Src += formatv("  %s_scalar(%s);\n", Name.c_str(), CallArgs.c_str());
   Src += "}\n\n";
   Src += formatv(
       "// Launch per stage s (len = 1 << s), batch b:\n"
       "//   dim3 grid((n/2 + %u - 1) / %u, b);\n"
-      "//   %s_stage<<<grid, %u>>>(dX, dW + stageOffset, dQ, dMu, n, len);\n",
+      "//   %s_stage<<<grid, %u>>>(dX, dW + stageOffset, dQ, n, len);\n",
       Opts.BlockDim, Opts.BlockDim, Name.c_str(), Opts.BlockDim);
   return Src;
 }

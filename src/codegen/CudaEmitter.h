@@ -46,9 +46,12 @@ struct CudaEmitOptions {
 std::string emitCudaElementwise(const rewrite::LoweredKernel &L,
                                 const CudaEmitOptions &Opts = {});
 
-/// Emits a .cu file implementing one NTT stage from a lowered butterfly
-/// kernel (ports x, y, w, q, mu -> xo, yo). The in-place data layout is
-/// one contiguous array of n elements, each storedWords() words.
+/// Emits a .cu file implementing one NTT stage from a lowered Shoup
+/// butterfly kernel (ports x, y, w, wq, q -> xo, yo; the Barrett
+/// butterfly of kernels/ScalarKernels.h). The in-place data layout is one
+/// contiguous array of n elements, each storedWords() words; the stage's
+/// twiddle table holds [w | wq] entries, the runtime's plain-domain
+/// NttTables layout.
 std::string emitCudaNttStage(const rewrite::LoweredKernel &L,
                              const CudaEmitOptions &Opts = {});
 

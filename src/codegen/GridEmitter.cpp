@@ -140,10 +140,13 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
   const LoweredPort *X = findPort(L.Inputs, "x");
   const LoweredPort *Y = findPort(L.Inputs, "y");
   const LoweredPort *W = findPort(L.Inputs, "w");
+  const LoweredPort *WQ = findPort(L.Inputs, "wq");
   const LoweredPort *XO = findPort(L.Outputs, "xo");
   const LoweredPort *YO = findPort(L.Outputs, "yo");
-  if (X && Y && W && XO && YO && BStart == 3 && L.Outputs.size() == 2) {
+  if (X && Y && W && XO && YO && BStart == (WQ ? 4u : 3u) &&
+      L.Outputs.size() == 2) {
     unsigned EW = X->storedWords();
+    unsigned TE = twiddleEntryWords(L);
     unsigned MaxM = 1u << rewrite::PlanOptions::MaxFuseDepth;
     Out.FusedSymbol = Base + "_fused";
     Src += "\n#ifdef __cplusplus\nextern \"C\"\n#endif\n";
@@ -183,13 +186,11 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
         Args += formatv("%s&rx[%u]", Args.empty() ? "" : ", ", I);
       for (unsigned I = 0; I < YO->storedWords(); ++I)
         Args += formatv(", &dump[%u]", I);
-      for (const auto &Pair :
-           {std::make_pair(X, "zero"), std::make_pair(Y, "rx"),
-            std::make_pair(W, WExpr)}) {
-        std::string A = portLoadArgs(*Pair.first, Pair.second);
+      for (const std::string &A :
+           {portLoadArgs(*X, "zero"), portLoadArgs(*Y, "rx"),
+            twiddleEntryArgs(L, WExpr)})
         if (!A.empty())
           Args += ", " + A;
-      }
       return Args;
     };
 
@@ -208,7 +209,7 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
                    EW);
     Src += "      if (twist) {\n";
     Src += "        u64 *rx = R[j];\n";
-    Src += formatv("        const u64 *ptw = twist + s * %u;\n", EW);
+    Src += formatv("        const u64 *ptw = twist + s * %u;\n", TE);
     {
       std::string TwArgs = ZeroXCall("ptw");
       if (!FsAuxArgs.empty())
@@ -218,8 +219,8 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
     Src += "      }\n";
     Src += "    }\n";
     // Sub-stage d pairs register j with j + 2^d; the global stage of
-    // half-distance L = len0<<d uses twiddle index r + (j mod 2^d)*len0
-    // within its stage-major table slice at (L-1)*elemWords.
+    // half-distance L = len0<<d uses twiddle entry r + (j mod 2^d)*len0
+    // within its stage-major table slice at entry L-1.
     Src += "    for (u64 d = 0; d < depth; ++d) {\n";
     Src += "      u64 h = (u64)1 << d;\n";
     Src += "      u64 L = len0 << d;\n";
@@ -229,7 +230,7 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
     Src += "          u64 *ry = R[j + h];\n";
     Src += formatv("          const u64 *pw = Tw + (L - 1 + r + "
                    "(j - j0) * len0) * %u;\n",
-                   EW);
+                   TE);
     // Assemble the in-register call: outputs write back into the same
     // registers the inputs load from (inputs pass by value, so no
     // aliasing concern).
@@ -238,23 +239,21 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
       FsArgs += formatv("%s&rx[%u]", FsArgs.empty() ? "" : ", ", I);
     for (unsigned I = 0; I < YO->storedWords(); ++I)
       FsArgs += formatv(", &ry[%u]", I);
-    for (const auto &Pair :
-         {std::make_pair(X, "rx"), std::make_pair(Y, "ry"),
-          std::make_pair(W, "pw")}) {
-      std::string A = portLoadArgs(*Pair.first, Pair.second);
+    for (const std::string &A :
+         {portLoadArgs(*X, "rx"), portLoadArgs(*Y, "ry"),
+          twiddleEntryArgs(L, "pw")})
       if (!A.empty())
         FsArgs += ", " + A;
-    }
     if (!FsAuxArgs.empty())
       FsArgs += ", " + FsAuxArgs;
     Src += formatv("          %s(%s);\n", ScalarFn.c_str(), FsArgs.c_str());
     Src += "        }\n      }\n    }\n";
     // The inverse scale rides the stores through the same scalar body:
     // butterfly(x=0, y=v, w=scale[...]) makes xo = 0 + scale*v. sstride
-    // selects the fold: 0 broadcasts one factor (the cyclic n^-1),
-    // elemWords indexes a per-element table (the negacyclic untwist
+    // selects the fold: 0 broadcasts one factor (the cyclic n^-1), the
+    // entry size indexes a per-element table (the negacyclic untwist
     // ψ^{-e} · n^-1, e the natural-order output index). Factors arrive in
-    // the twiddle domain.
+    // the twiddle domain, in the twiddle tables' entry layout.
     Src += "    if (scale) {\n";
     Src += "      for (u64 j = 0; j < m; ++j) {\n";
     Src += "        u64 *rx = R[j];\n";

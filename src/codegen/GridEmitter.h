@@ -77,7 +77,10 @@ struct GridEmitOptions {
 /// virtual threads per batch row owns the 2^depth-point sub-transform
 /// over elements {g*(len0<<depth) + r + j*len0 : j}, held in registers
 /// between sub-stages. Tw is the *full* stage-major twiddle table (the
-/// stage of half-distance L starts at word offset (L-1)*elemWords).
+/// stage of half-distance L starts at entry L-1). Every table (Tw, twist,
+/// scale) is stepped by the entry size: the w port's stored words, plus
+/// the wq port's for a Shoup-multiplying (Barrett) butterfly, whose
+/// entries are [w | wq] and feed both ports (runtime/NttPipeline.h).
 /// `depth` is a launch parameter bounded by
 /// rewrite::PlanOptions::MaxFuseDepth — like blockDim, it does not shape
 /// the source, so every fusion depth of one kernel shares one compiled
@@ -87,16 +90,16 @@ struct GridEmitOptions {
 ///    Src[rev[e]] — the bit-reversal permutation rides the first loads
 ///    instead of a host-side swap pass;
 ///  * twist non-null (first forward group of a negacyclic transform):
-///    each loaded element is multiplied by twist[s], s its gathered
-///    source index (so twist[i] = ψ^i pairs with coefficient a_i),
+///    each loaded element is multiplied by twist entry s, s its gathered
+///    source index (so entry i = ψ^i pairs with coefficient a_i),
 ///    through the shared scalar butterfly body with x = 0;
 ///  * scale non-null (last inverse stage group): every output is
-///    multiplied by scale[(e) * sstride] before the store through the
-///    same zero-x butterfly. sstride 0 broadcasts one factor (the cyclic
-///    n^-1); sstride = elemWords indexes a per-output-element table (the
-///    negacyclic untwist ψ^{-e} · n^-1). Factors are expected in the
-///    kernel's twiddle domain, i.e. Montgomery-form for Montgomery
-///    plans;
+///    multiplied by the entry at scale + e * sstride before the store
+///    through the same zero-x butterfly. sstride 0 broadcasts one factor
+///    (the cyclic n^-1); sstride = the entry size indexes a
+///    per-output-element table (the negacyclic untwist ψ^{-e} · n^-1).
+///    Factors are expected in the kernel's twiddle domain, i.e.
+///    Montgomery-form for Montgomery plans;
 ///  * Src != Dst runs the group out-of-place (the dispatcher ping-pongs
 ///    edge groups through a scratch buffer so no cross-thread in-place
 ///    hazard exists when rev permutes the read set).

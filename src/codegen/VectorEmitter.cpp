@@ -257,10 +257,13 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   const LoweredPort *X = findPort(L.Inputs, "x");
   const LoweredPort *Y = findPort(L.Inputs, "y");
   const LoweredPort *W = findPort(L.Inputs, "w");
+  const LoweredPort *WQ = findPort(L.Inputs, "wq");
   const LoweredPort *XO = findPort(L.Outputs, "xo");
   const LoweredPort *YO = findPort(L.Outputs, "yo");
-  if (X && Y && W && XO && YO && BStart == 3 && L.Outputs.size() == 2) {
+  if (X && Y && W && XO && YO && BStart == (WQ ? 4u : 3u) &&
+      L.Outputs.size() == 2) {
     unsigned EW = X->storedWords();
+    unsigned TE = twiddleEntryWords(L);
     std::string AuxTail = joinArgs(AuxNames);
     if (!AuxTail.empty())
       AuxTail = ", " + AuxTail;
@@ -316,7 +319,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
       A = InLane(*Y, "R[j]");
       if (!A.empty())
         Args += ", " + A;
-      A = portLoadArgs(*W, WExpr);
+      A = twiddleEntryArgs(L, WExpr);
       if (!A.empty())
         Args += ", " + A;
       Args += AuxTail;
@@ -342,7 +345,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
                    "R[j][i][l] = p[l * row + i];\n",
                    EW);
     Src += "        if (twist) {\n";
-    Src += formatv("          const u64 *ptw = twist + s * %u;\n", EW);
+    Src += formatv("          const u64 *ptw = twist + s * %u;\n", TE);
     Src += "          for (u64 l = 0; l < c; ++l)\n";
     Src += formatv("            %s(%s);\n", ScalarFn.c_str(),
                    ZeroXCall("ptw").c_str());
@@ -357,7 +360,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
     Src += "          for (u64 j = j0; j < j0 + h; ++j) {\n";
     Src += formatv("            const u64 *pw = Tw + (L - 1 + r + "
                    "(j - j0) * len0) * %u;\n",
-                   EW);
+                   TE);
     {
       std::string Args = OutLane(*XO, "R[j]") + ", " + OutLane(*YO,
                                                               "R[j + h]");
@@ -367,7 +370,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
       A = InLane(*Y, "R[j + h]");
       if (!A.empty())
         Args += ", " + A;
-      A = portLoadArgs(*W, "pw");
+      A = twiddleEntryArgs(L, "pw");
       if (!A.empty())
         Args += ", " + A;
       Args += AuxTail;

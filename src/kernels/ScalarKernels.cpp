@@ -106,6 +106,27 @@ ValueId emitMulMod(Builder &B, const ScalarKernelSpec &Spec,
   return B.mulMod(A, BV, F.Q, F.Mu, F.ModBits);
 }
 
+/// Shoup's product by a table constant (Harvey 2014): with the companion
+/// wq = floor(w * 2^W / q), the quotient estimate qhat = hi(y * wq) is
+/// floor(y*w/q) or one less, so t = y*w - qhat*q lies in [0, 2q) and is
+/// exact modulo 2^W (2q < 2^W) — two low-half products, one high half
+/// and one conditional subtraction, no Barrett shifts.
+ValueId emitMulShoup(Builder &B, ValueId Y, ValueId Wt, ValueId WQ,
+                     ValueId Q, unsigned ModBits) {
+  Kernel &K = B.kernel();
+  ValueId QHat = B.mul(Y, WQ).Hi;
+  K.value(QHat).KnownBits = ModBits; // qhat <= y < q
+  ValueId YW = B.mulLow(Y, Wt);
+  ValueId QQ = B.mulLow(QHat, Q);
+  ValueId T = B.sub(YW, QQ).Value;
+  K.value(T).KnownBits = ModBits + 1; // t < 2q
+  ValueId Keep = B.lt(T, Q);
+  CarryResult D = B.sub(T, Q);
+  ValueId R = B.select(Keep, T, D.Value);
+  K.value(R).KnownBits = ModBits;
+  return R;
+}
+
 } // namespace
 
 Kernel moma::kernels::buildAddModKernel(const ScalarKernelSpec &Spec) {
@@ -153,9 +174,7 @@ Kernel moma::kernels::buildButterflyKernel(const ScalarKernelSpec &Spec) {
   if (M + 4 > W)
     fatalError("butterfly: modulus bits must be <= container - 4");
   bool Mont = Spec.Red == mw::Reduction::Montgomery;
-  KernelFrame F;
-  F.ModBits = M;
-  Kernel &K = F.K;
+  Kernel K;
   K.Name = Mont ? "butterfly_mont" : "butterfly";
   ValueId X = K.newValue(W, "x", M);
   K.addInput(X, "x");
@@ -164,8 +183,15 @@ Kernel moma::kernels::buildButterflyKernel(const ScalarKernelSpec &Spec) {
   ValueId Wt = K.newValue(W, "w", M); // twiddle, reduced; Montgomery-form
                                       // (w * 2^W mod q) for Montgomery
   K.addInput(Wt, "w");
-  F.Q = K.newValue(W, "q", M);
-  K.addInput(F.Q, "q");
+  ValueId WQ = NoValue;
+  if (!Mont) {
+    // Shoup companion floor(w * 2^W / q): spans the whole container.
+    WQ = K.newValue(W, "wq", W);
+    K.addInput(WQ, "wq");
+  }
+  ValueId Q = K.newValue(W, "q", M);
+  K.addInput(Q, "q");
+  ValueId QInv = NoValue;
   if (Mont) {
     // Unlike mulmod, the Montgomery butterfly takes its twiddle already
     // in the Montgomery domain (the twiddle table is precomputed once per
@@ -173,25 +199,29 @@ Kernel moma::kernels::buildButterflyKernel(const ScalarKernelSpec &Spec) {
     // the plain-domain product directly, REDC(y * w*2^W) = y*w mod q.
     // No r2 port — the second REDC pass of the plain-domain mulmod is
     // exactly what the precomputed table removes from the hot path.
-    F.QInv = K.newValue(W, "qinv", W);
-    K.addInput(F.QInv, "qinv");
-  } else {
-    addReductionInputs(F, Spec);
+    QInv = K.newValue(W, "qinv", W);
+    K.addInput(QInv, "qinv");
   }
 
   Builder B(K);
   ValueId T;
   if (Mont) {
     HiLoResult P = B.mul(Y, Wt);
-    T = emitRedc(B, P.Hi, P.Lo, F.Q, F.QInv, M);
+    T = emitRedc(B, P.Hi, P.Lo, Q, QInv, M);
   } else {
-    T = emitMulMod(B, Spec, F, Y, Wt);
+    T = emitMulShoup(B, Y, Wt, WQ, Q, M);
   }
-  ValueId XOut = B.addMod(X, T, F.Q);
-  ValueId YOut = B.subMod(X, T, F.Q);
+  ValueId XOut = B.addMod(X, T, Q);
+  ValueId YOut = B.subMod(X, T, Q);
   K.addOutput(XOut, "xo");
   K.addOutput(YOut, "yo");
-  return std::move(F.K);
+  return K;
+}
+
+mw::Bignum moma::kernels::shoupCompanion(const mw::Bignum &W,
+                                        const mw::Bignum &Q,
+                                        unsigned ContainerBits) {
+  return (W << ContainerBits) / Q;
 }
 
 Kernel moma::kernels::buildRnsDecomposeKernel(const ScalarKernelSpec &Spec,

@@ -12,7 +12,8 @@ using namespace moma::ir;
 using namespace moma::rewrite;
 
 unsigned OpStats::multiplies() const {
-  return count(OpKind::Mul) + count(OpKind::MulLow);
+  return count(OpKind::Mul) + count(OpKind::MulLow) +
+         3 * count(OpKind::MulMod);
 }
 
 unsigned OpStats::addSubs() const {

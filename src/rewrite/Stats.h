@@ -34,7 +34,10 @@ struct OpStats {
     return It == ByKind.end() ? 0 : It->second;
   }
 
-  /// Word multiplications (Mul + MulLow), the dominant cost on GPUs.
+  /// Word multiplications, the dominant cost on GPUs: one per Mul and
+  /// MulLow, three per MulMod. A MulMod that survives lowering is the
+  /// native word-width Barrett op, whose C body (Listing 1 _smulmod)
+  /// multiplies three times: a*b, r*mu and e*q.
   unsigned multiplies() const;
 
   /// Word additions/subtractions.

@@ -7,6 +7,7 @@
 
 #include "runtime/Autotuner.h"
 
+#include "kernels/ScalarKernels.h"
 #include "runtime/Backend.h"
 #include "runtime/NttPipeline.h"
 #include "support/FaultInjection.h"
@@ -189,7 +190,8 @@ double nowSeconds() {
       .count();
 }
 
-/// Per-element data-input count for each op (a,b / x,y,w / a,x,y).
+/// Per-element data inputs every candidate of an op reads (a,b / x,y,w
+/// / a,x,y); a Shoup butterfly plan reads wq after them.
 unsigned numDataInputs(KernelOp Op) {
   switch (Op) {
   case KernelOp::Butterfly:
@@ -421,6 +423,19 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
   }
   for (auto &Buf : Outs)
     Buf.assign(N * ElemWords, 0);
+  // A Shoup (Barrett) butterfly plan also reads each twiddle's quotient
+  // companion wq = floor(w * 2^lambda / q), derived from the w buffer:
+  // the kernel's KnownBits claims assume the true companion.
+  std::vector<std::uint64_t> WQ;
+  unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
+  if (Op == KernelOp::Butterfly)
+    for (size_t I = 0; I < N; ++I) {
+      Bignum W = unpackWordsMsbFirst(Ins[2].data() + I * ElemWords,
+                                     ElemWords);
+      auto Words =
+          packWordsMsbFirst(kernels::shoupCompanion(W, Q, Lambda), Lambda / 64);
+      WQ.insert(WQ.end(), Words.begin(), Words.end());
+    }
 
   TuneDecision Best;
   Best.NsPerElem = std::numeric_limits<double>::infinity();
@@ -441,6 +456,8 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
       Args.Outs.push_back(Buf.data());
     for (auto &Buf : Ins)
       Args.Ins.push_back(Buf.data());
+    if (Plan->NumDataInputs > NumIns)
+      Args.Ins.push_back(WQ.data());
     Args.Aux = Aux.ptrs();
 
     ExecutionBackend &EB = Reg.backendFor(Key);

@@ -48,8 +48,10 @@ using VecGroupFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                               const std::uint64_t *, std::uint64_t,
                               const std::uint64_t *const *);
 
+/// A butterfly plan has outputs xo, yo and data inputs x, y, w — plus the
+/// Shoup companion wq for Barrett plans.
 bool checkButterflyShape(const CompiledPlan &P, std::string *Err) {
-  if (P.NumOutputs != 2 || P.NumDataInputs != 3)
+  if (P.NumOutputs != 2 || P.NumDataInputs < 3 || P.NumDataInputs > 4)
     return fail(Err, "runStageGroup: plan is not a butterfly kernel");
   return true;
 }
@@ -158,6 +160,18 @@ bool checkSerialPlan(const CompiledPlan &P, std::string *Err) {
   return true;
 }
 
+/// Per-input element strides of one batched call: the caller's
+/// InStrides, or else each input port's stored words (ElemWords for every
+/// port but a Shoup butterfly's wq companion, which spans the container).
+std::vector<std::uint64_t> inputStrides(const CompiledPlan &P,
+                                        const BatchArgs &Args) {
+  std::vector<std::uint64_t> Strides(Args.Ins.size());
+  for (size_t I = 0; I < Strides.size(); ++I)
+    Strides[I] = Args.InStrides.empty() ? P.Lowered.Inputs[I].storedWords()
+                                        : Args.InStrides[I];
+  return Strides;
+}
+
 /// Element-loop walker shared by the host backends (serial and interp):
 /// one invoker call per element with the same port addressing as the
 /// grid's e = by*n + i indexing. \p N is the flat element count. Output
@@ -182,15 +196,14 @@ bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
   void *Ports[8];
   if (NumPorts > 8)
     return fail(Err, "runBatch: unsupported plan shape");
+  std::vector<std::uint64_t> Strides = inputStrides(P, Args);
   for (size_t I = 0; I < N; ++I) {
     size_t Slot = 0;
     for (std::uint64_t *Out : Args.Outs)
       Ports[Slot++] = Out + I * P.ElemWords;
-    for (size_t J = 0; J < Args.Ins.size(); ++J) {
-      size_t Stride =
-          Args.InStrides.empty() ? P.ElemWords : Args.InStrides[J];
-      Ports[Slot++] = const_cast<std::uint64_t *>(Args.Ins[J] + I * Stride);
-    }
+    for (size_t J = 0; J < Args.Ins.size(); ++J)
+      Ports[Slot++] =
+          const_cast<std::uint64_t *>(Args.Ins[J] + I * Strides[J]);
     for (const std::uint64_t *A : Args.Aux)
       Ports[Slot++] = const_cast<std::uint64_t *>(A);
     if (!Invoke(Ports))
@@ -218,26 +231,36 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
   if (Batch == 0 || NPoints < 2)
     return true;
 
+  // Port frame: xo, yo, x, y, w, [wq,] then the broadcast tail. One table
+  // entry feeds w and (Shoup plans) wq, which follows w's words.
+  unsigned TE = codegen::twiddleEntryWords(P.Lowered);
+  unsigned WWords = P.Lowered.Inputs[2].storedWords();
+  bool Shoup = P.NumDataInputs == 4;
+  void *Ports[8];
+  for (size_t I = 0; I < Aux.size(); ++I)
+    Ports[2 + P.NumDataInputs + I] = const_cast<std::uint64_t *>(Aux[I]);
+  auto SetEntry = [&](const std::uint64_t *Entry) {
+    Ports[4] = const_cast<std::uint64_t *>(Entry);
+    if (Shoup)
+      Ports[5] = const_cast<std::uint64_t *>(Entry + WWords);
+  };
+
   // In-place groups without edge folds need no staging at all on the
   // serial substrate: walk the sub-stages as plain radix-2 passes over
   // the buffer (identical butterfly sequence, so bit-identical results,
   // with zero copies).
   if (!G.Gather && !G.Twist && !G.Scale && G.Src == G.Dst) {
-    unsigned KW = P.ElemWords;
-    void *Ports[8];
-    for (size_t I = 0; I < Aux.size(); ++I)
-      Ports[5 + I] = const_cast<std::uint64_t *>(Aux[I]);
     for (size_t B = 0; B < Batch; ++B) {
-      std::uint64_t *Poly = G.Dst + B * NPoints * KW;
+      std::uint64_t *Poly = G.Dst + B * NPoints * K;
       for (unsigned D = 0; D < G.Depth; ++D) {
         size_t L = G.Len0 << D;
-        const std::uint64_t *Stage = Tw + (L - 1) * KW;
+        const std::uint64_t *Stage = Tw + (L - 1) * TE;
         for (size_t I0 = 0; I0 < NPoints; I0 += 2 * L)
           for (size_t J = 0; J < L; ++J) {
-            std::uint64_t *X = Poly + (I0 + J) * KW;
+            std::uint64_t *X = Poly + (I0 + J) * K;
             Ports[0] = Ports[2] = X;
-            Ports[1] = Ports[3] = X + L * KW;
-            Ports[4] = const_cast<std::uint64_t *>(Stage + J * KW);
+            Ports[1] = Ports[3] = X + L * K;
+            SetEntry(Stage + J * TE);
             if (!Invoke(Ports))
               return fail(Err, "runStageGroup: unsupported butterfly "
                                "arity");
@@ -255,9 +278,6 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
   size_t M = size_t(1) << G.Depth;
   size_t NT = NPoints >> G.Depth;
   std::vector<std::uint64_t> Regs(M * K), Dump(K), Zero(K, 0);
-  void *Ports[8];
-  for (size_t I = 0; I < Aux.size(); ++I)
-    Ports[5 + I] = const_cast<std::uint64_t *>(Aux[I]);
 
   for (size_t B = 0; B < Batch; ++B) {
     const std::uint64_t *SrcRow = G.Src + B * NPoints * K;
@@ -278,7 +298,7 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
           Ports[1] = Dump.data();
           Ports[2] = Zero.data();
           Ports[3] = Regs.data() + J * K;
-          Ports[4] = const_cast<std::uint64_t *>(G.Twist + S * K);
+          SetEntry(G.Twist + S * TE);
           if (!Invoke(Ports))
             return fail(Err, "runStageGroup: unsupported butterfly arity");
         }
@@ -294,8 +314,7 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
             Ports[1] = Y;
             Ports[2] = X;
             Ports[3] = Y;
-            Ports[4] = const_cast<std::uint64_t *>(
-                Tw + (L - 1 + R + (J - J0) * G.Len0) * K);
+            SetEntry(Tw + (L - 1 + R + (J - J0) * G.Len0) * TE);
             if (!Invoke(Ports))
               return fail(Err,
                           formatv("runStageGroup: unsupported butterfly "
@@ -309,10 +328,10 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
           Ports[1] = Dump.data();
           Ports[2] = Zero.data();
           Ports[3] = Regs.data() + J * K;
-          // ScaleStride 0 broadcasts (cyclic n^-1); ElemWords indexes the
-          // per-output untwist table at the natural-order element index.
-          Ports[4] = const_cast<std::uint64_t *>(
-              G.Scale + (Base + J * G.Len0) * G.ScaleStride);
+          // ScaleStride 0 broadcasts (cyclic n^-1); the entry size
+          // indexes the per-output untwist table at the natural-order
+          // element index.
+          SetEntry(G.Scale + (Base + J * G.Len0) * G.ScaleStride);
           if (!Invoke(Ports))
             return fail(Err, "runStageGroup: unsupported butterfly arity");
         }
@@ -413,9 +432,7 @@ bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   if (N == 0 || Rows == 0)
     return true;
 
-  std::vector<std::uint64_t> Strides(Args.Ins.size(), P.ElemWords);
-  for (size_t I = 0; I < Args.InStrides.size(); ++I)
-    Strides[I] = Args.InStrides[I];
+  std::vector<std::uint64_t> Strides = inputStrides(P, Args);
 
   unsigned BD = P.Key.Opts.BlockDim;
   std::uint64_t GridX = (N + BD - 1) / BD;
@@ -494,9 +511,7 @@ bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   if (N == 0 || Rows == 0)
     return true;
 
-  std::vector<std::uint64_t> Strides(Args.Ins.size(), P.ElemWords);
-  for (size_t I = 0; I < Args.InStrides.size(); ++I)
-    Strides[I] = Args.InStrides[I];
+  std::vector<std::uint64_t> Strides = inputStrides(P, Args);
 
   // Row-major batch rows are contiguous and broadcast (stride 0) inputs
   // broadcast across every row, so the lane loop runs over the flat

@@ -57,10 +57,13 @@ namespace runtime {
 /// first forward group of a negacyclic transform) folds the ring twist
 /// into the same loads; `Scale` (last inverse group) folds the final
 /// multiply into the stores — broadcast n^-1 when ScaleStride is 0, the
-/// per-element negacyclic untwist ψ^{-e}·n^-1 when ScaleStride is
-/// ElemWords. All multiply-fold tables live in the plan's twiddle
-/// domain. Src == Dst is only safe when every thread's read set equals
-/// its write set: any group without Gather, or a single-group transform
+/// per-element negacyclic untwist ψ^{-e}·n^-1 when ScaleStride is the
+/// table's EntryWords. All multiply-fold tables live in the plan's
+/// twiddle domain and share the twiddle tables' entry layout
+/// (runtime/NttPipeline.h: [w | wq] for Shoup-multiplying Barrett plans,
+/// [w] for Montgomery plans), so every table is stepped by the entry
+/// size. Src == Dst is only safe when every thread's read set equals its
+/// write set: any group without Gather, or a single-group transform
 /// (Depth == log2(n), one thread per row).
 struct StageGroup {
   size_t Len0 = 1;    ///< half-distance of the group's first stage
@@ -68,9 +71,9 @@ struct StageGroup {
   const std::uint64_t *Src = nullptr;
   std::uint64_t *Dst = nullptr;
   const std::uint32_t *Gather = nullptr; ///< NPoints-entry bit-rev table
-  const std::uint64_t *Twist = nullptr;  ///< NPoints x ElemWords ψ table
+  const std::uint64_t *Twist = nullptr;  ///< NPoints-entry ψ table
   const std::uint64_t *Scale = nullptr;  ///< scale factor(s), see above
-  unsigned ScaleStride = 0; ///< 0 = broadcast, ElemWords = per element
+  unsigned ScaleStride = 0; ///< 0 = broadcast, EntryWords = per element
 };
 
 /// Abstract execution substrate for compiled plans. Implementations are
@@ -94,7 +97,7 @@ public:
   /// One fused stage-group dispatch over \p Batch rows of \p NPoints
   /// elements (see StageGroup). \p Tw is the *full* stage-major twiddle
   /// table for the transform direction — each fused sub-stage of
-  /// half-distance L indexes its slice at word offset (L-1)*ElemWords —
+  /// half-distance L indexes its slice at word offset (L-1)*EntryWords —
   /// and \p Aux the plan's broadcast tail. \p P must be a butterfly plan.
   virtual bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                              const std::uint64_t *Tw,

@@ -493,12 +493,19 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
   // The RNS CRT kernels mix widths on the input side by design (wide
   // element vs word-sized residue); their drivers always dispatch with
   // explicit per-input strides, so the uniform check is skipped there.
+  // The butterfly's Shoup companion wq = floor(w * 2^lambda / q) spans
+  // the whole container, which is one word more than an element when the
+  // modulus leaves a container word free (a 130-bit q, say).
   if (!kernelOpMixesWidths(Key.Op))
-    for (size_t I = 0; I < QAt; ++I)
-      if (P->Lowered.Inputs[I].storedWords() != P->ElemWords) {
+    for (size_t I = 0; I < QAt; ++I) {
+      const rewrite::LoweredPort &Port = P->Lowered.Inputs[I];
+      unsigned Want =
+          Port.Name == "wq" ? Key.ContainerBits / 64 : P->ElemWords;
+      if (Port.storedWords() != Want) {
         Error = "KernelRegistry: data input port width mismatch";
         return nullptr;
       }
+    }
   // The 8-port bound is the serial callPorts arity limit; the grid and
   // vector ABIs pass port arrays but share it, and the interp walkers
   // reuse the same 8-slot port frames.

@@ -81,6 +81,8 @@ struct CompiledPlan {
   unsigned ElemWords = 0;     ///< stored words per data element
   /// Stored word counts of the trailing broadcast ports, in port order:
   /// q, then mu (Barrett) or qinv, r2 (Montgomery) for multiplying ops.
+  /// The butterfly is the exception: q alone for Barrett (its Shoup
+  /// companion wq is a data input), q, qinv for Montgomery.
   std::vector<unsigned> AuxWords;
 
   size_t numPorts() const {
@@ -97,7 +99,10 @@ struct BatchArgs {
   std::vector<const std::uint64_t *> Ins; ///< NumDataInputs arrays
   /// Per-input word stride between consecutive elements: ElemWords for
   /// vector inputs, 0 to broadcast one element to the whole batch (the
-  /// axpy scalar). Empty means all-vector.
+  /// axpy scalar). Empty means all-vector, each input stepping by its
+  /// port's stored words: ElemWords, except a Shoup butterfly's wq
+  /// companion, which spans the container (one word more than an
+  /// element for a 130-bit modulus, say).
   std::vector<size_t> InStrides;
   std::vector<const std::uint64_t *> Aux; ///< AuxWords.size() arrays
 };

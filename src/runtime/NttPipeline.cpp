@@ -8,6 +8,7 @@
 #include "runtime/NttPipeline.h"
 
 #include "field/RootOfUnity.h"
+#include "kernels/ScalarKernels.h"
 #include "runtime/PlanKey.h"
 #include "support/Format.h"
 
@@ -48,8 +49,17 @@ bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
                         rewrite::nttRingName(Ring), NPoints));
 
   unsigned K = (Q.bitWidth() + 63) / 64;
+  // Montgomery plans take their multipliers pre-converted (w * 2^lambda
+  // mod q, lambda the canonical container width), turning the
+  // butterfly's modular product into a single REDC; Barrett plans take
+  // plain values, each followed by its Shoup companion
+  // floor(w * 2^lambda / q) for the butterfly's wq port.
+  unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
+  bool Mont = Domain == mw::Reduction::Montgomery;
+  unsigned E = Mont ? K : K + Lambda / 64;
   Out.LogN = LogN;
   Out.ElemWords = K;
+  Out.EntryWords = E;
   Out.Domain = Domain;
   Out.Ring = Ring;
 
@@ -61,34 +71,38 @@ bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
     Out.BitRev[I] = static_cast<std::uint32_t>(R);
   }
 
-  // Montgomery plans take their twiddles pre-converted (w * 2^lambda mod
-  // q, lambda the canonical container width), turning the butterfly's
-  // modular product into a single REDC; Barrett plans use plain values.
-  unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
-  auto ToDomain = [&](const Bignum &V) {
-    return Domain == mw::Reduction::Montgomery ? (V << Lambda) % Q : V;
+  // Writes the table entry for multiplier V (reduced, plain) at \p Dst.
+  auto PutEntry = [&](const Bignum &V, std::uint64_t *Dst) {
+    if (Mont) {
+      auto W = packWordsMsbFirst((V << Lambda) % Q, K);
+      std::copy(W.begin(), W.end(), Dst);
+      return;
+    }
+    auto W = packWordsMsbFirst(V, K);
+    auto WQ = packWordsMsbFirst(kernels::shoupCompanion(V, Q, Lambda),
+                                Lambda / 64);
+    std::copy(W.begin(), W.end(), Dst);
+    std::copy(WQ.begin(), WQ.end(), Dst + K);
   };
 
   Bignum Root = field::rootOfUnity(Q, NPoints);
   Bignum RootInv = Root.invMod(Q);
-  Out.Tw.resize((NPoints - 1) * K);
-  Out.InvTw.resize((NPoints - 1) * K);
+  Out.Tw.resize((NPoints - 1) * E);
+  Out.InvTw.resize((NPoints - 1) * E);
   for (size_t Len = 1; Len < NPoints; Len <<= 1) {
     Bignum WLen = Root.powMod(Bignum(NPoints / (2 * Len)), Q);
     Bignum WLenInv = RootInv.powMod(Bignum(NPoints / (2 * Len)), Q);
     Bignum Cur(1), CurInv(1);
     for (size_t J = 0; J < Len; ++J) {
-      auto CW = packWordsMsbFirst(ToDomain(Cur), K);
-      auto CIW = packWordsMsbFirst(ToDomain(CurInv), K);
-      std::copy(CW.begin(), CW.end(), Out.Tw.begin() + (Len - 1 + J) * K);
-      std::copy(CIW.begin(), CIW.end(),
-                Out.InvTw.begin() + (Len - 1 + J) * K);
+      PutEntry(Cur, Out.Tw.data() + (Len - 1 + J) * E);
+      PutEntry(CurInv, Out.InvTw.data() + (Len - 1 + J) * E);
       Cur = Cur.mulMod(WLen, Q);
       CurInv = CurInv.mulMod(WLenInv, Q);
     }
   }
   Bignum NInv = Bignum(NPoints).invMod(Q);
-  Out.NInv = packWordsMsbFirst(ToDomain(NInv), K);
+  Out.NInv.resize(E);
+  PutEntry(NInv, Out.NInv.data());
 
   Out.Twist.clear();
   Out.Untwist.clear();
@@ -102,14 +116,12 @@ bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
     // with the inverse scaling already folded in.
     Bignum Psi = field::rootOfUnityPow2(Q, LogN + 1);
     Bignum PsiInv = Psi.invMod(Q);
-    Out.Twist.resize(NPoints * K);
-    Out.Untwist.resize(NPoints * K);
+    Out.Twist.resize(NPoints * E);
+    Out.Untwist.resize(NPoints * E);
     Bignum Cur(1), CurInv = NInv;
     for (size_t I = 0; I < NPoints; ++I) {
-      auto TW = packWordsMsbFirst(ToDomain(Cur), K);
-      auto UW = packWordsMsbFirst(ToDomain(CurInv), K);
-      std::copy(TW.begin(), TW.end(), Out.Twist.begin() + I * K);
-      std::copy(UW.begin(), UW.end(), Out.Untwist.begin() + I * K);
+      PutEntry(Cur, Out.Twist.data() + I * E);
+      PutEntry(CurInv, Out.Untwist.data() + I * E);
       Cur = Cur.mulMod(Psi, Q);
       CurInv = CurInv.mulMod(PsiInv, Q);
     }
@@ -145,6 +157,9 @@ bool moma::runtime::runTransform(
   if (Neg && T.Ring != rewrite::NttRing::Negacyclic)
     return fail(Err, "runTransform: negacyclic plan needs tables built "
                      "with the negacyclic ψ edge-fold tables");
+  if (T.EntryWords != codegen::twiddleEntryWords(P.Lowered))
+    return fail(Err, "runTransform: table entries do not match the plan's "
+                     "twiddle ports (tables built for another domain)");
   const std::uint64_t *Tw = Inverse ? T.InvTw.data() : T.Tw.data();
 
   // Edge groups ping-pong through the scratch so (a) the bit-reversal
@@ -166,7 +181,7 @@ bool moma::runtime::runTransform(
     SG.Twist = First && Neg && !Inverse ? T.Twist.data() : nullptr;
     if (Last && Inverse) {
       SG.Scale = Neg ? T.Untwist.data() : T.NInv.data();
-      SG.ScaleStride = Neg ? T.ElemWords : 0;
+      SG.ScaleStride = Neg ? T.EntryWords : 0;
     }
     if (G == 1) {
       SG.Src = Data;

@@ -11,6 +11,7 @@
 
 #include "codegen/CEmitter.h"
 #include "field/PrimeGen.h"
+#include "ir/Builder.h"
 #include "jit/HostJit.h"
 #include "kernels/BlasKernels.h"
 #include "kernels/NttKernels.h"
@@ -118,11 +119,15 @@ void pipelineCheck(Kernel K, unsigned MBits, unsigned NumData, bool HasMu,
 
   Bignum Q = field::nttPrime(MBits, 8, 55);
   Bignum Mu = Bignum::powerOfTwo(2 * MBits + 3) / Q;
+  const rewrite::LoweredPort *WQ = findPort(L.Inputs, "wq");
   Rng R(0xC0DE + MBits);
   for (int I = 0; I < Iters; ++I) {
     std::vector<Bignum> In;
     for (unsigned D = 0; D < NumData; ++D)
       In.push_back(Bignum::random(R, Q));
+    // The Shoup butterfly reads w's quotient companion right after w.
+    if (WQ)
+      In.push_back(kernels::shoupCompanion(In.back(), Q, WQ->ContainerBits));
     In.push_back(Q);
     if (HasMu)
       In.push_back(Mu);
@@ -159,6 +164,79 @@ TEST(CEmitter, MulModUsesInt128LikeListingOne) {
       << "the compiler-supported double word (3.1)";
 }
 
+namespace {
+
+/// Compiles select(x < y, a, b) at \p WordT's width and checks that both
+/// flag values return their arm exactly: at 16 and 32 bits the mask
+/// -(WT)flag sits under integer promotion.
+template <typename WordT> void checkSelectArms() {
+  const unsigned WB = 8 * sizeof(WordT);
+  Kernel K;
+  K.Name = "select" + std::to_string(WB);
+  ValueId Ports[4];
+  const char *Names[] = {"x", "y", "a", "b"};
+  for (unsigned I = 0; I < 4; ++I) {
+    Ports[I] = K.newValue(WB, Names[I]);
+    K.addInput(Ports[I], Names[I]);
+  }
+  Builder B(K);
+  K.addOutput(B.select(B.lt(Ports[0], Ports[1]), Ports[2], Ports[3]), "c");
+  PlanOptions Opts;
+  Opts.TargetWordBits = WB;
+  LoweredKernel L = lowerWithPlan(K, Opts);
+  CEmitOptions EOpts;
+  EOpts.WordBits = WB;
+  EmittedKernel EK = emitC(L, EOpts);
+  EXPECT_EQ(EK.Source.find(" ? "), std::string::npos);
+  std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
+  ASSERT_NE(M, nullptr) << hostJit().error();
+  using Fn = void (*)(WordT *, const WordT *, const WordT *, const WordT *,
+                      const WordT *);
+  auto Select = M->symbolAs<Fn>(EK.Symbol);
+  ASSERT_NE(Select, nullptr);
+  const WordT Ones = static_cast<WordT>(~WordT(0));
+  const WordT High = static_cast<WordT>(WordT(1) << (WB - 1)) | WordT(1);
+  for (auto [A, Bv] : {std::make_pair(Ones, High), std::make_pair(High, Ones),
+                       std::make_pair(WordT(0), Ones)}) {
+    WordT C = 0, One = 1, Two = 2;
+    Select(&C, &One, &Two, &A, &Bv); // flag 1: a
+    EXPECT_EQ(C, A) << WB << "-bit words, flag 1";
+    Select(&C, &Two, &One, &A, &Bv); // flag 0: b
+    EXPECT_EQ(C, Bv) << WB << "-bit words, flag 0";
+  }
+}
+
+} // namespace
+
+// Corrections and selects are mask arithmetic, never `?:`: compilers turn
+// data-dependent selects into branches, which mispredict on random
+// residues, and crypto kernels should not branch on data.
+TEST(CEmitter, ScalarBodiesHaveNoTernaries) {
+  auto Check = [](const Kernel &K) {
+    LoweredKernel L = lowerWithPlan(K, PlanOptions());
+    std::string Fn =
+        emitScalarFunction(L, 64, "f", "static inline", "uint64_t");
+    EXPECT_EQ(Fn.find(" ? "), std::string::npos) << K.Name;
+    EXPECT_EQ(emitC(L).Source.find(" ? "), std::string::npos) << K.Name;
+  };
+  for (unsigned Container : {64u, 128u, 256u})
+    for (mw::Reduction Red :
+         {mw::Reduction::Barrett, mw::Reduction::Montgomery}) {
+      ScalarKernelSpec Spec{Container, Container - 4, Red};
+      Check(kernels::buildAddModKernel(Spec));
+      Check(kernels::buildSubModKernel(Spec));
+      Check(kernels::buildMulModKernel(Spec));
+      Check(kernels::buildAxpyKernel(Spec));
+      Check(kernels::buildButterflyKernel(Spec));
+    }
+  Check(kernels::buildRnsDecomposeKernel({128, 60}, 2));
+  Check(kernels::buildRnsRecombineStepKernel({256, 240}));
+  Check(kernels::buildRnsRescaleStepKernel({64, 60}));
+  // The mask must also pick exactly one arm under integer promotion.
+  checkSelectArms<std::uint16_t>();
+  checkSelectArms<std::uint32_t>();
+}
+
 TEST(CEmitter, RejectsUnloweredKernel) {
   ScalarKernelSpec Spec{256, 0};
   Kernel K = kernels::buildAddModKernel(Spec);
@@ -181,7 +259,7 @@ TEST(CEmitterIntegration, MulMod256) {
   pipelineCheck(kernels::buildMulModKernel({256, 0}), 252, 2, true);
 }
 TEST(CEmitterIntegration, Butterfly256) {
-  pipelineCheck(kernels::buildButterflyKernel({256, 0}), 252, 3, true, 15);
+  pipelineCheck(kernels::buildButterflyKernel({256, 0}), 252, 3, false, 15);
 }
 TEST(CEmitterIntegration, Axpy128) {
   pipelineCheck(kernels::buildAxpyKernel({128, 0}), 124, 3, true);

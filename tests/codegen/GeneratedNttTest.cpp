@@ -25,7 +25,7 @@ using mw::Bignum;
 
 namespace {
 
-/// moma_ntt_butterfly_256: (xo[4], yo[4], x..., y..., w..., q..., mu...)
+/// moma_ntt_butterfly_256: (xo[4], yo[4], x..., y..., w..., wq..., q...)
 using ButterflyFn = void (*)(std::uint64_t *, std::uint64_t *,
                              const std::uint64_t *, const std::uint64_t *,
                              const std::uint64_t *, const std::uint64_t *,
@@ -53,7 +53,7 @@ TEST(GeneratedNtt, FullTransformThroughEmittedButterfly) {
   kernels::ScalarKernelSpec Spec{256, 0};
   rewrite::LoweredKernel L = kernels::generateButterflyKernel(Spec);
   EmittedKernel EK = emitC(L);
-  ASSERT_EQ(EK.Ports.size(), 7u); // xo yo | x y w q mu
+  ASSERT_EQ(EK.Ports.size(), 7u); // xo yo | x y w wq q
 
   jit::HostJitOptions JitOpts;
   JitOpts.Flags = "-O2";
@@ -64,12 +64,11 @@ TEST(GeneratedNtt, FullTransformThroughEmittedButterfly) {
   ASSERT_NE(Butterfly, nullptr) << "symbol '" << EK.Symbol
                                 << "' not found in " << M->soPath();
 
-  // Field and plan supply modulus, mu, and twiddles.
+  // Field and plan supply modulus and twiddles.
   auto F = PrimeField<4>::evaluationField(12);
   const size_t N = 64;
   ntt::NttPlan<4> Plan(F, N);
   auto QW = toWordsMsbFirst(F.modulusBig(), 4);
-  auto MuW = toWordsMsbFirst(F.barrett().mu().toBignum(), 4);
 
   // Random input; engine result as the oracle.
   Rng R(0x6E77);
@@ -101,9 +100,11 @@ TEST(GeneratedNtt, FullTransformThroughEmittedButterfly) {
         auto XW = toWordsMsbFirst(X[I0 + J], 4);
         auto YW = toWordsMsbFirst(X[I0 + J + Len], 4);
         auto TwW = toWordsMsbFirst(Tw, 4);
+        auto TwQW = toWordsMsbFirst(
+            kernels::shoupCompanion(Tw, F.modulusBig(), 256), 4);
         std::uint64_t XO[4], YO[4];
-        Butterfly(XO, YO, XW.data(), YW.data(), TwW.data(), QW.data(),
-                  MuW.data());
+        Butterfly(XO, YO, XW.data(), YW.data(), TwW.data(), TwQW.data(),
+                  QW.data());
         X[I0 + J] = fromWordsMsbFirst(XO, 4);
         X[I0 + J + Len] = fromWordsMsbFirst(YO, 4);
         Tw = Tw.mulMod(WLen, F.modulusBig());
@@ -139,7 +140,6 @@ TEST(GeneratedNtt, EmittedButterflyMatchesReferenceDftSmall) {
   auto Ref = ntt::referenceDft(Orig, Omega, F.modulusBig());
 
   auto QW = toWordsMsbFirst(F.modulusBig(), 2);
-  auto MuW = toWordsMsbFirst(F.barrett().mu().toBignum(), 2);
   // Bit-reverse for n=8: swap 1<->4, 3<->6.
   std::swap(X[1], X[4]);
   std::swap(X[3], X[6]);
@@ -151,9 +151,11 @@ TEST(GeneratedNtt, EmittedButterflyMatchesReferenceDftSmall) {
         auto XW = toWordsMsbFirst(X[I0 + J], 2);
         auto YW = toWordsMsbFirst(X[I0 + J + Len], 2);
         auto TwW = toWordsMsbFirst(Tw, 2);
+        auto TwQW = toWordsMsbFirst(
+            kernels::shoupCompanion(Tw, F.modulusBig(), 128), 2);
         std::uint64_t XO[2], YO[2];
-        Butterfly(XO, YO, XW.data(), YW.data(), TwW.data(), QW.data(),
-                  MuW.data());
+        Butterfly(XO, YO, XW.data(), YW.data(), TwW.data(), TwQW.data(),
+                  QW.data());
         X[I0 + J] = fromWordsMsbFirst(XO, 2);
         X[I0 + J + Len] = fromWordsMsbFirst(YO, 2);
         Tw = Tw.mulMod(WLen, F.modulusBig());

@@ -7,6 +7,7 @@
 
 #include "ir/Interp.h"
 #include "ir/Verifier.h"
+#include "runtime/Backend.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -33,15 +34,76 @@ TEST(ScalarKernels, ButterflySemantics) {
   ScalarKernelSpec Spec{128, 0};
   Kernel K = buildButterflyKernel(Spec);
   Bignum Q = Bignum::powerOfTwo(124) - Bignum(59);
-  Bignum Mu = Bignum::powerOfTwo(2 * 124 + 3) / Q;
   Rng R(801);
   for (int I = 0; I < 30; ++I) {
     Bignum X = Bignum::random(R, Q), Y = Bignum::random(R, Q),
            W = Bignum::random(R, Q);
-    auto Out = interpret(K, {X, Y, W, Q, Mu});
+    auto Out = interpret(K, {X, Y, W, shoupCompanion(W, Q, 128), Q});
     Bignum T = W.mulMod(Y, Q);
     EXPECT_EQ(Out[0], X.addMod(T, Q));
     EXPECT_EQ(Out[1], X.subMod(T, Q));
+  }
+}
+
+TEST(ScalarKernels, ShoupButterflyEdgeOperands) {
+  // Shoup's twiddle product at the edges of its range: the largest and
+  // smallest odd m-bit moduli (m = λ - 4) and the operands 0, 1, q - 1
+  // plus random ones, each with the true companion wq. The interpreted
+  // kernel and the serial JIT plan must both return the butterfly.
+  runtime::KernelRegistry Reg;
+  Rng R(803);
+  for (unsigned Container : {64u, 128u, 256u, 512u}) {
+    unsigned M = Container - 4, WQWords = Container / 64;
+    Kernel K = buildButterflyKernel(ScalarKernelSpec{Container, 0});
+    for (const Bignum &Q : {Bignum::powerOfTwo(M) - Bignum(1),
+                            Bignum::powerOfTwo(M - 1) + Bignum(1)}) {
+      auto P = Reg.get(
+          runtime::PlanKey::forModulus(runtime::KernelOp::Butterfly, Q));
+      ASSERT_NE(P, nullptr) << Reg.error();
+      unsigned E = P->ElemWords;
+      std::vector<Bignum> Ops = {Bignum(0), Bignum(1), Q - Bignum(1),
+                                 Bignum::random(R, Q), Bignum::random(R, Q)};
+      std::vector<Bignum> WantX, WantY;
+      std::vector<std::uint64_t> XW, YW, WW, WQW;
+      auto Put = [](std::vector<std::uint64_t> &Buf, const Bignum &V,
+                    unsigned Words) {
+        auto Packed = runtime::packWordsMsbFirst(V, Words);
+        Buf.insert(Buf.end(), Packed.begin(), Packed.end());
+      };
+      for (const Bignum &X : Ops)
+        for (const Bignum &Y : Ops)
+          for (const Bignum &W : Ops) {
+            Bignum WQ = shoupCompanion(W, Q, Container);
+            Bignum T = W.mulMod(Y, Q);
+            WantX.push_back(X.addMod(T, Q));
+            WantY.push_back(X.subMod(T, Q));
+            auto Out = interpret(K, {X, Y, W, WQ, Q});
+            ASSERT_EQ(Out[0], WantX.back()) << "q = " << Q.toHex();
+            ASSERT_EQ(Out[1], WantY.back()) << "q = " << Q.toHex();
+            Put(XW, X, E);
+            Put(YW, Y, E);
+            Put(WW, W, E);
+            Put(WQW, WQ, WQWords);
+          }
+      size_t N = WantX.size();
+      std::vector<std::uint64_t> XO(N * E), YO(N * E);
+      runtime::PlanAux Aux = runtime::makePlanAux(*P, Q);
+      runtime::BatchArgs Args;
+      Args.Outs = {XO.data(), YO.data()};
+      Args.Ins = {XW.data(), YW.data(), WW.data(), WQW.data()};
+      Args.Aux = Aux.ptrs();
+      std::string Err;
+      ASSERT_TRUE(runtime::SerialBackend().runBatch(*P, Args, N, 1, &Err))
+          << Err;
+      for (size_t I = 0; I < N; ++I) {
+        EXPECT_EQ(runtime::unpackWordsMsbFirst(XO.data() + I * E, E),
+                  WantX[I])
+            << "q = " << Q.toHex() << ", case " << I;
+        EXPECT_EQ(runtime::unpackWordsMsbFirst(YO.data() + I * E, E),
+                  WantY[I])
+            << "q = " << Q.toHex() << ", case " << I;
+      }
+    }
   }
 }
 

@@ -52,6 +52,15 @@ struct FieldInputs {
     In.push_back(Q);
     return In;
   }
+  /// For the butterfly: x, y, w, then w's Shoup companion and q.
+  std::vector<Bignum> butterfly(Rng &R, unsigned ContainerBits) const {
+    std::vector<Bignum> In;
+    for (unsigned I = 0; I < 3; ++I)
+      In.push_back(Bignum::random(R, Q));
+    In.push_back(kernels::shoupCompanion(In[2], Q, ContainerBits));
+    In.push_back(Q);
+    return In;
+  }
 };
 
 struct LowerCase {
@@ -105,7 +114,9 @@ TEST_P(LowerSweep, ButterflyEquivalence) {
   FieldInputs Gen(Spec.modBits(), 3, 34);
   Rng R(2000 + C.ContainerBits + C.TargetBits);
   int Iters = C.ContainerBits >= 512 ? 20 : 60;
-  expectLoweringEquivalence(K, L, R, Iters, std::cref(Gen));
+  expectLoweringEquivalence(K, L, R, Iters, [&](Rng &Rr) {
+    return Gen.butterfly(Rr, C.ContainerBits);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

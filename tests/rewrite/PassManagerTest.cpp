@@ -317,18 +317,17 @@ TEST(PassManager, ExtendedPipelineShrinksButterfly) {
   EXPECT_LE(E.multiplies(), D.multiplies());
   EXPECT_LE(E.addSubs(), D.addSubs());
 
-  // Butterfly inputs must be reduced (x, y, w < q) and mu must be the
-  // genuine Barrett constant for q.
+  // Butterfly inputs must be reduced (x, y, w < q) and wq must be the
+  // genuine Shoup companion of w.
   Bignum Q = Bignum::powerOfTwo(124) - Bignum(59);
-  Bignum Mu = Bignum::powerOfTwo(2 * 124 + 3) / Q;
   SeededRng R(0xBF17);
   auto MakeIn = [&](Rng &Rr) {
     std::vector<Bignum> In;
     for (const Param &P : K.inputs()) {
       if (P.Name == "q")
         In.push_back(Q);
-      else if (P.Name == "mu")
-        In.push_back(Mu);
+      else if (P.Name == "wq")
+        In.push_back(kernels::shoupCompanion(In.back(), Q, 128));
       else
         In.push_back(Bignum::random(Rr, Q));
     }

@@ -66,12 +66,12 @@ TEST(Schedule, SchedulerPreservesSemantics) {
 
     // Same inputs, same outputs.
     Bignum Q = field::nttPrime(Spec.modBits(), 8, 21);
-    Bignum Mu = Bignum::powerOfTwo(2 * Spec.modBits() + 3) / Q;
     Rng R(1300 + Container);
     for (int I = 0; I < 25; ++I) {
       std::vector<Bignum> WordIn;
-      std::vector<Bignum> In = {Bignum::random(R, Q), Bignum::random(R, Q),
-                                Bignum::random(R, Q), Q, Mu};
+      Bignum W = Bignum::random(R, Q);
+      std::vector<Bignum> In = {Bignum::random(R, Q), Bignum::random(R, Q), W,
+                                kernels::shoupCompanion(W, Q, Container), Q};
       for (size_t P = 0; P < L.Inputs.size(); ++P) {
         auto Words = decomposePort(L.Inputs[P], In[P]);
         WordIn.insert(WordIn.end(), Words.begin(), Words.end());

@@ -203,11 +203,11 @@ TEST(Simplify, PreservesSemanticsOnLoweredKernels) {
     LoweredKernel L = lowerToWords(K, {});
     LoweredKernel LS = lowerWithPlan(K, PlanOptions());
     Bignum Q = field::nttPrime(Spec.modBits(), 8, 77);
-    Bignum Mu = Bignum::powerOfTwo(2 * Spec.modBits() + 3) / Q;
     Rng R(4000 + Container);
     for (int I = 0; I < 40; ++I) {
-      std::vector<Bignum> In = {Bignum::random(R, Q), Bignum::random(R, Q),
-                                Bignum::random(R, Q), Q, Mu};
+      Bignum W = Bignum::random(R, Q);
+      std::vector<Bignum> In = {Bignum::random(R, Q), Bignum::random(R, Q), W,
+                                kernels::shoupCompanion(W, Q, Container), Q};
       EXPECT_EQ(interpretLowered(L, In), interpretLowered(LS, In));
     }
   }
@@ -252,4 +252,20 @@ TEST(Simplify, FixpointTerminates) {
                 S.pass("knownbits")->Changes,
             0u);
   EXPECT_EQ(L.K.size(), Before.size());
+}
+
+// A word-width MulMod survives lowering as one native statement whose C
+// body (Listing 1 _smulmod) multiplies three times; the multiply count
+// must see those products, or a one-word kernel reads as multiply-free.
+TEST(Stats, WordMulModCountsThreeProducts) {
+  OpStats W = countOps(
+      lowerWithPlan(kernels::buildMulModKernel({64, 60}), PlanOptions()).K);
+  EXPECT_EQ(W.count(OpKind::MulMod), 1u);
+  EXPECT_EQ(W.multiplies(), 3u);
+  // At 128 bits no MulMod survives: the count is the word products alone.
+  OpStats D = countOps(
+      lowerWithPlan(kernels::buildMulModKernel({128, 124}), PlanOptions()).K);
+  EXPECT_EQ(D.count(OpKind::MulMod), 0u);
+  EXPECT_EQ(D.multiplies(), 11u);
+  EXPECT_EQ(D.multiplies(), D.count(OpKind::Mul) + D.count(OpKind::MulLow));
 }

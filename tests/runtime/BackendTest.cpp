@@ -10,6 +10,7 @@
 #include "../TestUtil.h"
 
 #include "field/PrimeGen.h"
+#include "kernels/ScalarKernels.h"
 #include "runtime/Autotuner.h"
 #include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
@@ -183,6 +184,49 @@ TEST(BackendExecution, AxpyBroadcastStrideWorksOnTheGrid) {
   auto Out = unpackBatch(YW, K);
   for (size_t I = 0; I < N; ++I)
     ASSERT_EQ(Out[I], A.mulMod(X[I], Q).addMod(Y[I], Q)) << "element " << I;
+}
+
+// A 130-bit modulus takes 3-word elements in a 256-bit container, so the
+// Shoup butterfly's wq companion spans 4 words: with no explicit strides
+// every backend must step each input by its own port width.
+TEST(BackendExecution, ButterflyBatchStepsWqByItsPortWidth) {
+  Bignum Q = testModulus(130);
+  SeededRng R(0xBACC3);
+  const size_t N = 37;
+  unsigned K = Dispatcher::elemWords(Q);
+  auto X = randomElems(R, Q, N), Y = randomElems(R, Q, N),
+       W = randomElems(R, Q, N);
+  std::vector<Bignum> WQ;
+  for (const Bignum &V : W)
+    WQ.push_back(kernels::shoupCompanion(V, Q, 256));
+  auto XW = packBatch(X, K), YW = packBatch(Y, K), WW = packBatch(W, K);
+  auto WQW = packBatch(WQ, 4);
+  for (ExecBackend B :
+       {ExecBackend::Serial, ExecBackend::SimGpu, ExecBackend::Vector}) {
+    rewrite::PlanOptions O;
+    O.Backend = B;
+    PlanKey Key = PlanKey::forModulus(KernelOp::Butterfly, Q, O);
+    auto P = registry().get(Key);
+    ASSERT_NE(P, nullptr) << registry().error();
+    ASSERT_EQ(P->ElemWords, 3u);
+    PlanAux Aux = makePlanAux(*P, Q);
+    std::vector<std::uint64_t> XO(N * K), YO(N * K);
+    BatchArgs Args;
+    Args.Outs = {XO.data(), YO.data()};
+    Args.Ins = {XW.data(), YW.data(), WW.data(), WQW.data()};
+    Args.Aux = Aux.ptrs();
+    std::string Err;
+    ASSERT_TRUE(registry().backendFor(Key).runBatch(*P, Args, N, 1, &Err))
+        << Err;
+    auto GotX = unpackBatch(XO, K), GotY = unpackBatch(YO, K);
+    for (size_t I = 0; I < N; ++I) {
+      Bignum T = W[I].mulMod(Y[I], Q);
+      ASSERT_EQ(GotX[I], X[I].addMod(T, Q))
+          << rewrite::execBackendName(B) << " element " << I;
+      ASSERT_EQ(GotY[I], X[I].subMod(T, Q))
+          << rewrite::execBackendName(B) << " element " << I;
+    }
+  }
 }
 
 TEST(BackendExecution, GridBatchRowsIndexTheYDimension) {

@@ -31,6 +31,7 @@
 #include "../TestUtil.h"
 
 #include "field/PrimeGen.h"
+#include "kernels/ScalarKernels.h"
 #include "ntt/ReferenceDft.h"
 #include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
@@ -90,6 +91,11 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
   unsigned M = Plan.Key.ModBits;
   unsigned K = Plan.ElemWords;
   unsigned NumIns = Plan.NumDataInputs;
+  // Stored words per data input: K, except the Shoup butterfly's wq
+  // companion, which spans the whole container.
+  std::vector<unsigned> InWords;
+  for (unsigned I = 0; I < NumIns; ++I)
+    InWords.push_back(Plan.Lowered.Inputs[I].storedWords());
 
   for (int T = 0; T < Trials; ++T) {
     // Random odd modulus of exactly M bits; inputs reduced below it.
@@ -98,9 +104,13 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
       Q = Q + One; // even with the top bit set means Q <= 2^M - 2, so
                    // +1 stays at exactly M bits (while -1 could drop to
                    // M-1 bits when Q == 2^(M-1))
+    // The Shoup butterfly's wq is w's true companion, never random.
     std::vector<Bignum> In;
     for (unsigned I = 0; I < NumIns; ++I)
-      In.push_back(Bignum::random(R, Q));
+      In.push_back(Plan.Lowered.Inputs[I].Name == "wq"
+                       ? kernels::shoupCompanion(In[2], Q,
+                                                 Plan.Key.ContainerBits)
+                       : Bignum::random(R, Q));
 
     // Oracle.
     std::vector<Bignum> Want = oracle(Op, In, Q, Plan);
@@ -119,7 +129,7 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
     // JIT-compiled C through the runtime batch path (batch of one).
     std::vector<std::vector<std::uint64_t>> InW, OutW(Plan.NumOutputs);
     for (unsigned I = 0; I < NumIns; ++I)
-      InW.push_back(packWordsMsbFirst(In[I], K));
+      InW.push_back(packWordsMsbFirst(In[I], InWords[I]));
     for (auto &O : OutW)
       O.assign(K, 0);
     BatchArgs Args;
@@ -161,9 +171,10 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
       PlanAux VAux = makePlanAux(*VecPlan, Q);
       std::vector<std::vector<std::uint64_t>> VecInW;
       for (unsigned I = 0; I < NumIns; ++I) {
-        std::vector<std::uint64_t> Rep(VecN * K);
+        std::vector<std::uint64_t> Rep(VecN * InWords[I]);
         for (size_t E = 0; E < VecN; ++E)
-          std::copy(InW[I].begin(), InW[I].end(), Rep.begin() + E * K);
+          std::copy(InW[I].begin(), InW[I].end(),
+                    Rep.begin() + E * InWords[I]);
         VecInW.push_back(std::move(Rep));
       }
       for (auto &O : VecOutW)

@@ -241,23 +241,69 @@ TEST(FusedNtt, MontgomeryTwiddleTablesAreDomainShiftedPlainTables) {
       << Err;
   ASSERT_TRUE(buildNttTables(Q, N, mw::Reduction::Montgomery, Mont, &Err))
       << Err;
-  ASSERT_EQ(Plain.Tw.size(), Mont.Tw.size());
-  unsigned K = Plain.ElemWords;
+  // Plain entries are [w | wq]: the w half is the first K words.
+  unsigned K = Plain.ElemWords, PE = Plain.EntryWords, ME = Mont.EntryWords;
+  ASSERT_EQ(Plain.Tw.size() / PE, Mont.Tw.size() / ME);
   Bignum RMod = Bignum::powerOfTwo(Lambda) % Q;
   Bignum RInv = RMod.invMod(Q);
   for (size_t I = 0; I < N - 1; ++I) {
-    Bignum P = unpackWordsMsbFirst(Plain.Tw.data() + I * K, K);
-    Bignum M = unpackWordsMsbFirst(Mont.Tw.data() + I * K, K);
+    Bignum P = unpackWordsMsbFirst(Plain.Tw.data() + I * PE, K);
+    Bignum M = unpackWordsMsbFirst(Mont.Tw.data() + I * ME, K);
     ASSERT_EQ(M, P.mulMod(RMod, Q)) << "forward entry " << I;
     ASSERT_EQ(M.mulMod(RInv, Q), P) << "round-trip of entry " << I;
-    Bignum PI = unpackWordsMsbFirst(Plain.InvTw.data() + I * K, K);
-    Bignum MI = unpackWordsMsbFirst(Mont.InvTw.data() + I * K, K);
+    Bignum PI = unpackWordsMsbFirst(Plain.InvTw.data() + I * PE, K);
+    Bignum MI = unpackWordsMsbFirst(Mont.InvTw.data() + I * ME, K);
     ASSERT_EQ(MI, PI.mulMod(RMod, Q)) << "inverse entry " << I;
   }
   EXPECT_EQ(unpackWordsMsbFirst(Mont.NInv.data(), K),
             unpackWordsMsbFirst(Plain.NInv.data(), K).mulMod(RMod, Q))
       << "n^-1 must live in the twiddle domain too";
   EXPECT_EQ(Plain.BitRev, Mont.BitRev);
+}
+
+TEST(FusedNtt, ShoupCompanionsAreTwiddleQuotients) {
+  // Every plain-domain entry of the five tables is [w | wq] with
+  // wq = floor(w * 2^lambda / q): the Barrett butterfly multiplies by
+  // Shoup's method and reads both halves of one entry.
+  const size_t N = 16;
+  for (unsigned Bits : {60u, 124u, 252u}) {
+    Bignum Q = field::nttPrime(Bits, 8);
+    unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
+    for (rewrite::NttRing Ring :
+         {rewrite::NttRing::Cyclic, rewrite::NttRing::Negacyclic}) {
+      NttTables T;
+      std::string Err;
+      ASSERT_TRUE(
+          buildNttTables(Q, N, mw::Reduction::Barrett, T, &Err, Ring))
+          << Err;
+      unsigned K = T.ElemWords, E = T.EntryWords;
+      ASSERT_EQ(E, K + Lambda / 64) << Bits << "-bit q";
+      bool Neg = Ring == rewrite::NttRing::Negacyclic;
+      std::pair<const std::vector<std::uint64_t> *, size_t> Tables[] = {
+          {&T.Tw, N - 1},
+          {&T.InvTw, N - 1},
+          {&T.NInv, 1},
+          {&T.Twist, Neg ? N : 0},
+          {&T.Untwist, Neg ? N : 0}};
+      for (const auto &[Table, Entries] : Tables) {
+        ASSERT_EQ(Table->size(), Entries * E) << Bits << "-bit q";
+        for (size_t I = 0; I < Entries; ++I) {
+          const std::uint64_t *Entry = Table->data() + I * E;
+          Bignum W = unpackWordsMsbFirst(Entry, K);
+          ASSERT_LT(W, Q) << "entry " << I;
+          EXPECT_EQ(unpackWordsMsbFirst(Entry + K, Lambda / 64),
+                    (W << Lambda) / Q)
+              << Bits << "-bit q, " << rewrite::nttRingName(Ring)
+              << ", entry " << I;
+        }
+      }
+      NttTables M;
+      ASSERT_TRUE(
+          buildNttTables(Q, N, mw::Reduction::Montgomery, M, &Err, Ring))
+          << Err;
+      EXPECT_EQ(M.EntryWords, M.ElemWords) << "Montgomery tables unchanged";
+    }
+  }
 }
 
 TEST(FusedNtt, TablesRejectBadShapes) {

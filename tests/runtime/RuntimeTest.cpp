@@ -101,9 +101,9 @@ TEST(KernelRegistry, PortLayoutMatchesTheKernelShape) {
   auto P = registry().get(Key);
   ASSERT_NE(P, nullptr) << registry().error();
   EXPECT_EQ(P->NumOutputs, 2u);     // xo, yo
-  EXPECT_EQ(P->NumDataInputs, 3u);  // x, y, w
+  EXPECT_EQ(P->NumDataInputs, 4u);  // x, y, w, wq (Shoup companion)
   EXPECT_EQ(P->ElemWords, 2u);      // 124-bit modulus
-  ASSERT_EQ(P->AuxWords.size(), 2u); // q, mu
+  ASSERT_EQ(P->AuxWords.size(), 1u); // q
   EXPECT_EQ(P->AuxWords[0], 2u);
   rewrite::PlanOptions Mont;
   Mont.Red = mw::Reduction::Montgomery;
