@@ -326,24 +326,21 @@ moma::codegen::findPort(const std::vector<LoweredPort> &Ports,
 unsigned moma::codegen::twiddleEntryWords(const LoweredKernel &L) {
   const LoweredPort *W = findPort(L.Inputs, "w");
   const LoweredPort *WQ = findPort(L.Inputs, "wq");
-  assert(W && "not a butterfly kernel");
-  return W->storedWords() + (WQ ? WQ->storedWords() : 0);
+  assert(W && WQ && "not a butterfly kernel");
+  return W->storedWords() + WQ->storedWords();
 }
 
 std::string moma::codegen::twiddleEntryArgs(const LoweredKernel &L,
                                             const std::string &EntryExpr) {
   const LoweredPort *W = findPort(L.Inputs, "w");
   const LoweredPort *WQ = findPort(L.Inputs, "wq");
-  assert(W && "not a butterfly kernel");
+  assert(W && WQ && "not a butterfly kernel");
   std::string Args = portLoadArgs(*W, EntryExpr);
-  if (WQ) {
-    std::string A = portLoadArgs(
-        *WQ, formatv("(%s + %u)", EntryExpr.c_str(), W->storedWords()));
-    if (!Args.empty() && !A.empty())
-      Args += ", ";
-    Args += A;
-  }
-  return Args;
+  std::string A = portLoadArgs(
+      *WQ, formatv("(%s + %u)", EntryExpr.c_str(), W->storedWords()));
+  if (!Args.empty() && !A.empty())
+    Args += ", ";
+  return Args + A;
 }
 
 EmittedKernel moma::codegen::emitC(const LoweredKernel &L,

@@ -81,15 +81,15 @@ const rewrite::LoweredPort *
 findPort(const std::vector<rewrite::LoweredPort> &Ports,
          const std::string &Name);
 
-/// Stored words of one twiddle-table entry for butterfly kernel \p L: w's,
-/// plus those of its Shoup companion wq when \p L has that port (the
-/// runtime's NttTables::EntryWords for the kernel's domain).
+/// Stored words of one twiddle-table entry for butterfly kernel \p L: w's
+/// plus those of its Shoup companion wq (the runtime's
+/// NttTables::EntryWords). \p L must have both ports.
 unsigned twiddleEntryWords(const rewrite::LoweredKernel &L);
 
 /// Comma-separated scalar-call arguments loading butterfly kernel \p L's
-/// w and (when present) wq ports from the twiddle-table entry at
-/// \p EntryExpr: w from the entry's first words, wq from the words after
-/// them. Shared by the fused walkers and the CUDA NTT stage.
+/// w and wq ports from the twiddle-table entry at \p EntryExpr: w from the
+/// entry's first words, wq from the words after them. Shared by the fused
+/// walkers and the CUDA NTT stage.
 std::string twiddleEntryArgs(const rewrite::LoweredKernel &L,
                              const std::string &EntryExpr);
 

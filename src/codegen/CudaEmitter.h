@@ -47,11 +47,10 @@ std::string emitCudaElementwise(const rewrite::LoweredKernel &L,
                                 const CudaEmitOptions &Opts = {});
 
 /// Emits a .cu file implementing one NTT stage from a lowered Shoup
-/// butterfly kernel (ports x, y, w, wq, q -> xo, yo; the Barrett
-/// butterfly of kernels/ScalarKernels.h). The in-place data layout is one
-/// contiguous array of n elements, each storedWords() words; the stage's
-/// twiddle table holds [w | wq] entries, the runtime's plain-domain
-/// NttTables layout.
+/// butterfly kernel (ports x, y, w, wq, q -> xo, yo; the butterfly of
+/// kernels/ScalarKernels.h). The in-place data layout is one contiguous
+/// array of n elements, each storedWords() words; the stage's twiddle
+/// table holds [w | wq] entries, the runtime's NttTables layout.
 std::string emitCudaNttStage(const rewrite::LoweredKernel &L,
                              const CudaEmitOptions &Opts = {});
 

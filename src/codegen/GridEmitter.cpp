@@ -143,7 +143,7 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
   const LoweredPort *WQ = findPort(L.Inputs, "wq");
   const LoweredPort *XO = findPort(L.Outputs, "xo");
   const LoweredPort *YO = findPort(L.Outputs, "yo");
-  if (X && Y && W && XO && YO && BStart == (WQ ? 4u : 3u) &&
+  if (X && Y && W && WQ && XO && YO && BStart == 4 &&
       L.Outputs.size() == 2) {
     unsigned EW = X->storedWords();
     unsigned TE = twiddleEntryWords(L);
@@ -200,7 +200,7 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
     // any store, the property the in-place single-group case relies on.
     // The forward negacyclic ψ twist rides the loads: the element at
     // gathered source index s is coefficient a_s, so its multiplier is
-    // twist[s] (= ψ^s in the plan's twiddle domain).
+    // twist[s] (= ψ^s).
     Src += "    for (u64 j = 0; j < m; ++j) {\n";
     Src += "      u64 e = base + j * len0;\n";
     Src += "      u64 s = rev ? (u64)rev[e] : e;\n";
@@ -253,7 +253,7 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
     // selects the fold: 0 broadcasts one factor (the cyclic n^-1), the
     // entry size indexes a per-element table (the negacyclic untwist
     // ψ^{-e} · n^-1, e the natural-order output index). Factors arrive in
-    // the twiddle domain, in the twiddle tables' entry layout.
+    // the twiddle tables' [w | wq] entry layout.
     Src += "    if (scale) {\n";
     Src += "      for (u64 j = 0; j < m; ++j) {\n";
     Src += "        u64 *rx = R[j];\n";

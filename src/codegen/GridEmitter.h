@@ -78,9 +78,8 @@ struct GridEmitOptions {
 /// over elements {g*(len0<<depth) + r + j*len0 : j}, held in registers
 /// between sub-stages. Tw is the *full* stage-major twiddle table (the
 /// stage of half-distance L starts at entry L-1). Every table (Tw, twist,
-/// scale) is stepped by the entry size: the w port's stored words, plus
-/// the wq port's for a Shoup-multiplying (Barrett) butterfly, whose
-/// entries are [w | wq] and feed both ports (runtime/NttPipeline.h).
+/// scale) is stepped by the entry size, the w and wq ports' stored words:
+/// its [w | wq] entries feed both ports (runtime/NttPipeline.h).
 /// `depth` is a launch parameter bounded by
 /// rewrite::PlanOptions::MaxFuseDepth — like blockDim, it does not shape
 /// the source, so every fusion depth of one kernel shares one compiled
@@ -98,8 +97,7 @@ struct GridEmitOptions {
 ///    through the same zero-x butterfly. sstride 0 broadcasts one factor
 ///    (the cyclic n^-1); sstride = the entry size indexes a
 ///    per-output-element table (the negacyclic untwist ψ^{-e} · n^-1).
-///    Factors are expected in the kernel's twiddle domain, i.e.
-///    Montgomery-form for Montgomery plans;
+///    Factors are [w | wq] entries like the twiddles;
 ///  * Src != Dst runs the group out-of-place (the dispatcher ping-pongs
 ///    edge groups through a scratch buffer so no cross-thread in-place
 ///    hazard exists when rev permutes the read set).

@@ -260,7 +260,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   const LoweredPort *WQ = findPort(L.Inputs, "wq");
   const LoweredPort *XO = findPort(L.Outputs, "xo");
   const LoweredPort *YO = findPort(L.Outputs, "yo");
-  if (X && Y && W && XO && YO && BStart == (WQ ? 4u : 3u) &&
+  if (X && Y && W && WQ && XO && YO && BStart == 4 &&
       L.Outputs.size() == 2) {
     unsigned EW = X->storedWords();
     unsigned TE = twiddleEntryWords(L);

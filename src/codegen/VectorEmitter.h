@@ -87,9 +87,9 @@ constexpr unsigned VectorMaxLanes = 16;
 /// construction), batch rows in lanes instead of grid y. Tw is the full
 /// stage-major twiddle table; rev/twist/scale are the edge-stage folds;
 /// none of the tables may alias Src/Dst. Tw, twist and scale are stepped
-/// by the entry size — w's stored words plus wq's for a Shoup-multiplying
-/// (Barrett) butterfly, whose [w | wq] entries feed both ports — and
-/// their values are lane-invariant broadcasts.
+/// by the entry size — w's stored words plus wq's, since every [w | wq]
+/// entry feeds both ports — and their values are lane-invariant
+/// broadcasts.
 EmittedKernel emitVectorC(const rewrite::LoweredKernel &L,
                           const VectorEmitOptions &Opts = {});
 

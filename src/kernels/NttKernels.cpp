@@ -10,11 +10,8 @@ using namespace moma::kernels;
 rewrite::LoweredKernel
 moma::kernels::generateButterflyKernel(const ScalarKernelSpec &Spec,
                                        const rewrite::PlanOptions &Plan) {
-  ScalarKernelSpec S = Spec;
-  S.Red = Plan.Red;
-  ir::Kernel K = buildButterflyKernel(S);
-  K.Name = formatv("ntt_butterfly_%u%s", Spec.ContainerBits,
-                   Plan.Red == mw::Reduction::Montgomery ? "_mont" : "");
+  ir::Kernel K = buildButterflyKernel(Spec);
+  K.Name = formatv("ntt_butterfly_%u", Spec.ContainerBits);
   return rewrite::lowerWithPlan(K, Plan);
 }
 
@@ -25,7 +22,6 @@ moma::kernels::generateButterflyKernel(const ScalarKernelSpec &Spec,
   rewrite::PlanOptions Plan;
   Plan.TargetWordBits = TargetWordBits;
   Plan.MulAlg = Alg;
-  Plan.Red = Spec.Red;
   return generateButterflyKernel(Spec, Plan);
 }
 

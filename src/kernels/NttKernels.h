@@ -24,13 +24,13 @@
 namespace moma {
 namespace kernels {
 
-/// Builds the butterfly (with \p Plan's reduction strategy) and runs it
+/// Builds the butterfly (one kernel for every reduction knob) and runs it
 /// through rewrite::lowerWithPlan.
 rewrite::LoweredKernel generateButterflyKernel(const ScalarKernelSpec &Spec,
                                                const rewrite::PlanOptions &Plan);
 
 /// Convenience overload with the historical knob set (always prunes,
-/// never schedules, reduction taken from \p Spec).
+/// never schedules).
 rewrite::LoweredKernel
 generateButterflyKernel(const ScalarKernelSpec &Spec,
                         mw::MulAlgorithm Alg = mw::MulAlgorithm::Schoolbook,

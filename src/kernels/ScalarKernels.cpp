@@ -173,44 +173,22 @@ Kernel moma::kernels::buildButterflyKernel(const ScalarKernelSpec &Spec) {
   unsigned M = Spec.modBits();
   if (M + 4 > W)
     fatalError("butterfly: modulus bits must be <= container - 4");
-  bool Mont = Spec.Red == mw::Reduction::Montgomery;
   Kernel K;
-  K.Name = Mont ? "butterfly_mont" : "butterfly";
+  K.Name = "butterfly";
   ValueId X = K.newValue(W, "x", M);
   K.addInput(X, "x");
   ValueId Y = K.newValue(W, "y", M);
   K.addInput(Y, "y");
-  ValueId Wt = K.newValue(W, "w", M); // twiddle, reduced; Montgomery-form
-                                      // (w * 2^W mod q) for Montgomery
+  ValueId Wt = K.newValue(W, "w", M); // twiddle, reduced
   K.addInput(Wt, "w");
-  ValueId WQ = NoValue;
-  if (!Mont) {
-    // Shoup companion floor(w * 2^W / q): spans the whole container.
-    WQ = K.newValue(W, "wq", W);
-    K.addInput(WQ, "wq");
-  }
+  // Shoup companion floor(w * 2^W / q): spans the whole container.
+  ValueId WQ = K.newValue(W, "wq", W);
+  K.addInput(WQ, "wq");
   ValueId Q = K.newValue(W, "q", M);
   K.addInput(Q, "q");
-  ValueId QInv = NoValue;
-  if (Mont) {
-    // Unlike mulmod, the Montgomery butterfly takes its twiddle already
-    // in the Montgomery domain (the twiddle table is precomputed once per
-    // (q, n), so the domain conversion is free): a single REDC then lands
-    // the plain-domain product directly, REDC(y * w*2^W) = y*w mod q.
-    // No r2 port — the second REDC pass of the plain-domain mulmod is
-    // exactly what the precomputed table removes from the hot path.
-    QInv = K.newValue(W, "qinv", W);
-    K.addInput(QInv, "qinv");
-  }
 
   Builder B(K);
-  ValueId T;
-  if (Mont) {
-    HiLoResult P = B.mul(Y, Wt);
-    T = emitRedc(B, P.Hi, P.Lo, Q, QInv, M);
-  } else {
-    T = emitMulShoup(B, Y, Wt, WQ, Q, M);
-  }
+  ValueId T = emitMulShoup(B, Y, Wt, WQ, Q, M);
   ValueId XOut = B.addMod(X, T, Q);
   ValueId YOut = B.subMod(X, T, Q);
   K.addOutput(XOut, "xo");

@@ -14,8 +14,9 @@
 /// the machine word) and the modulus bit-width m <= λ-4. Inputs a, b are
 /// reduced (< q); q and mu are runtime parameters, exactly like the
 /// generated CUDA in the paper's Listings (q0..qk, mu0..muk arguments).
-/// The butterfly is the exception: its twiddle product is Shoup's, so it
-/// takes the twiddle's quotient companion instead of mu.
+/// The butterfly is the exception: its twiddle product is Shoup's under
+/// either reduction knob, so it takes the twiddle's quotient companion
+/// instead of mu.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,12 +37,13 @@ struct ScalarKernelSpec {
   /// Values a, b carry KnownBits = m so the non-power-of-two pruning
   /// applies automatically when m is far below λ.
   unsigned ModBits = 0;
-  /// Reduction strategy for kernels containing a modular multiplication.
-  /// Barrett (default) takes a `mu` parameter (Listing 4); Montgomery
-  /// replaces it with `qinv` = -q^-1 mod 2^λ and `r2` = 2^(2λ) mod q and
-  /// computes the plain-domain product via two REDC passes, so both
-  /// variants have identical input/output semantics. Kernels without a
-  /// multiplication (addmod/submod) ignore this knob.
+  /// Reduction strategy of the mulmod and axpy kernels. Barrett
+  /// (default) takes a `mu` parameter (Listing 4); Montgomery replaces it
+  /// with `qinv` = -q^-1 mod 2^λ and `r2` = 2^(2λ) mod q and computes the
+  /// plain-domain product via two REDC passes, so both variants have
+  /// identical input/output semantics. Every other builder ignores this
+  /// knob: addmod/submod have no multiplication, the butterfly multiplies
+  /// by Shoup's method, and the RNS kernels bake in their reduction.
   mw::Reduction Red = mw::Reduction::Barrett;
 
   unsigned modBits() const {
@@ -63,25 +65,20 @@ ir::Kernel buildMulFullKernel(const ScalarKernelSpec &Spec);
 
 /// NTT butterfly: t = w*y mod q; x' = x + t mod q; y' = x - t mod q.
 ///
-/// Barrett (the default reduction) ports are x, y, w, wq, q -> xo, yo:
-/// the twiddle product is Shoup's (Harvey 2014) rather than Listing 4's
-/// Barrett mulmod, since w is a table constant. `wq` is its precomputed
-/// companion floor(w * 2^λ / q) (runtime::NttTables stores it next to
-/// every plain-domain twiddle); then t = y*w - hi(y*wq)*q mod 2^λ lies in
-/// [0, 2q) and one conditional subtraction lands it under q. There is no
-/// mu port. Precondition: every caller passes the true companion of w —
-/// the kernel's KnownBits claims (quotient < 2^m, t < 2^(m+1)) rest on
-/// it, and with any other wq the lowered and interpreted kernels may
+/// Ports are x, y, w, wq, q -> xo, yo under either Spec.Red (like
+/// addmod/submod, the butterfly ignores the knob): the twiddle product is
+/// Shoup's (Harvey 2014) rather than Listing 4's Barrett mulmod, since w
+/// is a table constant. `wq` is its precomputed companion
+/// floor(w * 2^λ / q) (runtime::NttTables stores it next to every
+/// twiddle); then t = y*w - hi(y*wq)*q mod 2^λ lies in [0, 2q) and one
+/// conditional subtraction lands it under q. There is no mu port.
+/// Precondition: every caller passes the true companion of w — the
+/// kernel's KnownBits claims (quotient < 2^m, t < 2^(m+1)) rest on it,
+/// and with any other wq the lowered and interpreted kernels may
 /// disagree.
-///
-/// Montgomery ports are x, y, w, q, qinv -> xo, yo: `w` expects the
-/// Montgomery-domain form w*2^λ mod q (precomputed twiddle tables make
-/// the conversion free), so a single REDC yields the plain-domain
-/// product; the kernel then takes qinv but no r2, and x/y/outputs stay
-/// plain-domain like the Barrett variant.
 ir::Kernel buildButterflyKernel(const ScalarKernelSpec &Spec);
 
-/// The Barrett butterfly's `wq` operand for twiddle \p W (reduced mod
+/// The butterfly's `wq` operand for twiddle \p W (reduced mod
 /// \p Q) in a \p ContainerBits-bit container: floor(W * 2^λ / Q).
 mw::Bignum shoupCompanion(const mw::Bignum &W, const mw::Bignum &Q,
                           unsigned ContainerBits);

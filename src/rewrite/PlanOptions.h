@@ -69,10 +69,11 @@ struct PlanOptions {
   /// The machine word width ω₀ the recursion bottoms out at.
   unsigned TargetWordBits = 64;
 
-  /// Modular-reduction strategy baked into generated mulmod/butterfly/axpy
+  /// Modular-reduction strategy baked into generated mulmod/axpy
   /// kernels. Montgomery changes the kernel signature: the Barrett `mu`
   /// parameter is replaced by `qinv` (-q^-1 mod 2^lambda) and `r2`
-  /// (2^(2*lambda) mod q); outputs stay in the plain domain.
+  /// (2^(2*lambda) mod q); outputs stay in the plain domain. The
+  /// butterfly multiplies by Shoup's method under either value.
   mw::Reduction Red = mw::Reduction::Barrett;
 
   /// Double-word multiplication rule (§2.2, Fig. 5b).

@@ -7,7 +7,6 @@
 
 #include "runtime/Autotuner.h"
 
-#include "kernels/ScalarKernels.h"
 #include "runtime/Backend.h"
 #include "runtime/NttPipeline.h"
 #include "support/FaultInjection.h"
@@ -190,22 +189,6 @@ double nowSeconds() {
       .count();
 }
 
-/// Per-element data inputs every candidate of an op reads (a,b / x,y,w
-/// / a,x,y); a Shoup butterfly plan reads wq after them.
-unsigned numDataInputs(KernelOp Op) {
-  switch (Op) {
-  case KernelOp::Butterfly:
-  case KernelOp::Axpy:
-    return 3;
-  default:
-    return 2;
-  }
-}
-
-unsigned numOutputs(KernelOp Op) {
-  return Op == KernelOp::Butterfly ? 2 : 1;
-}
-
 } // namespace
 
 Autotuner::Autotuner(KernelRegistry &Reg, AutotunerOptions Opts)
@@ -314,6 +297,11 @@ const TuneDecision *Autotuner::choose(KernelOp Op, const Bignum &Q,
                                       const rewrite::PlanOptions &Base,
                                       size_t SizeHint) {
   Err.clear();
+  if (Op == KernelOp::Butterfly) {
+    Err.set("Autotuner: butterfly problems tune as transforms; use "
+            "chooseNtt");
+    return nullptr;
+  }
   unsigned Bucket = sizeBucket(SizeHint ? SizeHint : O.CalibrationElems);
   std::string Problem = decisionKey(Op, Q, Base, Bucket);
   return serveOrTune(Problem, [&](TuneDecision &D, unsigned &Timed,
@@ -327,10 +315,11 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
                       const rewrite::PlanOptions &Base, bool SweepFuse,
                       std::string *Err) const {
   // Candidate knob grid. Dimensions the options disable stay at the base
-  // plan's value; the reduction dimension only exists for multiplying
-  // kernels (PlanKey canonicalization folds it away otherwise).
+  // plan's value. Grid points whose canonical PlanKey repeats an earlier
+  // one are skipped below, so each distinct plan is timed once (the
+  // reduction knob, say, only changes mulmod and axpy).
   std::vector<mw::Reduction> Reds = {Base.Red};
-  if (O.TuneReduction && kernelOpMultiplies(Op))
+  if (O.TuneReduction)
     Reds = {mw::Reduction::Barrett, mw::Reduction::Montgomery};
   if (!Q.isOdd()) {
     // Montgomery needs -q^-1 mod 2^lambda; for an even modulus only the
@@ -377,6 +366,7 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
   }
 
   std::vector<rewrite::PlanOptions> Out;
+  std::set<std::string> Seen; // canonical keys already in Out
   for (mw::Reduction Red : Reds)
     for (bool Prune : Prunes)
       for (bool Sched : Scheds)
@@ -390,7 +380,8 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
             C.BlockDim = BC.BlockDim;
             C.VectorWidth = BC.VectorWidth;
             C.FuseDepth = FD;
-            Out.push_back(C);
+            if (Seen.insert(PlanKey::forModulus(Op, Q, C).str()).second)
+              Out.push_back(C);
           }
   return Out;
 }
@@ -412,8 +403,8 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
   size_t N = std::min<size_t>(Bucket, std::max(1u, O.MaxCalibrationElems));
   Rng R(0x7C5EDull ^ (Q.bitWidth() * 1315423911ull) ^
         static_cast<std::uint64_t>(Op));
-  unsigned NumIns = numDataInputs(Op), NumOuts = numOutputs(Op);
-  std::vector<std::vector<std::uint64_t>> Ins(NumIns), Outs(NumOuts);
+  // Per-element data inputs: a, b (a, x, y for axpy).
+  std::vector<std::vector<std::uint64_t>> Ins(Op == KernelOp::Axpy ? 3 : 2);
   for (auto &Buf : Ins) {
     Buf.reserve(N * ElemWords);
     for (size_t I = 0; I < N; ++I) {
@@ -421,21 +412,7 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
       Buf.insert(Buf.end(), W.begin(), W.end());
     }
   }
-  for (auto &Buf : Outs)
-    Buf.assign(N * ElemWords, 0);
-  // A Shoup (Barrett) butterfly plan also reads each twiddle's quotient
-  // companion wq = floor(w * 2^lambda / q), derived from the w buffer:
-  // the kernel's KnownBits claims assume the true companion.
-  std::vector<std::uint64_t> WQ;
-  unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
-  if (Op == KernelOp::Butterfly)
-    for (size_t I = 0; I < N; ++I) {
-      Bignum W = unpackWordsMsbFirst(Ins[2].data() + I * ElemWords,
-                                     ElemWords);
-      auto Words =
-          packWordsMsbFirst(kernels::shoupCompanion(W, Q, Lambda), Lambda / 64);
-      WQ.insert(WQ.end(), Words.begin(), Words.end());
-    }
+  std::vector<std::uint64_t> Res(N * ElemWords, 0);
 
   TuneDecision Best;
   Best.NsPerElem = std::numeric_limits<double>::infinity();
@@ -452,12 +429,9 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
     }
     PlanAux Aux = makePlanAux(*Plan, Q);
     BatchArgs Args;
-    for (auto &Buf : Outs)
-      Args.Outs.push_back(Buf.data());
+    Args.Outs.push_back(Res.data());
     for (auto &Buf : Ins)
       Args.Ins.push_back(Buf.data());
-    if (Plan->NumDataInputs > NumIns)
-      Args.Ins.push_back(WQ.data());
     Args.Aux = Aux.ptrs();
 
     ExecutionBackend &EB = Reg.backendFor(Key);
@@ -537,23 +511,15 @@ bool Autotuner::tuneNttProblem(const Bignum &Q,
   if (Cands.empty())
     return false;
 
-  // Twiddle tables per reduction domain the candidate set needs, built
-  // once and shared across every timing run (matching how the dispatcher
-  // serves transforms). Built for the base plan's ring, so negacyclic
-  // candidates are timed with the ψ edge folds they will actually run.
-  NttTables Tables[2]; // [0] Barrett/plain, [1] Montgomery
-  bool Built[2] = {false, false};
-  for (const rewrite::PlanOptions &C : Cands) {
-    int D = C.Red == mw::Reduction::Montgomery ? 1 : 0;
-    if (Built[D])
-      continue;
-    std::string TablesErr;
-    if (!buildNttTables(Q, NPoints, C.Red, Tables[D], &TablesErr,
-                        Base.Ring)) {
-      Error = "Autotuner: " + TablesErr;
-      return false;
-    }
-    Built[D] = true;
+  // One table set, built once and shared across every timing run
+  // (matching how the dispatcher serves transforms). Built for the base
+  // plan's ring, so negacyclic candidates are timed with the ψ edge folds
+  // they will actually run.
+  NttTables Tables;
+  std::string TablesErr;
+  if (!buildNttTables(Q, NPoints, Tables, &TablesErr, Base.Ring)) {
+    Error = "Autotuner: " + TablesErr;
+    return false;
   }
 
   // Calibration shape: the real transform size, batched up to the
@@ -589,8 +555,6 @@ bool Autotuner::tuneNttProblem(const Bignum &Q,
     }
     PlanAux Aux = makePlanAux(*Plan, Q);
     std::vector<const std::uint64_t *> AuxPtrs = Aux.ptrs();
-    const NttTables &T =
-        Tables[Key.Opts.Red == mw::Reduction::Montgomery ? 1 : 0];
     ExecutionBackend &EB = Reg.backendFor(Key);
     ++CandsTimed;
     // Chaos hook, as in tuneProblem: a failed timing run drops the
@@ -606,7 +570,7 @@ bool Autotuner::tuneNttProblem(const Bignum &Q,
       // Re-transforming transformed data is fine — inputs are arbitrary
       // reduced vectors, and every candidate sees the same evolution.
       double T0 = nowSeconds();
-      RunOk = runTransform(EB, *Plan, T, AuxPtrs, Data.data(),
+      RunOk = runTransform(EB, *Plan, Tables, AuxPtrs, Data.data(),
                            Scratch.data(), NPoints, CalBatch,
                            /*Inverse=*/false, &FirstError);
       BestSec = std::min(BestSec, nowSeconds() - T0);

@@ -9,12 +9,14 @@
 /// Picks the fastest generated-kernel variant per problem, the way the
 /// paper's per-configuration generation model implies: on the first
 /// request for a (kernel, widths, batch-size class) problem the tuner
-/// compiles every candidate knob combination (Barrett vs Montgomery,
-/// pruning on/off, scheduled vs unscheduled, serial vs sim-GPU backend ×
-/// block dim {64..1024} vs vector backend × lane width {4..16}), times
-/// each over a calibration batch on this machine, and pins the winner.
-/// Decisions persist as JSON so a process restart reuses them instead of
-/// re-timing.
+/// compiles every candidate knob combination (Barrett vs Montgomery for
+/// mulmod and axpy, pruning on/off, scheduled vs unscheduled, serial vs
+/// sim-GPU backend × block dim {64..1024} vs vector backend × lane width
+/// {4..16}, and the fusion depth for transforms), times each distinct
+/// plan once over a calibration batch on this machine, and pins the
+/// winner. Element-wise ops tune through choose(), butterflies only as
+/// whole transforms through chooseNtt(). Decisions persist as JSON so a
+/// process restart reuses them instead of re-timing.
 ///
 /// What the tuner measures on this CPU substrate — and what it does not —
 /// is recorded in DESIGN.md ("Runtime autotuning"): steady-state batched
@@ -51,6 +53,7 @@ struct AutotunerOptions {
   /// Timed repetitions per candidate; the minimum is kept.
   unsigned Repeats = 3;
   /// Dimensions to sweep. A disabled dimension keeps the base plan value.
+  /// The reduction dimension only reaches mulmod and axpy plans.
   bool TuneReduction = true;
   bool TunePrune = true;
   bool TuneSchedule = true;
@@ -100,7 +103,9 @@ public:
   /// calibration batch matches the bucket (capped at
   /// MaxCalibrationElems). \p Base supplies the values of knobs outside
   /// the swept dimensions (word size, multiply rule). Null when every
-  /// candidate failed to compile; error() explains.
+  /// candidate failed to compile; error() explains. \p Op is an
+  /// element-wise op: a Butterfly is refused (null, with an error()
+  /// naming chooseNtt), since butterflies tune as transforms.
   const TuneDecision *choose(KernelOp Op, const mw::Bignum &Q,
                              const rewrite::PlanOptions &Base =
                                  rewrite::PlanOptions(),
@@ -109,8 +114,8 @@ public:
   /// The transform-shaped companion of choose(): picks the butterfly
   /// variant for whole batched NTTs of \p NPoints points (candidates are
   /// timed on real fused stage-group walks — bit-reversal gather,
-  /// in-register sub-stages, domain-matched twiddle tables — so the
-  /// FuseDepth axis is measured, not guessed). Decisions key on the
+  /// in-register sub-stages, [w | wq] twiddle tables — so the FuseDepth
+  /// axis is measured, not guessed). Decisions key on the
   /// butterfly problem, the transform size, and the batch-size class of
   /// (NPoints/2) * Batch butterflies per stage dispatch. \p Q must be
   /// NTT-friendly for \p NPoints (2-adicity >= log2 n); null with
@@ -171,7 +176,10 @@ private:
                       size_t NPoints, unsigned Bucket, TuneDecision &Out,
                       unsigned &CandsTimed, std::string &Error) const;
   /// Shared knob-grid enumeration (reduction x prune x schedule x
-  /// backend/geometry [x fuse depth for transform problems]).
+  /// backend/geometry [x fuse depth for transform problems]), one
+  /// candidate per distinct canonical PlanKey: grid points that
+  /// canonicalize onto an earlier candidate (the reduction knob of every
+  /// op but mulmod and axpy) are skipped.
   std::vector<rewrite::PlanOptions> candidates(KernelOp Op,
                                                const mw::Bignum &Q,
                                                const rewrite::PlanOptions

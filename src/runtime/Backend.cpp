@@ -48,10 +48,10 @@ using VecGroupFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                               const std::uint64_t *, std::uint64_t,
                               const std::uint64_t *const *);
 
-/// A butterfly plan has outputs xo, yo and data inputs x, y, w — plus the
-/// Shoup companion wq for Barrett plans.
+/// A butterfly plan has outputs xo, yo and data inputs x, y, w, wq (the
+/// twiddle's Shoup companion).
 bool checkButterflyShape(const CompiledPlan &P, std::string *Err) {
-  if (P.NumOutputs != 2 || P.NumDataInputs < 3 || P.NumDataInputs > 4)
+  if (P.NumOutputs != 2 || P.NumDataInputs != 4)
     return fail(Err, "runStageGroup: plan is not a butterfly kernel");
   return true;
 }
@@ -80,7 +80,7 @@ bool checkStageGroup(const StageGroup &G, size_t NPoints, std::string *Err) {
 
 /// Calls \p Fn with \p N pointer arguments. The emitted-kernel ABI is
 /// void(f)(port0*, port1*, ...); arities cover every runtime kernel shape
-/// (butterfly/montgomery peaks at 8 ports).
+/// (KernelRegistry refuses plans with more than 8 ports).
 bool callPorts(void *Fn, void *const *A, size_t N) {
   using P = void *;
   switch (N) {
@@ -162,7 +162,7 @@ bool checkSerialPlan(const CompiledPlan &P, std::string *Err) {
 
 /// Per-input element strides of one batched call: the caller's
 /// InStrides, or else each input port's stored words (ElemWords for every
-/// port but a Shoup butterfly's wq companion, which spans the container).
+/// port but the butterfly's wq companion, which spans the container).
 std::vector<std::uint64_t> inputStrides(const CompiledPlan &P,
                                         const BatchArgs &Args) {
   std::vector<std::uint64_t> Strides(Args.Ins.size());
@@ -231,18 +231,16 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
   if (Batch == 0 || NPoints < 2)
     return true;
 
-  // Port frame: xo, yo, x, y, w, [wq,] then the broadcast tail. One table
-  // entry feeds w and (Shoup plans) wq, which follows w's words.
+  // Port frame: xo, yo, x, y, w, wq, then the broadcast tail. One table
+  // entry feeds w and wq, which follows w's words.
   unsigned TE = codegen::twiddleEntryWords(P.Lowered);
   unsigned WWords = P.Lowered.Inputs[2].storedWords();
-  bool Shoup = P.NumDataInputs == 4;
   void *Ports[8];
   for (size_t I = 0; I < Aux.size(); ++I)
-    Ports[2 + P.NumDataInputs + I] = const_cast<std::uint64_t *>(Aux[I]);
+    Ports[6 + I] = const_cast<std::uint64_t *>(Aux[I]);
   auto SetEntry = [&](const std::uint64_t *Entry) {
     Ports[4] = const_cast<std::uint64_t *>(Entry);
-    if (Shoup)
-      Ports[5] = const_cast<std::uint64_t *>(Entry + WWords);
+    Ports[5] = const_cast<std::uint64_t *>(Entry + WWords);
   };
 
   // In-place groups without edge folds need no staging at all on the

@@ -58,13 +58,11 @@ namespace runtime {
 /// into the same loads; `Scale` (last inverse group) folds the final
 /// multiply into the stores — broadcast n^-1 when ScaleStride is 0, the
 /// per-element negacyclic untwist ψ^{-e}·n^-1 when ScaleStride is the
-/// table's EntryWords. All multiply-fold tables live in the plan's
-/// twiddle domain and share the twiddle tables' entry layout
-/// (runtime/NttPipeline.h: [w | wq] for Shoup-multiplying Barrett plans,
-/// [w] for Montgomery plans), so every table is stepped by the entry
-/// size. Src == Dst is only safe when every thread's read set equals its
-/// write set: any group without Gather, or a single-group transform
-/// (Depth == log2(n), one thread per row).
+/// table's EntryWords. All multiply-fold tables share the twiddle tables'
+/// [w | wq] entry layout (runtime/NttPipeline.h), so every table is
+/// stepped by the entry size. Src == Dst is only safe when every thread's
+/// read set equals its write set: any group without Gather, or a
+/// single-group transform (Depth == log2(n), one thread per row).
 struct StageGroup {
   size_t Len0 = 1;    ///< half-distance of the group's first stage
   unsigned Depth = 1; ///< fused stages, in [1, PlanOptions::MaxFuseDepth]

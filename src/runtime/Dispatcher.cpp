@@ -277,10 +277,8 @@ bool Dispatcher::axpy(const Bignum &Q, const std::uint64_t *AScalar,
 }
 
 const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
-                                    mw::Reduction Domain,
                                     rewrite::NttRing Ring) {
   std::string Key = Q.toHex() + ":" + std::to_string(NPoints) + ":" +
-                    mw::reductionName(Domain) + ":" +
                     rewrite::nttRingName(Ring);
   auto It = NttCtx.find(Key);
   if (It != NttCtx.end()) {
@@ -289,7 +287,7 @@ const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
   }
   TablesEntry E;
   std::string Err;
-  if (!buildNttTables(Q, NPoints, Domain, E.T, &Err, Ring))
+  if (!buildNttTables(Q, NPoints, E.T, &Err, Ring))
     return fail("Dispatcher: " + Err, DispatchErrorCode::InvalidArgument),
            nullptr;
   E.LastUse = ++UseTick;
@@ -319,11 +317,11 @@ bool Dispatcher::transform(const Bignum &Q, std::uint64_t *Data,
                         rewrite::nttRingName(Ring), NPoints),
                 DispatchErrorCode::InvalidArgument);
 
-  // The transform-shaped tuning decision (backend x geometry x reduction
-  // x FuseDepth, per size bucket and ring): the tuner times real fused
-  // stage-group walks — with the ψ edge folds in place for negacyclic
-  // requests — so the winning depth is measured, not guessed. The
-  // entry-point ring overrides whatever the base plan carries.
+  // The transform-shaped tuning decision (backend x geometry x FuseDepth,
+  // per size bucket and ring): the tuner times real fused stage-group
+  // walks — with the ψ edge folds in place for negacyclic requests — so
+  // the winning depth is measured, not guessed. The entry-point ring
+  // overrides whatever the base plan carries.
   rewrite::PlanOptions BaseR = Base;
   BaseR.Ring = Ring;
   rewrite::PlanOptions Opts = BaseR;
@@ -346,11 +344,9 @@ bool Dispatcher::transform(const Bignum &Q, std::uint64_t *Data,
   if (!BP)
     return false;
   const CompiledPlan &P = *BP->Plan;
-  // Twiddles live in the plan's reduction domain (Montgomery-form tables
-  // for Montgomery plans: the butterfly is a single REDC, with no
-  // per-stage domain conversions); one table set serves forward and
-  // inverse.
-  const NttTables *T = tables(Q, NPoints, P.Key.Opts.Red, Ring);
+  // One table set per (q, n, ring) serves every butterfly plan, forward
+  // and inverse.
+  const NttTables *T = tables(Q, NPoints, Ring);
   if (!T)
     return false;
 

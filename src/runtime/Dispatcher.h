@@ -330,6 +330,8 @@ private:
   void trimBound();
   void trimTables();
 
+  /// Binds the tuned variant of an element-wise op (AddMod, SubMod,
+  /// MulMod or Axpy; transforms tune through Autotuner::chooseNtt).
   /// \p SizeHint is the elements-per-dispatch estimate handed to the
   /// autotuner (decisions are per batch-size class).
   BoundPlan *bind(KernelOp Op, const mw::Bignum &Q, size_t SizeHint);
@@ -339,12 +341,11 @@ private:
   BoundPlan *bindPlan(KernelOp Op, const mw::Bignum &Q,
                       const rewrite::PlanOptions &Opts,
                       unsigned WideWords = 0);
-  /// Tables for (Q, NPoints, Ring) in \p Domain — the bound butterfly
-  /// plan's reduction, so Montgomery plans get Montgomery-form twiddles
-  /// (and ψ tables). Built once and shared by forward and inverse
-  /// transforms.
+  /// Tables for (Q, NPoints, Ring): [w | wq] twiddles (and ψ tables)
+  /// for every butterfly plan. Built once and shared by forward and
+  /// inverse transforms.
   const NttTables *tables(const mw::Bignum &Q, size_t NPoints,
-                          mw::Reduction Domain, rewrite::NttRing Ring);
+                          rewrite::NttRing Ring);
   /// The one element-wise backend launch: fills \p Args' broadcast tail
   /// from \p BP, counts DispatchStats::Batches and runs \p N elements.
   bool launch(const BoundPlan &BP, BatchArgs Args, size_t N);
@@ -408,7 +409,7 @@ private:
   DispatchErrorCode LastCode = DispatchErrorCode::Ok;
   rewrite::PlanOptions LastOpts;
   std::map<std::string, BoundPlan> Bound; ///< by full plan key + modulus
-  std::map<std::string, TablesEntry> NttCtx; ///< by modulus + size + domain
+  std::map<std::string, TablesEntry> NttCtx; ///< by modulus + size + ring
   size_t MaxBound = 128, MaxTableBytes = size_t(64) << 20;
   size_t TableBytes = 0; ///< NttTables::bytes() summed over NttCtx
   std::uint64_t UseTick = 0; ///< LRU clock shared by both caches

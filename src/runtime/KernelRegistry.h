@@ -80,9 +80,9 @@ struct CompiledPlan {
   unsigned NumDataInputs = 0; ///< per-element input ports (before q)
   unsigned ElemWords = 0;     ///< stored words per data element
   /// Stored word counts of the trailing broadcast ports, in port order:
-  /// q, then mu (Barrett) or qinv, r2 (Montgomery) for multiplying ops.
-  /// The butterfly is the exception: q alone for Barrett (its Shoup
-  /// companion wq is a data input), q, qinv for Montgomery.
+  /// q, then mu (Barrett) or qinv, r2 (Montgomery) for mulmod and axpy.
+  /// The butterfly is the exception: q alone (its Shoup companion wq is a
+  /// data input).
   std::vector<unsigned> AuxWords;
 
   size_t numPorts() const {
@@ -100,7 +100,7 @@ struct BatchArgs {
   /// Per-input word stride between consecutive elements: ElemWords for
   /// vector inputs, 0 to broadcast one element to the whole batch (the
   /// axpy scalar). Empty means all-vector, each input stepping by its
-  /// port's stored words: ElemWords, except a Shoup butterfly's wq
+  /// port's stored words: ElemWords, except the butterfly's wq
   /// companion, which spans the container (one word more than an
   /// element for a 130-bit modulus, say).
   std::vector<size_t> InStrides;

@@ -29,8 +29,7 @@ bool fail(std::string *Err, const std::string &Msg) {
 } // namespace
 
 bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
-                                   mw::Reduction Domain, NttTables &Out,
-                                   std::string *Err,
+                                   NttTables &Out, std::string *Err,
                                    rewrite::NttRing Ring) {
   if (NPoints < 2 || (NPoints & (NPoints - 1)) != 0)
     return fail(Err, "NTT size must be a power of two >= 2");
@@ -49,18 +48,14 @@ bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
                         rewrite::nttRingName(Ring), NPoints));
 
   unsigned K = (Q.bitWidth() + 63) / 64;
-  // Montgomery plans take their multipliers pre-converted (w * 2^lambda
-  // mod q, lambda the canonical container width), turning the
-  // butterfly's modular product into a single REDC; Barrett plans take
-  // plain values, each followed by its Shoup companion
-  // floor(w * 2^lambda / q) for the butterfly's wq port.
+  // Each multiplier is followed by its Shoup companion
+  // floor(w * 2^lambda / q) for the butterfly's wq port (lambda the
+  // canonical container width).
   unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
-  bool Mont = Domain == mw::Reduction::Montgomery;
-  unsigned E = Mont ? K : K + Lambda / 64;
+  unsigned E = K + Lambda / 64;
   Out.LogN = LogN;
   Out.ElemWords = K;
   Out.EntryWords = E;
-  Out.Domain = Domain;
   Out.Ring = Ring;
 
   Out.BitRev.resize(NPoints);
@@ -71,13 +66,8 @@ bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
     Out.BitRev[I] = static_cast<std::uint32_t>(R);
   }
 
-  // Writes the table entry for multiplier V (reduced, plain) at \p Dst.
+  // Writes the table entry for multiplier V (reduced) at \p Dst.
   auto PutEntry = [&](const Bignum &V, std::uint64_t *Dst) {
-    if (Mont) {
-      auto W = packWordsMsbFirst((V << Lambda) % Q, K);
-      std::copy(W.begin(), W.end(), Dst);
-      return;
-    }
     auto W = packWordsMsbFirst(V, K);
     auto WQ = packWordsMsbFirst(kernels::shoupCompanion(V, Q, Lambda),
                                 Lambda / 64);
@@ -159,7 +149,7 @@ bool moma::runtime::runTransform(
                      "with the negacyclic ψ edge-fold tables");
   if (T.EntryWords != codegen::twiddleEntryWords(P.Lowered))
     return fail(Err, "runTransform: table entries do not match the plan's "
-                     "twiddle ports (tables built for another domain)");
+                     "twiddle ports");
   const std::uint64_t *Tw = Inverse ? T.InvTw.data() : T.Tw.data();
 
   // Edge groups ping-pong through the scratch so (a) the bit-reversal

@@ -10,11 +10,9 @@
 /// Dispatcher (serving) and the Autotuner (candidate timing):
 ///
 ///  * precomputed per-(q, n) tables — bit-reversal permutation,
-///    stage-major forward/inverse twiddles and n^-1, all in the plan's
-///    *twiddle domain*: plain values paired with their Shoup quotients
-///    for Barrett plans (whose butterfly multiplies by Shoup's method),
-///    Montgomery-form w * 2^lambda mod q for Montgomery plans (whose
-///    butterfly performs a single REDC);
+///    stage-major forward/inverse twiddles and n^-1, every multiplier
+///    paired with its Shoup quotient (the butterfly multiplies by
+///    Shoup's method);
 ///  * the stage-group schedule: log2(n) radix-2 stages walked in
 ///    ceil(log2(n)/FuseDepth) fused groups;
 ///  * the transform driver that runs one forward/inverse NTT through an
@@ -39,16 +37,12 @@
 namespace moma {
 namespace runtime {
 
-/// Precomputed tables for one (modulus, size, twiddle-domain, ring)
-/// tuple. Every table is an array of EntryWords-word entries, one per
-/// multiplier:
-///
-///  * plain domain (Barrett plans): [w | wq], w in ElemWords words, then
-///    its Shoup companion wq = floor(w * 2^lambda / q) in lambda/64 words
-///    (lambda = PlanKey::canonicalContainerBits), each half most
-///    significant word first — the butterfly's w and wq ports read one
-///    entry. EntryWords = ElemWords + lambda/64;
-///  * Montgomery domain: [w * 2^lambda mod q], EntryWords = ElemWords.
+/// Precomputed tables for one (modulus, size, ring) tuple. Every table is
+/// an array of EntryWords-word entries [w | wq], one per multiplier: w in
+/// ElemWords words, then its Shoup companion wq = floor(w * 2^lambda / q)
+/// in lambda/64 words (lambda = PlanKey::canonicalContainerBits), each
+/// half most significant word first — the butterfly's w and wq ports
+/// read one entry. EntryWords = ElemWords + lambda/64.
 ///
 /// Stage-major twiddle layout (matching ntt::NttPlan): the stage of
 /// half-distance len holds w_{2len}^j at entry (len - 1) + j, so the
@@ -62,7 +56,6 @@ struct NttTables {
   unsigned LogN = 0;
   unsigned ElemWords = 0;  ///< words of one data element (and of w)
   unsigned EntryWords = 0; ///< words of one table entry, see above
-  mw::Reduction Domain = mw::Reduction::Barrett;
   rewrite::NttRing Ring = rewrite::NttRing::Cyclic;
   std::vector<std::uint32_t> BitRev; ///< n entries
   std::vector<std::uint64_t> Tw;     ///< forward, (n-1) x EntryWords
@@ -81,15 +74,14 @@ struct NttTables {
   }
 };
 
-/// Builds the tables for modulus \p Q at transform size \p NPoints in the
-/// twiddle domain of \p Domain (the Montgomery form and the Shoup
-/// companions use the canonical container width for \p Q, i.e. 2^lambda
-/// with lambda = PlanKey::canonicalContainerBits) for ring \p Ring.
+/// Builds the tables for modulus \p Q at transform size \p NPoints for
+/// ring \p Ring (the Shoup companions use the canonical container width
+/// for \p Q, i.e. 2^lambda with lambda = PlanKey::canonicalContainerBits).
 /// Returns false with \p Err set when \p NPoints is not a power of two
 /// >= 2 or the modulus lacks the 2-adicity for a primitive root
 /// (negacyclic needs one more factor of two: 2n | q - 1).
-bool buildNttTables(const mw::Bignum &Q, size_t NPoints,
-                    mw::Reduction Domain, NttTables &Out, std::string *Err,
+bool buildNttTables(const mw::Bignum &Q, size_t NPoints, NttTables &Out,
+                    std::string *Err,
                     rewrite::NttRing Ring = rewrite::NttRing::Cyclic);
 
 /// One entry of the stage-group schedule.
@@ -107,8 +99,8 @@ std::vector<StageGroupPlan> planStageGroups(unsigned LogN,
 /// Runs one in-place batched transform over \p Batch rows of \p NPoints
 /// elements in \p Data through \p EB with butterfly plan \p P, walking
 /// the stage-group schedule for the plan's FuseDepth. \p T must be built
-/// for the plan's reduction domain (its entries must match the plan's w
-/// and wq ports; a mismatch is refused) and ring; negacyclic plans fold the
+/// for the plan's modulus (its entries must match the plan's w and wq
+/// ports; a mismatch is refused) and ring; negacyclic plans fold the
 /// ψ twist into the first forward group and the ψ^{-1}·n^-1 untwist into
 /// the last inverse group, so the dispatch count never depends on the
 /// ring. \p Scratch (same extent as the data,

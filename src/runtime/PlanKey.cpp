@@ -37,15 +37,6 @@ const char *moma::runtime::kernelOpName(KernelOp Op) {
   moma_unreachable("unknown kernel op");
 }
 
-bool moma::runtime::kernelOpMultiplies(KernelOp Op) {
-  // The RNS CRT kernels do multiply, but their reduction is the baked-in
-  // generalized Barrett sequence — the reduction/multiply knobs cannot
-  // change the generated code, so they report false and the
-  // canonicalization below folds the knobs like addmod/submod.
-  return Op == KernelOp::MulMod || Op == KernelOp::Butterfly ||
-         Op == KernelOp::Axpy;
-}
-
 unsigned PlanKey::canonicalContainerBits(unsigned ModBits, unsigned WordBits) {
   unsigned Container = WordBits;
   while (Container < ModBits + 4)
@@ -62,12 +53,16 @@ PlanKey PlanKey::forModulus(KernelOp Op, const mw::Bignum &Q,
   K.ModBits = Q.bitWidth();
   K.ContainerBits = canonicalContainerBits(K.ModBits, Opts.TargetWordBits);
   K.Opts = Opts;
-  if (!kernelOpMultiplies(Op)) {
-    // The knobs cannot change an add/sub kernel; fold them so every
-    // variant maps onto one cache entry.
+  // Fold the knobs a kernel ignores so every variant maps onto one cache
+  // entry. The reduction knob only shapes mulmod and axpy (the butterfly
+  // multiplies by Shoup's method under either value); the multiply rule
+  // also shapes the butterfly. Addmod/submod and the RNS CRT kernels,
+  // whose generalized Barrett sequence is baked in, fold both.
+  bool ReducesByKnob = Op == KernelOp::MulMod || Op == KernelOp::Axpy;
+  if (!ReducesByKnob)
     K.Opts.Red = mw::Reduction::Barrett;
+  if (!ReducesByKnob && Op != KernelOp::Butterfly)
     K.Opts.MulAlg = mw::MulAlgorithm::Schoolbook;
-  }
   // Launch geometry is a SimGpu-only knob: fold it to 0 on serial plans
   // (one cache entry regardless of the caller's block dim), and give
   // SimGpu plans the paper's 256-thread default when left unset. Keys

@@ -17,10 +17,13 @@
 ///  * The modulus *value* is NOT part of the key. Generated kernels take
 ///    q (and mu / qinv / r2) as runtime parameters, so one compiled plan
 ///    serves every modulus of the same bit-width.
-///  * Operations without a modular multiplication (addmod/submod) pin the
-///    reduction knob to Barrett and the multiply rule to schoolbook: the
-///    knobs cannot change the generated code, and folding them keeps one
-///    cache entry per distinct kernel.
+///  * Knobs that cannot change the generated code are folded, keeping one
+///    cache entry per distinct kernel. The reduction knob only exists for
+///    mulmod and axpy; every other op pins it to Barrett (the butterfly
+///    multiplies by Shoup's method under either value, so a Montgomery
+///    base plan binds the same butterfly). Addmod/submod (no multiply)
+///    and the RNS CRT kernels (baked-in reduction) also pin the multiply
+///    rule to schoolbook.
 ///  * Backend and launch geometry are part of the key (a serial and a
 ///    sim-GPU compilation of the same kernel are distinct artifacts).
 ///    Serial plans fold BlockDim to 0 and keep the historical key string
@@ -72,10 +75,6 @@ enum class KernelOp : std::uint8_t {
 
 /// Mnemonic kernel-op name ("addmod", ..., "butterfly").
 const char *kernelOpName(KernelOp Op);
-
-/// True for kernels containing a modular multiplication (the ones whose
-/// generated code depends on the reduction strategy and multiply rule).
-bool kernelOpMultiplies(KernelOp Op);
 
 /// Canonical description of one compiled kernel variant.
 struct PlanKey {

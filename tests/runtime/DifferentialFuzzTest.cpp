@@ -15,9 +15,10 @@
 //      chunks AND the scalar tail both execute), and
 //   5. the Bignum oracle (mathematical truth)
 //
-// — across widths {1, 2, 4, 8, 12} words and both reduction strategies,
-// with random moduli (odd, exact bit-width, not necessarily prime) and
-// random reduced inputs. Per configuration, a few kernel variants are
+// — across widths {1, 2, 4, 8, 12} words (and both reduction strategies
+// for modmul; the butterfly has one, Shoup's product), with random
+// moduli (odd, exact bit-width, not necessarily prime) and random
+// reduced inputs. Per configuration, a few kernel variants are
 // generated (random modulus width in the word-count window, random
 // scheduling, occasional pruning-off) and at least MOMA_FUZZ_ITERS trials
 // (default 500) run across them.
@@ -56,23 +57,14 @@ KernelRegistry &registry() {
   return Reg;
 }
 
-/// The Bignum-oracle evaluation of one kernel op. The Montgomery
-/// butterfly reads its twiddle port in the Montgomery domain (one REDC
-/// lands the plain product), so the drawn In[2] stands for w * 2^lambda
-/// and the mathematical twiddle is In[2] * 2^-lambda mod q.
+/// The Bignum-oracle evaluation of one kernel op.
 std::vector<Bignum> oracle(KernelOp Op, const std::vector<Bignum> &In,
-                           const Bignum &Q, const CompiledPlan &Plan) {
+                           const Bignum &Q) {
   switch (Op) {
   case KernelOp::MulMod:
     return {In[0].mulMod(In[1], Q)};
   case KernelOp::Butterfly: {
-    Bignum W = In[2];
-    if (Plan.Key.Opts.Red == mw::Reduction::Montgomery) {
-      Bignum RInv =
-          (mw::Bignum::powerOfTwo(Plan.Key.ContainerBits) % Q).invMod(Q);
-      W = W.mulMod(RInv, Q);
-    }
-    Bignum T = W.mulMod(In[1], Q); // t = w * y
+    Bignum T = In[2].mulMod(In[1], Q); // t = w * y
     return {In[0].addMod(T, Q), In[0].subMod(T, Q)};
   }
   default:
@@ -91,7 +83,7 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
   unsigned M = Plan.Key.ModBits;
   unsigned K = Plan.ElemWords;
   unsigned NumIns = Plan.NumDataInputs;
-  // Stored words per data input: K, except the Shoup butterfly's wq
+  // Stored words per data input: K, except the butterfly's wq
   // companion, which spans the whole container.
   std::vector<unsigned> InWords;
   for (unsigned I = 0; I < NumIns; ++I)
@@ -104,7 +96,7 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
       Q = Q + One; // even with the top bit set means Q <= 2^M - 2, so
                    // +1 stays at exactly M bits (while -1 could drop to
                    // M-1 bits when Q == 2^(M-1))
-    // The Shoup butterfly's wq is w's true companion, never random.
+    // The butterfly's wq is w's true companion, never random.
     std::vector<Bignum> In;
     for (unsigned I = 0; I < NumIns; ++I)
       In.push_back(Plan.Lowered.Inputs[I].Name == "wq"
@@ -113,7 +105,7 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
                        : Bignum::random(R, Q));
 
     // Oracle.
-    std::vector<Bignum> Want = oracle(Op, In, Q, Plan);
+    std::vector<Bignum> Want = oracle(Op, In, Q);
 
     // Lowered-kernel interpreter. The kernel's trailing inputs are the
     // modulus and the reduction constants, in port order.
@@ -292,11 +284,12 @@ void fuzzConfig(KernelOp Op, unsigned Words, mw::Reduction Red,
 }
 
 /// The FuseDepth axis of the fused NTT pipeline: random transform shapes
-/// (size, batch, width) executed through random (backend, reduction,
+/// (size, batch, width) executed through random (backend, reduction knob,
 /// block-dim, fuse-depth) variants must stay bit-identical to the
 /// serial/Barrett/depth-1 walk of the same data — the fused groups, the
 /// first-stage bit-reversal gather, the in-register sub-stages and the
-/// folded inverse scaling all collapse to the same butterfly sequence.
+/// folded inverse scaling all collapse to the same butterfly sequence,
+/// and a Montgomery knob folds onto the same Shoup butterfly.
 void fuzzNttFuseDepth(std::uint64_t SeedDefault) {
   SeededRng R(SeedDefault);
   KernelRegistry Reg; // own registry: pinned-variant dispatchers below
@@ -379,11 +372,6 @@ MOMA_FUZZ_TEST(Butterfly, 2, Barrett, 0xF0242)
 MOMA_FUZZ_TEST(Butterfly, 4, Barrett, 0xF0244)
 MOMA_FUZZ_TEST(Butterfly, 8, Barrett, 0xF0248)
 MOMA_FUZZ_TEST(Butterfly, 12, Barrett, 0xF024C)
-MOMA_FUZZ_TEST(Butterfly, 1, Montgomery, 0xF0251)
-MOMA_FUZZ_TEST(Butterfly, 2, Montgomery, 0xF0252)
-MOMA_FUZZ_TEST(Butterfly, 4, Montgomery, 0xF0254)
-MOMA_FUZZ_TEST(Butterfly, 8, Montgomery, 0xF0258)
-MOMA_FUZZ_TEST(Butterfly, 12, Montgomery, 0xF025C)
 
 //===----------------------------------------------------------------------===//
 // RNS differential fuzz: random multi-word batches through the RNS layer

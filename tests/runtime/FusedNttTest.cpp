@@ -3,19 +3,20 @@
 // Coverage for the fused-stage NTT pipeline (runtime/NttPipeline.h):
 //
 //  * bit-identity of fused execution across FuseDepth {1,2,3} x backend
-//    {serial, sim-GPU} x reduction {Barrett, Montgomery} x width {1,2,4}
-//    x transform sizes including non-multiple stage counts (n = 32 with
-//    depth 3 leaves a 2-stage tail group);
+//    {serial, sim-GPU} x reduction knob {Barrett, Montgomery} (both bind
+//    the one Shoup butterfly) x width {1,2,4} x transform sizes including
+//    non-multiple stage counts (n = 32 with depth 3 leaves a 2-stage tail
+//    group);
 //  * absolute correctness against the O(n^2) reference DFT and the
 //    schoolbook polynomial product;
 //  * the dispatch-count guarantee: a batched transform issues exactly
 //    ceil(log2(n)/FuseDepth) backend dispatches — no host bit-reversal
 //    pass, no separate inverse-scaling dispatch;
-//  * Montgomery-domain twiddle tables (entries are the plain tables
-//    shifted into the Montgomery domain; transforms through Montgomery
-//    plans are bit-identical to the Barrett path);
+//  * the [w | wq] twiddle tables (every entry pairs a multiplier with its
+//    Shoup quotient);
 //  * the autotuner's FuseDepth axis (swept per transform size, persisted
-//    through the JSON tune cache);
+//    through the JSON tune cache) and its one-timing-per-canonical-plan
+//    grid;
 //  * the dispatcher's bounded binding/table caches (LRU eviction with
 //    observable counters).
 //
@@ -147,8 +148,9 @@ TEST(FusedNtt, BitIdentityAcrossDepthBackendReductionWidth) {
 }
 
 TEST(FusedNtt, MatchesReferenceDft) {
-  // Absolute correctness of a fused Montgomery sim-GPU transform against
-  // the O(n^2) DFT (not just cross-variant agreement).
+  // Absolute correctness of a fused sim-GPU transform against the
+  // O(n^2) DFT (not just cross-variant agreement), bound from a
+  // Montgomery base plan, which folds onto the one Shoup butterfly.
   Bignum Q = field::nttPrime(124, 11);
   unsigned K = Dispatcher::elemWords(Q);
   const size_t N = 16;
@@ -228,43 +230,13 @@ TEST(FusedNtt, BatchedTransformIssuesCeilLogNOverKDispatches) {
 }
 
 //===----------------------------------------------------------------------===//
-// Montgomery-domain twiddle tables
+// Twiddle tables
 //===----------------------------------------------------------------------===//
 
-TEST(FusedNtt, MontgomeryTwiddleTablesAreDomainShiftedPlainTables) {
-  Bignum Q = field::nttPrime(124, 8);
-  const size_t N = 64;
-  unsigned Lambda = PlanKey::canonicalContainerBits(Q.bitWidth(), 64);
-  NttTables Plain, Mont;
-  std::string Err;
-  ASSERT_TRUE(buildNttTables(Q, N, mw::Reduction::Barrett, Plain, &Err))
-      << Err;
-  ASSERT_TRUE(buildNttTables(Q, N, mw::Reduction::Montgomery, Mont, &Err))
-      << Err;
-  // Plain entries are [w | wq]: the w half is the first K words.
-  unsigned K = Plain.ElemWords, PE = Plain.EntryWords, ME = Mont.EntryWords;
-  ASSERT_EQ(Plain.Tw.size() / PE, Mont.Tw.size() / ME);
-  Bignum RMod = Bignum::powerOfTwo(Lambda) % Q;
-  Bignum RInv = RMod.invMod(Q);
-  for (size_t I = 0; I < N - 1; ++I) {
-    Bignum P = unpackWordsMsbFirst(Plain.Tw.data() + I * PE, K);
-    Bignum M = unpackWordsMsbFirst(Mont.Tw.data() + I * ME, K);
-    ASSERT_EQ(M, P.mulMod(RMod, Q)) << "forward entry " << I;
-    ASSERT_EQ(M.mulMod(RInv, Q), P) << "round-trip of entry " << I;
-    Bignum PI = unpackWordsMsbFirst(Plain.InvTw.data() + I * PE, K);
-    Bignum MI = unpackWordsMsbFirst(Mont.InvTw.data() + I * ME, K);
-    ASSERT_EQ(MI, PI.mulMod(RMod, Q)) << "inverse entry " << I;
-  }
-  EXPECT_EQ(unpackWordsMsbFirst(Mont.NInv.data(), K),
-            unpackWordsMsbFirst(Plain.NInv.data(), K).mulMod(RMod, Q))
-      << "n^-1 must live in the twiddle domain too";
-  EXPECT_EQ(Plain.BitRev, Mont.BitRev);
-}
-
 TEST(FusedNtt, ShoupCompanionsAreTwiddleQuotients) {
-  // Every plain-domain entry of the five tables is [w | wq] with
-  // wq = floor(w * 2^lambda / q): the Barrett butterfly multiplies by
-  // Shoup's method and reads both halves of one entry.
+  // Every entry of the five tables is [w | wq] with
+  // wq = floor(w * 2^lambda / q): the butterfly multiplies by Shoup's
+  // method and reads both halves of one entry.
   const size_t N = 16;
   for (unsigned Bits : {60u, 124u, 252u}) {
     Bignum Q = field::nttPrime(Bits, 8);
@@ -273,9 +245,7 @@ TEST(FusedNtt, ShoupCompanionsAreTwiddleQuotients) {
          {rewrite::NttRing::Cyclic, rewrite::NttRing::Negacyclic}) {
       NttTables T;
       std::string Err;
-      ASSERT_TRUE(
-          buildNttTables(Q, N, mw::Reduction::Barrett, T, &Err, Ring))
-          << Err;
+      ASSERT_TRUE(buildNttTables(Q, N, T, &Err, Ring)) << Err;
       unsigned K = T.ElemWords, E = T.EntryWords;
       ASSERT_EQ(E, K + Lambda / 64) << Bits << "-bit q";
       bool Neg = Ring == rewrite::NttRing::Negacyclic;
@@ -297,11 +267,6 @@ TEST(FusedNtt, ShoupCompanionsAreTwiddleQuotients) {
               << ", entry " << I;
         }
       }
-      NttTables M;
-      ASSERT_TRUE(
-          buildNttTables(Q, N, mw::Reduction::Montgomery, M, &Err, Ring))
-          << Err;
-      EXPECT_EQ(M.EntryWords, M.ElemWords) << "Montgomery tables unchanged";
     }
   }
 }
@@ -310,10 +275,9 @@ TEST(FusedNtt, TablesRejectBadShapes) {
   NttTables T;
   std::string Err;
   Bignum Q = field::nttPrime(60, 8);
-  EXPECT_FALSE(buildNttTables(Q, 48, mw::Reduction::Barrett, T, &Err));
+  EXPECT_FALSE(buildNttTables(Q, 48, T, &Err));
   EXPECT_NE(Err.find("power of two"), std::string::npos) << Err;
-  EXPECT_FALSE(
-      buildNttTables(Q, size_t(1) << 20, mw::Reduction::Barrett, T, &Err));
+  EXPECT_FALSE(buildNttTables(Q, size_t(1) << 20, T, &Err));
   EXPECT_NE(Err.find("2-adicity"), std::string::npos) << Err;
 }
 
@@ -329,8 +293,9 @@ AutotunerOptions quickNttTune() {
   O.MaxCalibrationElems = 128;
   O.Repeats = 1;
   O.BlockDims = {64};
-  // Keep the sweep to backend x depth: 2 backends x 3 depths = 6 timed
-  // candidates per problem.
+  // Keep the sweep to backend x depth: 5 backend geometries (serial,
+  // sim-GPU b64, vector v4/v8/v16) x 3 depths = 15 timed candidates per
+  // transform problem.
   O.TuneReduction = false;
   O.TunePrune = false;
   O.TuneSchedule = false;
@@ -357,6 +322,22 @@ TEST(FusedNtt, TunerSweepsFuseDepthPerTransformSize) {
   EXPECT_EQ(T.stats().Tuned, 2u);
   // Shape errors surface instead of mis-keying.
   EXPECT_EQ(T.chooseNtt(Q, {}, 48, 1), nullptr);
+}
+
+TEST(FusedNtt, TransformSweepTimesEachCanonicalPlanOnce) {
+  // With the reduction axis on, a transform problem still times each
+  // canonical butterfly plan once: the knob folds for the butterfly, so
+  // 3 backend geometries x 3 depths = 9 candidates. Mulmod keeps both
+  // reductions: 2 x 3 geometries = 6 more.
+  AutotunerOptions O = quickNttTune();
+  O.TuneReduction = true;
+  O.VectorWidths = {4};
+  Autotuner T(registry(), O);
+  Bignum Q = field::nttPrime(60, 10);
+  ASSERT_NE(T.chooseNtt(Q, {}, 64, 2), nullptr) << T.error();
+  EXPECT_EQ(T.stats().Candidates, 9u);
+  ASSERT_NE(T.choose(KernelOp::MulMod, Q), nullptr) << T.error();
+  EXPECT_EQ(T.stats().Candidates, 9u + 6u);
 }
 
 TEST(FusedNtt, FuseDepthRoundTripsThroughTheTuneCache) {
@@ -509,8 +490,8 @@ TEST(FusedNtt, NegacyclicBitIdentityAcrossDepthBackendReduction) {
   // library ψ-twist reference (ntt/Negacyclic.h) — both derive ψ and ω
   // from the same per-modulus generator, so even the transform-domain
   // values match, not just ring products — across every fusion depth,
-  // backend and reduction, including the single-group in-place shape
-  // (log2(n) <= depth) and multi-group ping-pong shapes.
+  // backend and reduction knob, including the single-group in-place
+  // shape (log2(n) <= depth) and multi-group ping-pong shapes.
   SeededRng R(0xF05ED7);
   const unsigned Widths[] = {1, 2};
   const size_t Sizes[] = {8, 32};

@@ -412,6 +412,10 @@ TEST(RnsRuntime, PlanKeyCanonicalization) {
   PlanKey Bf = PlanKey::forModulus(KernelOp::Butterfly, Q, Fancy);
   EXPECT_EQ(Bf.Opts.Ring, NttRing::Negacyclic);
   EXPECT_NE(Bf.str().find("/neg"), std::string::npos);
+  // The butterfly multiplies by Shoup's method under either reduction
+  // knob, so it folds the knob but keeps the multiply rule.
+  EXPECT_EQ(Bf.Opts.Red, mw::Reduction::Barrett);
+  EXPECT_EQ(Bf.Opts.MulAlg, mw::MulAlgorithm::Karatsuba);
   PlanKey Mul = PlanKey::forModulus(KernelOp::MulMod, Q, Fancy);
   EXPECT_EQ(Mul.Opts.Ring, NttRing::Cyclic);
   EXPECT_EQ(Mul.str().find("/neg"), std::string::npos);

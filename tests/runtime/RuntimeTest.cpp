@@ -107,13 +107,12 @@ TEST(KernelRegistry, PortLayoutMatchesTheKernelShape) {
   EXPECT_EQ(P->AuxWords[0], 2u);
   rewrite::PlanOptions Mont;
   Mont.Red = mw::Reduction::Montgomery;
+  // The butterfly multiplies by Shoup's method under either reduction
+  // knob: a Montgomery key folds onto the same cached plan.
   auto PM = registry().get(PlanKey::forModulus(KernelOp::Butterfly,
                                                testModulus(124), Mont));
   ASSERT_NE(PM, nullptr) << registry().error();
-  // The Montgomery butterfly takes its twiddle pre-converted to the
-  // Montgomery domain, so a single REDC suffices: no r2 port.
-  ASSERT_EQ(PM->AuxWords.size(), 2u); // q, qinv
-  EXPECT_EQ(PM->AuxWords[1], 2u);     // qinv spans the container
+  EXPECT_EQ(PM.get(), P.get());
   auto PMM = registry().get(PlanKey::forModulus(KernelOp::MulMod,
                                                 testModulus(124), Mont));
   ASSERT_NE(PMM, nullptr) << registry().error();
@@ -371,22 +370,30 @@ TEST(Autotuner, DecisionsSurviveSaveAndLoad) {
       (fs::temp_directory_path() / "moma-tune-test.json").string();
   std::remove(Path.c_str());
 
+  // Mulmod sweeps both reductions, so the reduction field round-trips.
   Bignum Q = testModulus(252);
   Autotuner T1(registry(), quickTune());
-  const TuneDecision *D1 = T1.choose(KernelOp::Butterfly, Q);
+  const TuneDecision *D1 = T1.choose(KernelOp::MulMod, Q);
   ASSERT_NE(D1, nullptr) << T1.error();
   rewrite::PlanOptions Won = D1->Opts;
   ASSERT_TRUE(T1.save(Path));
 
   Autotuner T2(registry(), quickTune());
   ASSERT_TRUE(T2.load(Path)) << T2.error();
-  const TuneDecision *D2 = T2.choose(KernelOp::Butterfly, Q);
+  const TuneDecision *D2 = T2.choose(KernelOp::MulMod, Q);
   ASSERT_NE(D2, nullptr) << T2.error();
   EXPECT_TRUE(D2->FromCache) << "persisted decision must not be re-timed";
   EXPECT_EQ(T2.stats().Tuned, 0u);
   EXPECT_TRUE(D2->Opts == Won) << "loaded " << D2->Opts.str() << ", tuned "
                                << Won.str();
   std::remove(Path.c_str());
+}
+
+TEST(Autotuner, ButterflyTunesOnlyAsATransform) {
+  Autotuner T(registry(), quickTune());
+  EXPECT_EQ(T.choose(KernelOp::Butterfly, testModulus(124)), nullptr);
+  EXPECT_NE(T.error().find("chooseNtt"), std::string::npos) << T.error();
+  EXPECT_EQ(T.stats().Candidates, 0u);
 }
 
 TEST(Autotuner, CachePathOptionLoadsAtConstruction) {

@@ -13,7 +13,9 @@
 //                                         limb bits for rnsdec/rnsrec)
 //            [-w <machine-word-bits>]    (16, 32 or 64; default 64)
 //            [--karatsuba]               (Eq. 9 multiply rule)
-//            [--reduction barrett|montgomery]  (default barrett)
+//            [--reduction barrett|montgomery]  (default barrett;
+//                                         mulmod/axpy only: the butterfly
+//                                         multiplies by Shoup's method)
 //            [--no-prune]                (skip the §4 zero-word pruning)
 //            [--schedule]                (pressure-aware list scheduling)
 //            [--backend serial|simgpu|vector] (execution backend;
@@ -37,8 +39,8 @@
 // entry for butterflies); `--emit tune` sweeps the backend, block-dim, and
 // lane-width axes alongside reduction/pruning/scheduling — butterfly
 // kernels tune the transform-shaped problem (a batched 256-point NTT
-// through the fused pipeline), so the fusion depth is swept and reported
-// alongside the backend.
+// through the fused pipeline, via Autotuner::chooseNtt), so the fusion
+// depth is swept and reported alongside the backend.
 //
 // `rnsdec` / `rnsrec` are the RNS layer's generated CRT edge kernels
 // (runtime/RnsContext.h): -m gives the word-sized limb width (default
@@ -93,6 +95,7 @@ namespace {
       stderr,
       "usage: %s -k <kernel> [-d bits] [-m modbits] [-w wordbits]\n"
       "          [--karatsuba] [--reduction barrett|montgomery]\n"
+      "          (--reduction shapes mulmod/axpy, never the butterfly)\n"
       "          [--no-prune] [--schedule]\n"
       "          [--backend serial|simgpu|vector] [--block-dim <n>]\n"
       "          [--vector-width <k>]\n"
