@@ -4,12 +4,12 @@
 //
 //   1. BACKENDS — on large batches the sim-GPU backend (grid-shaped §5.1
 //      kernels over the thread-pool substrate) beats the serial host-JIT
-//      backend, the SIMD vector backend (lane-per-batch-element loops
-//      compiled at -O3 [-march=native]) beats serial by >= 1.5x on a
-//      wide BLAS batch, and the autotuner selects an accelerated
-//      backend automatically from a cold cache (backend choice, block
-//      dim, and lane width are tuning axes — including picking vector
-//      for at least one wide-batch BLAS shape);
+//      backend, the vector backend (one batch loop compiled at -O3
+//      [-march=native]) beats serial by >= 1.5x on a wide BLAS batch,
+//      and the autotuner selects an accelerated backend automatically
+//      from a cold cache (backend choice and block dim are tuning axes
+//      — including picking vector for at least one wide-batch BLAS
+//      shape);
 //   2. PLAN CACHE — a production server amortizes JIT cost across
 //      requests: a warm plan cache beats per-call emit+compile by orders
 //      of magnitude;
@@ -162,9 +162,9 @@ int main(int argc, char **argv) {
   }
 
   // -- 1b) SIMD vector backend on a wide BLAS batch ----------------------
-  // Element-wise modmul over a flat batch: the shape the lane-loop
-  // backend exists for. Serial pays a function-pointer call per element
-  // at -O1; vector runs fixed-trip SoA chunks at -O3 [-march=native].
+  // Element-wise modmul over a flat batch: the shape the vector backend
+  // exists for. Serial pays a function-pointer call per element at -O1;
+  // vector runs one element loop at -O3 [-march=native].
   const size_t VecElems = Smoke ? 4096 : 262144;
   double VmulSerialSec = 0, VmulVectorSec = 0;
   bool VectorAgrees = false;
@@ -211,7 +211,7 @@ int main(int argc, char **argv) {
   // Does a cold autotuner pick the vector backend for at least one
   // wide-batch BLAS shape? Swept over shapes because the sim-GPU pool
   // is a legitimate winner on the largest buckets of multiply-heavy
-  // ops — the lane loop's home turf is the small-to-mid buckets and
+  // ops — the vector loop's home turf is the small-to-mid buckets and
   // the memory-bound ops.
   bool PickedVector = false;
   std::string VectorPickShape = "none";

@@ -11,8 +11,6 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
-#include <iterator>
-
 using namespace moma;
 using namespace moma::codegen;
 using rewrite::LoweredKernel;
@@ -34,16 +32,21 @@ std::vector<unsigned> liveSlots(const LoweredPort &P) {
   return Slots;
 }
 
-/// Declares function-scope locals b<i>_<w> holding broadcast port \p I's
-/// stored words (loaded once per entry, hoisted out of every lane loop),
-/// appending the local names to \p Names.
-void hoistBroadcast(std::string &Src, const LoweredPort &P, size_t I,
-                    std::vector<std::string> &Names) {
-  for (unsigned W = 0; W < P.storedWords(); ++W) {
-    std::string Local = formatv("b%zu_%u", I, W);
-    Src += formatv("  const u64 %s = aux[%zu][%u];\n", Local.c_str(), I, W);
-    Names.push_back(Local);
-  }
+/// Declares function-scope locals b<i>_<w> holding every broadcast port's
+/// stored words (loaded once per entry, hoisted out of every loop), and
+/// returns the local names in scalar-call order.
+std::vector<std::string> hoistBroadcasts(std::string &Src,
+                                         const LoweredKernel &L,
+                                         size_t BStart) {
+  std::vector<std::string> Names;
+  for (size_t I = BStart; I < L.Inputs.size(); ++I)
+    for (unsigned W = 0; W < L.Inputs[I].storedWords(); ++W) {
+      std::string Local = formatv("b%zu_%u", I - BStart, W);
+      Src += formatv("  const u64 %s = aux[%zu][%u];\n", Local.c_str(),
+                     I - BStart, W);
+      Names.push_back(Local);
+    }
+  return Names;
 }
 
 std::string joinArgs(const std::vector<std::string> &Parts) {
@@ -74,168 +77,65 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   if (BStart == L.Inputs.size())
     fatalError("emitVectorC: kernel has no modulus port");
 
-  const unsigned ML = VectorMaxLanes;
+  const unsigned VL = VectorLanes;
 
   std::string Src;
   if (!Opts.Banner.empty())
     Src += "// " + Opts.Banner + "\n";
   Src += "// Vectorized kernel '" + K.Name +
          "' generated by MoMA (CGO'25 reproduction):\n"
-         "// structure-of-arrays lane loops over the batch axis — lane j of\n"
-         "// word w lives at data[w*lanes + j] in the staging arrays, so\n"
-         "// every carry chain stays in-lane and the independent lanes\n"
-         "// auto-vectorize at -O3. Word order within each element: most\n"
-         "// significant first.\n"
+         "// one element loop over the batch; fused transforms hold a block\n"
+         "// of batch rows in SIMD lanes — lane j of word w lives at\n"
+         "// R[reg][w][j], so every carry chain stays in-lane. Word order\n"
+         "// within each element: most significant first.\n"
          "#include <stdint.h>\n"
          "typedef uint64_t u64;\n"
          "typedef uint32_t u32;\n\n";
 
   // The shared scalar body (identical to the serial, grid and CUDA
-  // emissions — bit-identity across backends is by construction).
+  // emissions — bit-identity across backends is by construction). Large
+  // bodies stay out of line: see VectorInlineMaxStmts.
   std::string ScalarFn = Base + "_scalar";
-  Src += emitScalarFunction(L, Opts.WordBits, ScalarFn, "static inline",
+  Src += emitScalarFunction(L, Opts.WordBits, ScalarFn,
+                            K.Body.size() <= VectorInlineMaxStmts
+                                ? "static inline"
+                                : "static __attribute__((noinline))",
                             "u64");
 
   Out.Ports = portSignature(L);
 
-  // Broadcast scalar-call argument names (also the chunk value params).
-  std::vector<std::string> AuxNames;
-  {
-    std::string Dummy;
-    for (size_t I = BStart; I < L.Inputs.size(); ++I)
-      hoistBroadcast(Dummy, L.Inputs[I], I - BStart, AuxNames);
-  }
-
   //===--------------------------------------------------------------------===//
-  // Fixed-trip chunk helpers: gather W lanes of every input into SoA
-  // locals, run the lane loop of scalar calls (all locals — the compiler
-  // sees W independent iterations and vectorizes), scatter the outputs.
-  // All loads precede the first store, so outputs may alias inputs.
-  //===--------------------------------------------------------------------===//
-
-  std::vector<std::string> ChunkParams;
-  for (size_t O = 0; O < L.Outputs.size(); ++O)
-    ChunkParams.push_back(formatv("u64 *o%zu", O));
-  for (size_t I = 0; I < BStart; ++I) {
-    ChunkParams.push_back(formatv("const u64 *p%zu", I));
-    ChunkParams.push_back(formatv("u64 s%zu", I));
-  }
-  for (const std::string &A : AuxNames)
-    ChunkParams.push_back("u64 " + A);
-
-  const unsigned ChunkWidths[] = {2, 4, 8, 16};
-  for (unsigned W : ChunkWidths) {
-    Src += formatv("static inline void %s_vchunk%u(%s) {\n", Base.c_str(), W,
-                   joinArgs(ChunkParams).c_str());
-    // SoA staging: one W-lane array per stored output slot and per live
-    // input slot.
-    for (size_t O = 0; O < L.Outputs.size(); ++O)
-      for (unsigned S = 0; S < L.Outputs[O].storedWords(); ++S)
-        Src += formatv("  u64 o%zuw%u[%u];\n", O, S, W);
-    for (size_t I = 0; I < BStart; ++I)
-      for (unsigned S : liveSlots(L.Inputs[I]))
-        Src += formatv("  u64 i%zuw%u[%u];\n", I, S, W);
-    for (size_t I = 0; I < BStart; ++I) {
-      std::vector<unsigned> Slots = liveSlots(L.Inputs[I]);
-      if (Slots.empty())
-        continue;
-      Src += formatv("  for (u64 j = 0; j < %u; ++j) {\n", W);
-      for (unsigned S : Slots)
-        Src += formatv("    i%zuw%u[j] = p%zu[j * s%zu + %u];\n", I, S, I, I,
-                       S);
-      Src += "  }\n";
-    }
-    std::vector<std::string> CallArgs;
-    for (size_t O = 0; O < L.Outputs.size(); ++O)
-      for (unsigned S = 0; S < L.Outputs[O].storedWords(); ++S)
-        CallArgs.push_back(formatv("&o%zuw%u[j]", O, S));
-    for (size_t I = 0; I < BStart; ++I)
-      for (unsigned S : liveSlots(L.Inputs[I]))
-        CallArgs.push_back(formatv("i%zuw%u[j]", I, S));
-    for (const std::string &A : AuxNames)
-      CallArgs.push_back(A);
-    Src += formatv("  for (u64 j = 0; j < %u; ++j)\n", W);
-    Src += formatv("    %s(%s);\n", ScalarFn.c_str(),
-                   joinArgs(CallArgs).c_str());
-    for (size_t O = 0; O < L.Outputs.size(); ++O) {
-      Src += formatv("  for (u64 j = 0; j < %u; ++j) {\n", W);
-      for (unsigned S = 0; S < L.Outputs[O].storedWords(); ++S)
-        Src += formatv("    o%zu[j * %u + %u] = o%zuw%u[j];\n", O,
-                       L.Outputs[O].storedWords(), S, O, S);
-      Src += "  }\n";
-    }
-    Src += "}\n\n";
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Batched element-wise entry: lane = flat batch element. The lane count
-  // vw is a launch parameter (like the grid backend's blockDim), so every
-  // VectorWidth of one kernel shares this one compiled module; widths
-  // without a fixed-trip chunk — and the final n mod chunk elements —
-  // run through the scalar tail.
+  // Batched element-wise entry: one loop of scalar calls over the flat
+  // batch, cursors advanced by the port stride.
   //===--------------------------------------------------------------------===//
 
   Src += "#ifdef __cplusplus\nextern \"C\"\n#endif\n";
-  Src += formatv("void %s(u64 vw, u64 n, u64 *const *outs,\n"
+  Src += formatv("void %s(u64 n, u64 *const *outs,\n"
                  "    const u64 *const *ins, const u64 *__restrict__ "
                  "instride,\n"
                  "    const u64 *const *__restrict__ aux) {\n",
                  Out.Symbol.c_str());
-  {
-    std::vector<std::string> Hoisted;
-    for (size_t I = BStart; I < L.Inputs.size(); ++I)
-      hoistBroadcast(Src, L.Inputs[I], I - BStart, Hoisted);
-  }
+  std::vector<std::string> AuxNames = hoistBroadcasts(Src, L, BStart);
   for (size_t O = 0; O < L.Outputs.size(); ++O)
     Src += formatv("  u64 *o%zu = outs[%zu];\n", O, O);
   for (size_t I = 0; I < BStart; ++I) {
     Src += formatv("  const u64 *p%zu = ins[%zu];\n", I, I);
     Src += formatv("  u64 s%zu = instride[%zu];\n", I, I);
   }
-  std::vector<std::string> ChunkArgs;
-  for (size_t O = 0; O < L.Outputs.size(); ++O)
-    ChunkArgs.push_back(formatv("o%zu", O));
-  for (size_t I = 0; I < BStart; ++I) {
-    ChunkArgs.push_back(formatv("p%zu", I));
-    ChunkArgs.push_back(formatv("s%zu", I));
-  }
-  for (const std::string &A : AuxNames)
-    ChunkArgs.push_back(A);
-
-  Src += "  u64 e = 0;\n";
-  bool First = true;
-  for (auto It = std::rbegin(ChunkWidths); It != std::rend(ChunkWidths);
-       ++It) {
-    unsigned W = *It;
-    Src += formatv("  %s (vw >= %u) {\n", First ? "if" : "} else if", W);
-    First = false;
-    Src += formatv("    for (; e + %u <= n; e += %u) {\n", W, W);
-    Src += formatv("      %s_vchunk%u(%s);\n", Base.c_str(), W,
-                   joinArgs(ChunkArgs).c_str());
-    for (size_t O = 0; O < L.Outputs.size(); ++O)
-      Src += formatv("      o%zu += %u * %u;\n", O, W,
-                     L.Outputs[O].storedWords());
-    for (size_t I = 0; I < BStart; ++I)
-      Src += formatv("      p%zu += %u * s%zu;\n", I, W, I);
-    Src += "    }\n";
-  }
-  Src += "  }\n";
-  // Scalar tail: remainder lanes (and vw == 1) run the shared scalar
-  // function element by element, cursors advanced by the port stride.
-  std::vector<std::string> TailArgs;
+  std::vector<std::string> CallArgs;
   for (size_t O = 0; O < L.Outputs.size(); ++O)
     for (unsigned S = 0; S < L.Outputs[O].storedWords(); ++S)
-      TailArgs.push_back(formatv("&o%zu[%u]", O, S));
+      CallArgs.push_back(formatv("&o%zu[%u]", O, S));
   for (size_t I = 0; I < BStart; ++I) {
     std::string A = portLoadArgs(L.Inputs[I], formatv("p%zu", I));
     if (!A.empty())
-      TailArgs.push_back(A);
+      CallArgs.push_back(A);
   }
   for (const std::string &A : AuxNames)
-    TailArgs.push_back(A);
-  Src += "  for (; e < n; ++e) {\n";
+    CallArgs.push_back(A);
+  Src += "  for (u64 e = 0; e < n; ++e) {\n";
   Src += formatv("    %s(%s);\n", ScalarFn.c_str(),
-                 joinArgs(TailArgs).c_str());
+                 joinArgs(CallArgs).c_str());
   for (size_t O = 0; O < L.Outputs.size(); ++O)
     Src += formatv("    o%zu += %u;\n", O, L.Outputs[O].storedWords());
   for (size_t I = 0; I < BStart; ++I)
@@ -248,10 +148,10 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   // the identical butterfly/twiddle schedule, so the batch axis is the
   // natural SIMD axis — twiddles, reversal indices and edge-stage fold
   // tables are lane-invariant broadcasts. Each (thread t, lane block)
-  // holds its 2^depth elements for all c rows in the register block
-  // R[reg][word][lane]; the walk order per row is exactly the serial/grid
-  // one, and modular arithmetic is exact, so results are bit-identical by
-  // construction.
+  // holds its 2^depth elements for up to VectorLanes rows in the register
+  // block R[reg][word][lane]; the walk order per row is exactly the
+  // serial/grid one, and modular arithmetic is exact, so results are
+  // bit-identical by construction.
   //===--------------------------------------------------------------------===//
 
   const LoweredPort *X = findPort(L.Inputs, "x");
@@ -286,7 +186,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
     unsigned MaxM = 1u << rewrite::PlanOptions::MaxFuseDepth;
     Out.FusedSymbol = Base + "_vfused";
     Src += "\n#ifdef __cplusplus\nextern \"C\"\n#endif\n";
-    Src += formatv("void %s(u64 vw, u64 batch, u64 n, u64 len0, u64 depth,\n"
+    Src += formatv("void %s(u64 batch, u64 n, u64 len0, u64 depth,\n"
                    "    u64 *Dst, const u64 *Src, const u64 *__restrict__ "
                    "Tw,\n"
                    "    const u32 *__restrict__ rev, const u64 *__restrict__ "
@@ -294,18 +194,12 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
                    "    const u64 *__restrict__ scale, u64 sstride,\n"
                    "    const u64 *const *__restrict__ aux) {\n",
                    Out.FusedSymbol.c_str());
-    Src += formatv("  if (vw < 1) vw = 1;\n  if (vw > %u) vw = %u;\n", ML,
-                   ML);
     Src += "  u64 m = (u64)1 << depth;\n";
     Src += "  u64 nt = n >> depth;\n";
-    {
-      std::vector<std::string> Hoisted;
-      for (size_t I = BStart; I < L.Inputs.size(); ++I)
-        hoistBroadcast(Src, L.Inputs[I], I - BStart, Hoisted);
-    }
+    hoistBroadcasts(Src, L, BStart);
     Src += formatv("  u64 row = n * %u;\n", EW);
-    Src += formatv("  u64 R[%u][%u][%u];\n", MaxM, EW, ML);
-    Src += formatv("  u64 dump[%u][%u];\n", EW, ML);
+    Src += formatv("  u64 R[%u][%u][%u];\n", MaxM, EW, VL);
+    Src += formatv("  u64 dump[%u][%u];\n", EW, VL);
     Src += formatv("  u64 zero[%u];\n", EW);
     Src += formatv("  for (u64 i = 0; i < %u; ++i) zero[i] = 0;\n", EW);
     // The zero-x butterfly lane call shared by the edge-stage multiply
@@ -326,9 +220,9 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
       return Args;
     };
 
-    Src += "  for (u64 b0 = 0; b0 < batch; b0 += vw) {\n";
+    Src += formatv("  for (u64 b0 = 0; b0 < batch; b0 += %u) {\n", VL);
     Src += "    u64 c = batch - b0;\n";
-    Src += "    if (c > vw) c = vw;\n";
+    Src += formatv("    if (c > %u) c = %u;\n", VL, VL);
     Src += "    const u64 *src = Src + b0 * row;\n";
     Src += "    u64 *dst = Dst + b0 * row;\n";
     Src += "    u64 g = 0, r = 0;\n";

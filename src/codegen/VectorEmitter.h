@@ -6,30 +6,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits the scalar kernel body as auto-vectorizable C for the host CPU's
-/// SIMD units: a structure-of-arrays *lane loop* over the batch axis. Each
-/// batch element occupies one SIMD lane — lane j of word w lives at
-/// data[w*lanes + j] in the local staging arrays — so every multi-word
-/// carry chain stays strictly in-lane (the layout trick from "GPU
-/// Implementations for Midsize Integer Addition and Multiplication" and
-/// Zhang's CPU follow-up, see PAPERS.md). The emitted source is
-/// pragma-free: the lane loops are fixed-trip-count (per-width chunk
-/// helpers for 2/4/8/16 lanes plus a scalar tail) or bounded-trip loops
-/// over restrict-equivalent local arrays, exactly the shape host
-/// compilers vectorize at -O3. The runtime compiles it through HostJit
-/// with per-plan extra flags (-O3 -march=native where available).
-///
-/// Two entry points per translation unit (the lane count vw is a launch
-/// parameter like the grid backend's blockDim, so every VectorWidth key
-/// of one kernel shares one compiled module):
+/// Emits the scalar kernel body as batched C for the host CPU, compiled
+/// through HostJit with per-plan extra flags (-O3 -march=native where
+/// available). Two entry points per translation unit:
 ///
 ///  * the *vector* function — batched element-wise execution over the
-///    flat batch (BLAS mapping), lane = batch element;
+///    flat batch (BLAS mapping): one compiled loop of scalar calls, the
+///    broadcast ports hoisted out of it;
 ///  * for butterfly kernels additionally the *vfused* function — the
-///    fused radix-2^k stage-group walk of the grid emitter's fused ABI,
-///    lane = batch row (every row runs the identical twiddle schedule,
-///    the natural SIMD axis for batched transforms), with the same
-///    rev/twist/scale edge-stage folds as launch parameters.
+///    fused radix-2^k stage-group walk of the grid emitter's fused ABI
+///    with a block of VectorLanes batch rows in SIMD lanes. Every row
+///    runs the identical twiddle schedule, so the batch axis is the
+///    natural SIMD axis for batched transforms: lane j of word w lives at
+///    R[reg][w][j] in the structure-of-arrays register block, and every
+///    multi-word carry chain stays strictly in-lane (the layout trick
+///    from "GPU Implementations for Midsize Integer Addition and
+///    Multiplication" and Zhang's CPU follow-up, see PAPERS.md).
+///
+/// The lane count is fixed, not a launch parameter: element-wise batches
+/// run fastest as the plain loop, and on transforms a block of 8 rows
+/// stays within a few percent of the best swept width (DESIGN.md,
+/// "Execution backends"). The shared scalar function is `static inline`
+/// up to VectorInlineMaxStmts lowered statements and `noinline` above:
+/// GCC keeps the large bodies out of line anyway, and inlining one into
+/// the element loop's single call site makes the loop slower and the
+/// module slower to compile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,9 +54,12 @@ struct VectorEmitOptions {
   std::string Banner;
 };
 
-/// Largest lane count the emitted staging arrays hold; wider launch
-/// requests are clamped by the entry points themselves.
-constexpr unsigned VectorMaxLanes = 16;
+/// Batch rows the fused transform entry holds in SIMD lanes per block.
+constexpr unsigned VectorLanes = 8;
+
+/// Largest lowered body (in statements) the scalar function is inlined
+/// into its callers at; larger bodies are emitted `noinline`.
+constexpr unsigned VectorInlineMaxStmts = 64;
 
 /// Emits \p L as a vectorized C translation unit. \p L must be fully
 /// lowered to Opts.WordBits (aborts otherwise). Ports from "q" onward are
@@ -63,33 +67,30 @@ constexpr unsigned VectorMaxLanes = 16;
 /// result's Symbol names the `_vec` entry; for kernels with the butterfly
 /// port shape, FusedSymbol names the `_vfused` entry.
 ///
-/// Entry ABIs (C linkage; vw is the lane count, clamped to
-/// [1, VectorMaxLanes]):
+/// Entry ABIs (C linkage):
 ///
-///   void vec(u64 vw, u64 n, u64 *const *outs, const u64 *const *ins,
+///   void vec(u64 n, u64 *const *outs, const u64 *const *ins,
 ///            const u64 *instride, const u64 *const *aux);
 ///
-/// processes the n-element flat batch in vw-lane chunks (fixed-trip
-/// chunk helpers exist for 2, 4, 8 and 16 lanes; other widths and the
-/// final n mod vw elements run through the scalar tail): output k at
+/// runs the scalar function over the n-element flat batch: output k at
 /// outs[k] + e*storedWords, data input j at ins[j] + e*instride[j]
 /// (stride 0 broadcasts one element, the axpy scalar). Outputs may alias
-/// inputs — each chunk gathers every input lane into locals before its
-/// first store.
+/// inputs — the scalar function takes every input word by value before
+/// its first store.
 ///
-///   void vfused(u64 vw, u64 batch, u64 n, u64 len0, u64 depth,
+///   void vfused(u64 batch, u64 n, u64 len0, u64 depth,
 ///               u64 *Dst, const u64 *Src, const u64 *Tw, const u32 *rev,
 ///               const u64 *twist, const u64 *scale, u64 sstride,
 ///               const u64 *const *aux);
 ///
 /// the fused stage-group contract of codegen/GridEmitter.h (same
 /// geometry, same butterfly order per row — bit-identical by
-/// construction), batch rows in lanes instead of grid y. Tw is the full
-/// stage-major twiddle table; rev/twist/scale are the edge-stage folds;
-/// none of the tables may alias Src/Dst. Tw, twist and scale are stepped
-/// by the entry size — w's stored words plus wq's, since every [w | wq]
-/// entry feeds both ports — and their values are lane-invariant
-/// broadcasts.
+/// construction), batch rows in blocks of VectorLanes lanes instead of
+/// grid y. Tw is the full stage-major twiddle table; rev/twist/scale are
+/// the edge-stage folds; none of the tables may alias Src/Dst. Tw, twist
+/// and scale are stepped by the entry size — w's stored words plus wq's,
+/// since every [w | wq] entry feeds both ports — and their values are
+/// lane-invariant broadcasts.
 EmittedKernel emitVectorC(const rewrite::LoweredKernel &L,
                           const VectorEmitOptions &Opts = {});
 

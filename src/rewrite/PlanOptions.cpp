@@ -42,11 +42,12 @@ std::string PlanOptions::str() const {
               Schedule ? "schedule" : "noschedule");
   // Serial plans keep the historical five-token form so every cache key
   // minted before the backend knob existed still names the same plan.
-  // Vector plans carry the lane count instead of a block dimension.
+  // Only sim-GPU plans carry launch geometry: the vector lane block is
+  // fixed, and the interpreter has none.
   if (Backend == ExecBackend::Vector)
-    S += formatv("/vec/v%u", VectorWidth);
+    S += "/vec";
   else if (Backend == ExecBackend::Interp)
-    S += "/interp"; // no launch geometry: the interpreter has none
+    S += "/interp";
   else if (Backend != ExecBackend::Serial)
     S += formatv("/%s/b%u", execBackendName(Backend), BlockDim);
   // Depth 1 is the historical radix-2 shape; only deeper fusion extends

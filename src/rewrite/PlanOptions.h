@@ -33,17 +33,18 @@ namespace rewrite {
 /// host-JIT scalar loop (one call per element); SimGpu is the same scalar
 /// body wrapped in a grid-shaped (blockIdx, threadIdx) C function (the
 /// paper's §5.1 CUDA thread mapping) launched over the sim:: thread-pool
-/// substrate; Vector is the same body rendered as a structure-of-arrays
-/// lane loop over the batch axis (codegen/VectorEmitter.h) that the host
-/// compiler auto-vectorizes, compiled with per-plan extra flags
-/// (-O3 -march=native). Interp skips code generation entirely and executes
-/// the scalar kernel through ir::Interp — orders of magnitude slower, but
-/// it cannot fail to "compile", which makes it the terminal rung of the
-/// runtime's degradation ladder when the host JIT is unavailable (see
-/// DESIGN.md "Failure model"). The lowering pipeline ignores this knob — it
-/// selects which wrapper the runtime emits around the lowered body and
-/// how the dispatcher executes it — but it lives here so one PlanOptions
-/// names a complete variant for the plan cache and autotuner.
+/// substrate; Vector is the same body called from one compiled loop over
+/// the batch, with fused transforms holding a fixed block of batch rows
+/// in SIMD lanes (codegen/VectorEmitter.h), compiled with per-plan extra
+/// flags (-O3 -march=native). Interp skips code generation entirely and
+/// executes the scalar kernel through ir::Interp — orders of magnitude
+/// slower, but it cannot fail to "compile", which makes it the terminal
+/// rung of the runtime's degradation ladder when the host JIT is
+/// unavailable (see DESIGN.md "Failure model"). The lowering pipeline
+/// ignores this knob — it selects which wrapper the runtime emits around
+/// the lowered body and how the dispatcher executes it — but it lives
+/// here so one PlanOptions names a complete variant for the plan cache
+/// and autotuner.
 enum class ExecBackend : std::uint8_t { Serial, SimGpu, Vector, Interp };
 
 /// Mnemonic backend name ("serial" / "simgpu" / "vector" / "interp").
@@ -110,14 +111,6 @@ struct PlanOptions {
   /// registers per virtual thread).
   static constexpr unsigned MaxFuseDepth = 3;
 
-  /// SIMD lane count for the Vector backend: the fixed trip count of the
-  /// emitted inner lane loop (lane j of word w lives at data[w*batch+j],
-  /// so multi-word carry chains stay strictly in-lane and the host
-  /// compiler vectorizes the loop). Meaningless on the other backends;
-  /// PlanKey canonicalization folds it to 0 there, and to the 8 default
-  /// when a Vector plan leaves it 0.
-  unsigned VectorWidth = 0;
-
   /// Pass pipeline spec (rewrite/PassManager.h parsePipeline): "" or
   /// "default" is the default pipeline, "extended" adds interval range
   /// analysis, CSE, and dead-port elimination, and a comma-separated
@@ -143,7 +136,7 @@ struct PlanOptions {
   /// e.g. "w64/barrett/schoolbook/prune/noschedule". Serial plans keep
   /// the historical five-token form (so pre-backend cache keys stay
   /// readable); SimGpu plans append "/simgpu/b<dim>", Vector plans
-  /// append "/vec/v<width>", Interp plans append "/interp", butterfly
+  /// append "/vec", Interp plans append "/interp", butterfly
   /// plans fused deeper than one stage append "/f<depth>", negacyclic
   /// butterfly plans append "/neg", and non-default pass pipelines
   /// append "/p=<spec>".
@@ -162,8 +155,7 @@ struct PlanOptions {
            MulAlg == O.MulAlg && Prune == O.Prune &&
            Schedule == O.Schedule && Backend == O.Backend &&
            BlockDim == O.BlockDim && FuseDepth == O.FuseDepth &&
-           VectorWidth == O.VectorWidth && Ring == O.Ring &&
-           normalizedPasses() == O.normalizedPasses();
+           Ring == O.Ring && normalizedPasses() == O.normalizedPasses();
   }
   bool operator!=(const PlanOptions &O) const { return !(*this == O); }
 };

@@ -7,6 +7,7 @@
 
 #include "runtime/Autotuner.h"
 
+#include "rewrite/PassManager.h"
 #include "runtime/Backend.h"
 #include "runtime/NttPipeline.h"
 #include "support/FaultInjection.h"
@@ -224,11 +225,14 @@ std::string Autotuner::decisionKey(KernelOp Op, const Bignum &Q,
     Key += K.Opts.Schedule ? "/schedule" : "/noschedule";
   if (!O.TuneBackend) {
     Key += std::string("/") + rewrite::execBackendName(K.Opts.Backend);
-    if (K.Opts.Backend == rewrite::ExecBackend::Vector)
-      Key += formatv("/v%u", K.Opts.VectorWidth);
-    else if (K.Opts.Backend != rewrite::ExecBackend::Serial)
+    if (K.Opts.Backend == rewrite::ExecBackend::SimGpu)
       Key += formatv("/b%u", K.Opts.BlockDim);
   }
+  // The pass spec is never swept. Read it off the base plan, not the
+  // canonical key: an unpruned base folds it away, but its pruned
+  // candidates still run it.
+  if (!Base.normalizedPasses().empty())
+    Key += "/p=" + Base.normalizedPasses();
   return Key;
 }
 
@@ -338,22 +342,19 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
   if (O.TuneSchedule)
     Scheds = {false, true};
   // Backend × geometry candidates. Sweeping is a timing-only cost beyond
-  // one extra compile per knob combination: block dim and lane width are
-  // launch parameters of their ABIs, so every sim-GPU geometry shares one
-  // module and every vector lane width shares another.
+  // one compile per backend and knob combination: the block dim is a
+  // launch parameter of the grid ABI, so every sim-GPU geometry shares one
+  // module, and the vector backend has one geometry.
   struct BackendCand {
     rewrite::ExecBackend Backend;
     unsigned BlockDim;
-    unsigned VectorWidth;
   };
-  std::vector<BackendCand> Backends = {
-      {Base.Backend, Base.BlockDim, Base.VectorWidth}};
+  std::vector<BackendCand> Backends = {{Base.Backend, Base.BlockDim}};
   if (O.TuneBackend) {
-    Backends = {{rewrite::ExecBackend::Serial, 0, 0}};
+    Backends = {{rewrite::ExecBackend::Serial, 0}};
     for (unsigned BD : O.BlockDims)
-      Backends.push_back({rewrite::ExecBackend::SimGpu, BD, 0});
-    for (unsigned VW : O.VectorWidths)
-      Backends.push_back({rewrite::ExecBackend::Vector, 0, VW});
+      Backends.push_back({rewrite::ExecBackend::SimGpu, BD});
+    Backends.push_back({rewrite::ExecBackend::Vector, 0});
   }
   // The stage-fusion axis only exists for transform-shaped problems,
   // which sweep every depth in [1, MaxFuseDepth]; like block dim it is a
@@ -378,7 +379,6 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
             C.Schedule = Sched;
             C.Backend = BC.Backend;
             C.BlockDim = BC.BlockDim;
-            C.VectorWidth = BC.VectorWidth;
             C.FuseDepth = FD;
             if (Seen.insert(PlanKey::forModulus(Op, Q, C).str()).second)
               Out.push_back(C);
@@ -617,10 +617,12 @@ bool Autotuner::saveLocked(const std::string &Path) const {
        << "\"backend\": \"" << rewrite::execBackendName(D.Opts.Backend)
        << "\", "
        << "\"block_dim\": " << D.Opts.BlockDim << ", "
-       << "\"vector_width\": " << D.Opts.VectorWidth << ", "
        << "\"fuse_depth\": " << D.Opts.FuseDepth << ", "
-       << "\"ring\": \"" << rewrite::nttRingName(D.Opts.Ring) << "\", "
-       << "\"ns_per_elem\": " << formatv("%.3f", D.NsPerElem) << "}";
+       << "\"ring\": \"" << rewrite::nttRingName(D.Opts.Ring) << "\", ";
+    // Only a non-default pass pipeline is written; absent means default.
+    if (!D.Opts.normalizedPasses().empty())
+      SS << "\"passes\": \"" << D.Opts.normalizedPasses() << "\", ";
+    SS << "\"ns_per_elem\": " << formatv("%.3f", D.NsPerElem) << "}";
     First = false;
   }
   SS << "\n  ]\n}\n";
@@ -683,13 +685,19 @@ bool Autotuner::load(const std::string &Path) {
                                           : rewrite::ExecBackend::Serial;
     if (const JValue *V = E.field("block_dim"))
       D.Opts.BlockDim = static_cast<unsigned>(V->N);
-    if (const JValue *V = E.field("vector_width"))
-      D.Opts.VectorWidth = static_cast<unsigned>(V->N);
     if (const JValue *V = E.field("fuse_depth"))
       D.Opts.FuseDepth = std::max(1u, static_cast<unsigned>(V->N));
     if (const JValue *V = E.field("ring"))
       D.Opts.Ring = V->S == "negacyclic" ? rewrite::NttRing::Negacyclic
                                          : rewrite::NttRing::Cyclic;
+    if (const JValue *V = E.field("passes")) {
+      // Binding a spec the pass catalog rejects would abort the lowering,
+      // so a damaged entry is dropped like a foreign one.
+      rewrite::PassPipeline P;
+      if (V->K != JValue::Str || !rewrite::parsePipeline(V->S, P))
+        continue;
+      D.Opts.Passes = V->S;
+    }
     if (const JValue *V = E.field("ns_per_elem"))
       D.NsPerElem = V->N;
     // Freshly tuned decisions win over persisted ones.

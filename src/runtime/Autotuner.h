@@ -11,8 +11,8 @@
 /// request for a (kernel, widths, batch-size class) problem the tuner
 /// compiles every candidate knob combination (Barrett vs Montgomery for
 /// mulmod and axpy, pruning on/off, scheduled vs unscheduled, serial vs
-/// sim-GPU backend × block dim {64..1024} vs vector backend × lane width
-/// {4..16}, and the fusion depth for transforms), times each distinct
+/// sim-GPU backend × block dim {64..1024} vs vector backend, and the
+/// fusion depth for transforms), times each distinct
 /// plan once over a calibration batch on this machine, and pins the
 /// winner. Element-wise ops tune through choose(), butterflies only as
 /// whole transforms through chooseNtt(). Decisions persist as JSON so a
@@ -57,20 +57,14 @@ struct AutotunerOptions {
   bool TuneReduction = true;
   bool TunePrune = true;
   bool TuneSchedule = true;
-  /// Sweep the execution backend (serial vs sim-GPU grid vs SIMD vector)
-  /// and, for the sim-GPU candidates, the block dimensions below (for the
-  /// vector candidates, the lane widths below). Off pins the base plan's
-  /// backend and geometry.
+  /// Sweep the execution backend (serial vs sim-GPU grid vs vector) and,
+  /// for the sim-GPU candidates, the block dimensions below. Off pins the
+  /// base plan's backend and geometry.
   bool TuneBackend = true;
   /// Block dimensions swept for sim-GPU candidates (paper §5.1: at most
   /// 1024 threads per block). Geometry is a launch parameter of the grid
   /// ABI, so these share one compiled module per knob combination.
   std::vector<unsigned> BlockDims = {64, 128, 256, 512, 1024};
-  /// Lane widths swept for vector candidates. Like the block dimension,
-  /// the lane count is a launch parameter of the vector ABI, so these
-  /// share one compiled module per knob combination. Empty skips the
-  /// vector backend from the sweep.
-  std::vector<unsigned> VectorWidths = {4, 8, 16};
   /// When non-empty: load(CachePath) at construction and save(CachePath)
   /// after every tuning run, so decisions survive process restarts.
   std::string CachePath;
@@ -152,8 +146,9 @@ public:
 
 private:
   /// Decision-table key: PlanKey::problemStr() plus the size bucket plus
-  /// every base knob the sweep dimensions leave pinned, so conflicting
-  /// base plans never share a decision.
+  /// every base knob the sweep dimensions leave pinned (the pass spec
+  /// always, as "/p=<spec>" when it is not the default pipeline), so
+  /// conflicting base plans never share a decision.
   std::string decisionKey(KernelOp Op, const mw::Bignum &Q,
                           const rewrite::PlanOptions &Base,
                           unsigned Bucket) const;

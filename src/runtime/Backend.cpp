@@ -37,12 +37,12 @@ using GridGroupFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                                const std::uint64_t *, const std::uint64_t *,
                                std::uint64_t, const std::uint64_t *const *);
 
-/// The JIT-compiled lane-loop ABI (codegen/VectorEmitter.h).
-using VecFnTy = void (*)(std::uint64_t, std::uint64_t,
-                         std::uint64_t *const *, const std::uint64_t *const *,
-                         const std::uint64_t *, const std::uint64_t *const *);
+/// The JIT-compiled vector ABI (codegen/VectorEmitter.h).
+using VecFnTy = void (*)(std::uint64_t, std::uint64_t *const *,
+                         const std::uint64_t *const *, const std::uint64_t *,
+                         const std::uint64_t *const *);
 using VecGroupFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                              std::uint64_t, std::uint64_t, std::uint64_t *,
+                              std::uint64_t, std::uint64_t *,
                               const std::uint64_t *, const std::uint64_t *,
                               const std::uint32_t *, const std::uint64_t *,
                               const std::uint64_t *, std::uint64_t,
@@ -512,11 +512,11 @@ bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   std::vector<std::uint64_t> Strides = inputStrides(P, Args);
 
   // Row-major batch rows are contiguous and broadcast (stride 0) inputs
-  // broadcast across every row, so the lane loop runs over the flat
+  // broadcast across every row, so the element loop runs over the flat
   // N * Rows element product in one call.
   auto Fn = reinterpret_cast<VecFnTy>(P.Fn);
-  Fn(P.Key.Opts.VectorWidth, N * Rows, Args.Outs.data(), Args.Ins.data(),
-     Strides.data(), Args.Aux.data());
+  Fn(N * Rows, Args.Outs.data(), Args.Ins.data(), Strides.data(),
+     Args.Aux.data());
   return true;
 }
 
@@ -536,7 +536,7 @@ bool VectorBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
   if (Batch == 0 || NPoints < 2)
     return true;
   auto Fn = reinterpret_cast<VecGroupFnTy>(P.GroupFn);
-  Fn(P.Key.Opts.VectorWidth, Batch, NPoints, G.Len0, G.Depth, G.Dst, G.Src,
-     Tw, G.Gather, G.Twist, G.Scale, G.ScaleStride, Aux.data());
+  Fn(Batch, NPoints, G.Len0, G.Depth, G.Dst, G.Src, Tw, G.Gather, G.Twist,
+     G.Scale, G.ScaleStride, Aux.data());
   return true;
 }

@@ -16,10 +16,10 @@
 ///  * SimGpuBackend: the paper's §5.1 grid/block mapping — the plan's
 ///    grid-shaped entry points (codegen/GridEmitter.h) launched block-wise
 ///    over a sim::Device thread pool, grid y indexing the batch;
-///  * VectorBackend: the host CPU's SIMD units — the plan's lane-loop
-///    entry points (codegen/VectorEmitter.h) called on the calling
-///    thread, the batch axis mapped onto vector lanes (VectorWidth per
-///    chunk) and compiled by the JIT at -O3 -march=native;
+///  * VectorBackend: the plan's batched entry points
+///    (codegen/VectorEmitter.h) called on the calling thread and compiled
+///    by the JIT at -O3 -march=native — one element loop per batch, and
+///    fused transforms with a fixed block of batch rows in SIMD lanes;
 ///  * InterpBackend: no machine code at all — every element call runs the
 ///    plan's scalar kernel through ir::Interp. It walks the exact same
 ///    element/stage-group geometry as the serial backend (the walkers
@@ -29,9 +29,9 @@
 ///    unavailable (DESIGN.md "Failure model & the degradation ladder").
 ///
 /// Which backend a plan runs on is part of its PlanKey
-/// (PlanOptions::Backend + BlockDim/VectorWidth), so the autotuner can
-/// sweep backend choice and launch geometry per problem exactly like the
-/// reduction / pruning / scheduling knobs. Backends are stateless with
+/// (PlanOptions::Backend + BlockDim), so the autotuner can sweep backend
+/// choice and launch geometry per problem exactly like the reduction /
+/// pruning / scheduling knobs. Backends are stateless with
 /// respect to plans: one backend instance serves every plan of its kind
 /// (the sim-GPU backend owns the worker pool).
 ///
@@ -150,10 +150,11 @@ private:
   sim::Device Dev;
 };
 
-/// SIMD lane-loop execution on the calling thread: the batch axis is
-/// mapped onto vector lanes in chunks of the plan's VectorWidth through
-/// the vectorized entry points (structure-of-arrays staging, carry chains
-/// in-lane). Runs plans compiled for ExecBackend::Vector.
+/// Batched execution on the calling thread through the vector entry
+/// points: one element loop over the whole batch, and fused stage groups
+/// with blocks of codegen::VectorLanes batch rows in SIMD lanes
+/// (structure-of-arrays staging, carry chains in-lane). Runs plans
+/// compiled for ExecBackend::Vector.
 class VectorBackend final : public ExecutionBackend {
 public:
   rewrite::ExecBackend kind() const override {

@@ -201,9 +201,7 @@ Dispatcher::BoundPlan *Dispatcher::bindPlan(KernelOp Op, const Bignum &Q,
     // results — and remember the key we really wanted for promotion.
     std::string JitError = Reg.error();
     rewrite::PlanOptions FOpts = Opts;
-    FOpts.Backend = rewrite::ExecBackend::Interp;
-    FOpts.BlockDim = 0;
-    FOpts.VectorWidth = 0;
+    FOpts.Backend = rewrite::ExecBackend::Interp; // PlanKey folds BlockDim
     PlanKey FKey = PlanKey::forRns(Op, Q, WideWords, FOpts);
     Plan = Reg.get(FKey);
     if (!Plan)

@@ -22,10 +22,11 @@
 using namespace moma;
 using namespace moma::runtime;
 
-// Per-plan extra driver flags for vector artifacts: the lane loops only
-// pay off when the host compiler vectorizes them, so they compile at -O3
-// with the native ISA when the configure-time probe found -march=native
-// usable (CMake defines the macro either way; -O3 alone is the fallback).
+// Per-plan extra driver flags for vector artifacts: the fused entry's
+// lane block only pays off when the host compiler vectorizes it, so they
+// compile at -O3 with the native ISA when the configure-time probe found
+// -march=native usable (CMake defines the macro either way; -O3 alone is
+// the fallback).
 #ifndef MOMA_VEC_EXTRA_FLAGS
 #define MOMA_VEC_EXTRA_FLAGS "-O3"
 #endif
@@ -442,16 +443,6 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
                     Key.Opts.BlockDim, MaxTPB);
     return nullptr;
   }
-  if (IsVector && (Key.Opts.VectorWidth == 0 || Key.Opts.VectorWidth > 64)) {
-    // Checked at plan build like the block dimension: a lane count must
-    // be present (PlanKey::forModulus defaults it to 8) and sane. Widths
-    // above the emitted chunk set still run (scalar tail), but past 64
-    // lanes the request is a unit error, not a tuning choice.
-    Error = formatv("KernelRegistry: lane count %u outside [1, 64] for "
-                    "the vector backend",
-                    Key.Opts.VectorWidth);
-    return nullptr;
-  }
 
   // The injected stand-in for "the build machinery itself is broken"
   // (registry-level chaos testing, distinct from the JIT's own sites).
@@ -525,16 +516,16 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     return P;
   }
 
-  // One emitter per compiled backend. Block dimension, lane count and
-  // fusion depth are launch parameters of the grid and vector ABIs, so
-  // plans differing only in them share one module through HostJit's
-  // source-identity dedup while remaining distinct cache entries.
+  // One emitter per compiled backend. The sim-GPU block dimension and
+  // the fusion depth are launch parameters, so plans differing only in
+  // them share one module through HostJit's source-identity dedup while
+  // remaining distinct cache entries.
   P->Emitted = IsSimGpu   ? codegen::emitGridC(P->Lowered)
                : IsVector ? codegen::emitVectorC(P->Lowered)
                           : codegen::emitC(P->Lowered);
 
   // Vector artifacts carry per-plan extra flags: the JIT's default -O1
-  // keeps plan builds fast, but the lane loops need the optimizer (and
+  // keeps plan builds fast, but the lane block needs the optimizer (and
   // the native ISA when available) to actually turn into SIMD. The flags
   // are part of HostJit's content hash and in-memory key, so the -O1 and
   // -O3 worlds never serve each other's objects.

@@ -55,7 +55,7 @@ class ExecutionBackend;
 /// Fn is the element entry named by Emitted.Symbol, in the ABI of the
 /// key's backend: the pointer-per-port scalar function (serial), the
 /// `_grid` block entry (sim-GPU, codegen/GridEmitter.h) or the `_vec`
-/// lane-loop entry (vector, codegen/VectorEmitter.h). GroupFn is the fused
+/// element loop (vector, codegen/VectorEmitter.h). GroupFn is the fused
 /// stage-group entry named by Emitted.FusedSymbol, which only sim-GPU and
 /// vector butterfly plans have. Interp plans have neither.
 /// Kept alive by shared_ptr so a batch in flight survives registry
@@ -67,10 +67,10 @@ struct CompiledPlan {
   std::shared_ptr<jit::JitModule> Module;
   void *Fn = nullptr;      ///< element entry (Emitted.Symbol)
   void *GroupFn = nullptr; ///< stage-group entry (Emitted.FusedSymbol);
-                           ///< block dimension, lane count and fusion
-                           ///< depth are launch parameters, so every
-                           ///< BlockDim, VectorWidth and FuseDepth key of
-                           ///< one kernel shares the module
+                           ///< block dimension and fusion depth are
+                           ///< launch parameters, so every BlockDim and
+                           ///< FuseDepth key of one kernel shares the
+                           ///< module
   /// Interp plans carry the scalar kernel itself instead of an entry
   /// point: InterpBackend runs it through ir::interpret per element, with
   /// no compiled code at all (the degradation ladder's terminal rung).

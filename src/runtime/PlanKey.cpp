@@ -44,6 +44,18 @@ unsigned PlanKey::canonicalContainerBits(unsigned ModBits, unsigned WordBits) {
   return Container;
 }
 
+void PlanKey::foldArithmeticKnobs(KernelOp Op, rewrite::PlanOptions &Opts) {
+  // The reduction knob only shapes mulmod and axpy (the butterfly
+  // multiplies by Shoup's method under either value); the multiply rule
+  // also shapes the butterfly. Addmod/submod and the RNS CRT kernels,
+  // whose generalized Barrett sequence is baked in, fold both.
+  bool ReducesByKnob = Op == KernelOp::MulMod || Op == KernelOp::Axpy;
+  if (!ReducesByKnob)
+    Opts.Red = mw::Reduction::Barrett;
+  if (!ReducesByKnob && Op != KernelOp::Butterfly)
+    Opts.MulAlg = mw::MulAlgorithm::Schoolbook;
+}
+
 PlanKey PlanKey::forModulus(KernelOp Op, const mw::Bignum &Q,
                             const rewrite::PlanOptions &Opts) {
   if (Q.bitWidth() < 2)
@@ -53,36 +65,16 @@ PlanKey PlanKey::forModulus(KernelOp Op, const mw::Bignum &Q,
   K.ModBits = Q.bitWidth();
   K.ContainerBits = canonicalContainerBits(K.ModBits, Opts.TargetWordBits);
   K.Opts = Opts;
-  // Fold the knobs a kernel ignores so every variant maps onto one cache
-  // entry. The reduction knob only shapes mulmod and axpy (the butterfly
-  // multiplies by Shoup's method under either value); the multiply rule
-  // also shapes the butterfly. Addmod/submod and the RNS CRT kernels,
-  // whose generalized Barrett sequence is baked in, fold both.
-  bool ReducesByKnob = Op == KernelOp::MulMod || Op == KernelOp::Axpy;
-  if (!ReducesByKnob)
-    K.Opts.Red = mw::Reduction::Barrett;
-  if (!ReducesByKnob && Op != KernelOp::Butterfly)
-    K.Opts.MulAlg = mw::MulAlgorithm::Schoolbook;
-  // Launch geometry is a SimGpu-only knob: fold it to 0 on serial plans
-  // (one cache entry regardless of the caller's block dim), and give
-  // SimGpu plans the paper's 256-thread default when left unset. Keys
-  // stay canonical either way, and serial keys keep their pre-backend
-  // string form. The lane count is likewise Vector-only: fold it to 0
-  // elsewhere, and give Vector plans (whose geometry is lanes, not
-  // blocks) an 8-lane default when left unset. Interp plans have no
-  // launch geometry at all and take the same fold as serial.
-  if (K.Opts.Backend == rewrite::ExecBackend::SimGpu) {
-    if (K.Opts.BlockDim == 0)
-      K.Opts.BlockDim = 256;
-    K.Opts.VectorWidth = 0;
-  } else if (K.Opts.Backend == rewrite::ExecBackend::Vector) {
+  foldArithmeticKnobs(Op, K.Opts);
+  // Launch geometry is a SimGpu-only knob: fold it to 0 on every other
+  // backend (one cache entry regardless of the caller's block dim), and
+  // give SimGpu plans the paper's 256-thread default when left unset.
+  // Keys stay canonical either way, and serial keys keep their
+  // pre-backend string form.
+  if (K.Opts.Backend != rewrite::ExecBackend::SimGpu)
     K.Opts.BlockDim = 0;
-    if (K.Opts.VectorWidth == 0)
-      K.Opts.VectorWidth = 8;
-  } else {
-    K.Opts.BlockDim = 0;
-    K.Opts.VectorWidth = 0;
-  }
+  else if (K.Opts.BlockDim == 0)
+    K.Opts.BlockDim = 256;
   // Stage fusion only exists for the NTT stage kernel: fold the knob to 1
   // everywhere else so a fused base plan never splits the element-wise
   // cache entries. Butterfly plans clamp into the emitters' supported

@@ -29,7 +29,8 @@
 ///    Serial plans fold BlockDim to 0 and keep the historical key string
 ///    (backward-readable: every pre-backend key names a serial plan);
 ///    SimGpu plans default an unset BlockDim to 256 and append
-///    "/simgpu/b<dim>".
+///    "/simgpu/b<dim>"; Vector plans fold BlockDim to 0 and append "/vec"
+///    (their lane block is fixed, not a knob).
 ///  * FuseDepth (NTT stage fusion, radix-2^k) only exists for butterfly
 ///    plans: every other op folds it to 1, butterfly clamps it into
 ///    [1, PlanOptions::MaxFuseDepth] and appends "/f<depth>" when > 1.
@@ -90,6 +91,12 @@ struct PlanKey {
 
   /// Smallest 2^k * WordBits container with ModBits + 4 <= container.
   static unsigned canonicalContainerBits(unsigned ModBits, unsigned WordBits);
+
+  /// Pins the reduction and multiply-rule knobs of \p Opts that \p Op's
+  /// kernel ignores (the first fold of forModulus), so a tool lowering a
+  /// kernel outside the runtime builds and names the variant the runtime
+  /// would.
+  static void foldArithmeticKnobs(KernelOp Op, rewrite::PlanOptions &Opts);
 
   /// Builds the canonical key for \p Op over modulus \p Q with the knob
   /// values of \p Opts (container derived, knobs folded per the rules

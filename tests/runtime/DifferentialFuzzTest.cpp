@@ -10,9 +10,8 @@
 //   3. the sim-GPU grid-shaped JIT (the 5.1 thread mapping, what the
 //      sim-GPU ExecutionBackend dispatches; widths {1, 2, 4, 8}, with a
 //      random block dimension per variant),
-//   4. the SIMD vector lane-loop JIT (random lane width {1, 2, 4, 8}
-//      per variant, run over a random batch size so the fixed-trip
-//      chunks AND the scalar tail both execute), and
+//   4. the vector backend's element-loop JIT (run over a random batch
+//      size of replicated trial elements), and
 //   5. the Bignum oracle (mathematical truth)
 //
 // — across widths {1, 2, 4, 8, 12} words (and both reduction strategies
@@ -153,13 +152,12 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
           << Err;
     }
 
-    // SIMD vector lane-loop JIT: the trial element replicated across a
-    // random batch size, so the fixed-trip chunk bodies and the scalar
-    // tail both run (and must all reproduce the oracle value).
+    // Vector element-loop JIT: the trial element replicated across a
+    // random batch size (every copy must reproduce the oracle value).
     std::vector<std::vector<std::uint64_t>> VecOutW(Plan.NumOutputs);
     size_t VecN = 0;
     if (VecPlan) {
-      VecN = 1 + R.below(37); // tails: rarely a multiple of the width
+      VecN = 1 + R.below(37);
       PlanAux VAux = makePlanAux(*VecPlan, Q);
       std::vector<std::vector<std::uint64_t>> VecInW;
       for (unsigned I = 0; I < NumIns; ++I) {
@@ -270,12 +268,9 @@ void fuzzConfig(KernelOp Op, unsigned Words, mw::Reduction Red,
       GKey.Opts.BlockDim = Dims[R.below(5)];
       GridPlan = registry().get(GKey);
       ASSERT_NE(GridPlan, nullptr) << registry().error();
-      // The vector leg: same knobs compiled as the SIMD lane loop, with
-      // a random lane width per variant (widths share one module).
-      const unsigned Lanes[] = {1, 2, 4, 8};
+      // The vector leg: same knobs compiled as the vector element loop.
       PlanKey VKey = Key;
       VKey.Opts.Backend = rewrite::ExecBackend::Vector;
-      VKey.Opts.VectorWidth = Lanes[R.below(4)];
       VecPlan = registry().get(VKey);
       ASSERT_NE(VecPlan, nullptr) << registry().error();
     }
@@ -299,7 +294,9 @@ void fuzzNttFuseDepth(std::uint64_t SeedDefault) {
     unsigned Words = 1u << R.below(3); // 1, 2, 4
     unsigned LogN = 1 + unsigned(R.below(8));
     size_t N = size_t(1) << LogN;
-    size_t Batch = 1 + R.below(3);
+    // Up to 20 rows: the vector leg's fused entry walks blocks of 8 rows,
+    // so draws must reach full blocks and their remainders.
+    size_t Batch = 1 + R.below(20);
     mw::Bignum Q = field::nttPrime(64 * Words - 4 - unsigned(R.below(9)),
                                    LogN + 1 + unsigned(R.below(3)));
     unsigned K = (Q.bitWidth() + 63) / 64;
@@ -329,8 +326,6 @@ void fuzzNttFuseDepth(std::uint64_t SeedDefault) {
                 : BackendDraw == 1 ? rewrite::ExecBackend::SimGpu
                                    : rewrite::ExecBackend::Vector;
     V.BlockDim = Dims[R.below(5)];
-    const unsigned Lanes[] = {1, 2, 4, 8, 16};
-    V.VectorWidth = Lanes[R.below(5)];
     V.FuseDepth = 1 + unsigned(R.below(3));
     V.Red = R.below(2) ? mw::Reduction::Montgomery
                        : mw::Reduction::Barrett;
@@ -409,9 +404,6 @@ TEST(DifferentialFuzz, RnsVMulAndPolyMul) {
     Base.BlockDim = Base.Backend == rewrite::ExecBackend::SimGpu
                         ? (64u << (R.below(3)))
                         : 0;
-    Base.VectorWidth = Base.Backend == rewrite::ExecBackend::Vector
-                           ? (1u << R.below(4))
-                           : 0;
     Base.Red = (R.below(2)) ? mw::Reduction::Montgomery
                               : mw::Reduction::Barrett;
     Base.FuseDepth = 1 + R.below(3);

@@ -293,9 +293,9 @@ AutotunerOptions quickNttTune() {
   O.MaxCalibrationElems = 128;
   O.Repeats = 1;
   O.BlockDims = {64};
-  // Keep the sweep to backend x depth: 5 backend geometries (serial,
-  // sim-GPU b64, vector v4/v8/v16) x 3 depths = 15 timed candidates per
-  // transform problem.
+  // Keep the sweep to backend x depth: 3 backend geometries (serial,
+  // sim-GPU b64, vector) x 3 depths = 9 timed candidates per transform
+  // problem.
   O.TuneReduction = false;
   O.TunePrune = false;
   O.TuneSchedule = false;
@@ -331,7 +331,6 @@ TEST(FusedNtt, TransformSweepTimesEachCanonicalPlanOnce) {
   // reductions: 2 x 3 geometries = 6 more.
   AutotunerOptions O = quickNttTune();
   O.TuneReduction = true;
-  O.VectorWidths = {4};
   Autotuner T(registry(), O);
   Bignum Q = field::nttPrime(60, 10);
   ASSERT_NE(T.chooseNtt(Q, {}, 64, 2), nullptr) << T.error();

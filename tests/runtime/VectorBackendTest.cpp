@@ -1,17 +1,19 @@
 //===- tests/runtime/VectorBackendTest.cpp - SIMD vector backend --------------===//
 //
-// Coverage for the SIMD lane-loop backend: plan-cache keying with the
-// /vec/v<k> suffix, lane-count validation, module sharing across widths,
-// vector vs serial bit-identical execution through the dispatcher
-// (element-wise, broadcast-stride, NTT stages and fused groups, whole
-// polynomial products) including scalar-tail batch sizes, and tune-cache
-// round-trips carrying the vector_width field.
+// Coverage for the vector backend: plan-cache keying with the /vec
+// suffix, the emitted scalar function's inlining rule, vector vs serial
+// bit-identical execution through the dispatcher (element-wise,
+// broadcast-stride, NTT stages and fused groups, whole polynomial
+// products) including batches that fill, split and undershoot the fused
+// entry's lane block, and tune-cache round-trips of vector decisions.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../TestUtil.h"
 
+#include "codegen/VectorEmitter.h"
 #include "field/PrimeGen.h"
+#include "kernels/ScalarKernels.h"
 #include "runtime/Autotuner.h"
 #include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
@@ -36,10 +38,9 @@ KernelRegistry &registry() {
 
 Bignum testModulus(unsigned Bits) { return field::nttPrime(Bits, 16); }
 
-rewrite::PlanOptions vectorBase(unsigned Width = 0) {
+rewrite::PlanOptions vectorBase() {
   rewrite::PlanOptions O;
   O.Backend = ExecBackend::Vector;
-  O.VectorWidth = Width;
   return O;
 }
 
@@ -57,29 +58,26 @@ std::vector<Bignum> randomElems(Rng &R, const Bignum &Q, size_t N) {
 //===----------------------------------------------------------------------===//
 
 TEST(VectorPlanKey, VectorKeysCarryBackendAndLaneWidth) {
+  // The lane block is fixed, so a vector key names the backend and no
+  // geometry.
   Bignum Q = testModulus(124);
   PlanKey K = PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase());
-  EXPECT_EQ(K.Opts.VectorWidth, 8u) << "unset lane width defaults to 8";
   EXPECT_EQ(K.str(), "mulmod/c128/m124/w64/barrett/schoolbook/prune/"
-                     "noschedule/vec/v8");
-  PlanKey K2 = PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase(16));
-  EXPECT_NE(K.str(), K2.str()) << "lane width is part of the key";
+                     "noschedule/vec");
+  rewrite::PlanOptions F = vectorBase();
+  F.FuseDepth = 3;
+  std::string FS = PlanKey::forModulus(KernelOp::Butterfly, Q, F).str();
+  EXPECT_NE(FS.find("/vec/f3"), std::string::npos) << FS;
 }
 
 TEST(VectorPlanKey, VectorFoldsTheBlockDimAndSerialFoldsTheWidth) {
   Bignum Q = testModulus(124);
-  rewrite::PlanOptions O = vectorBase(4);
+  rewrite::PlanOptions O = vectorBase();
   O.BlockDim = 512; // meaningless without the sim-GPU backend
   PlanKey A = PlanKey::forModulus(KernelOp::MulMod, Q, O);
-  PlanKey B = PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase(4));
+  PlanKey B = PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase());
   EXPECT_EQ(A.str(), B.str()) << "block dim folds away on vector plans";
   EXPECT_EQ(A.Opts.BlockDim, 0u);
-
-  rewrite::PlanOptions S;
-  S.VectorWidth = 16; // meaningless without the vector backend
-  PlanKey C = PlanKey::forModulus(KernelOp::MulMod, Q, S);
-  PlanKey D = PlanKey::forModulus(KernelOp::MulMod, Q);
-  EXPECT_EQ(C.str(), D.str()) << "lane width folds away on serial plans";
 }
 
 TEST(VectorPlanKey, SerialAndVectorAreDistinctCacheEntries) {
@@ -101,35 +99,34 @@ TEST(VectorPlanKey, SerialAndVectorAreDistinctCacheEntries) {
   }
 }
 
-TEST(VectorPlanKey, WidthsShareOneCompiledModule) {
-  // The lane count is a launch parameter of the vector ABI: two widths
-  // are distinct plans but identical source, so HostJit's in-memory
-  // dedup serves the second without another compiler invocation.
-  Bignum Q = testModulus(60);
-  auto P1 =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase(4)));
-  ASSERT_NE(P1, nullptr) << registry().error();
-  jit::HostJit::Stats Before = registry().jit().stats();
-  auto P2 =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase(16)));
-  ASSERT_NE(P2, nullptr) << registry().error();
-  EXPECT_NE(P1.get(), P2.get()) << "distinct plan-cache entries";
-  EXPECT_EQ(P1->Module.get(), P2->Module.get()) << "one shared module";
-  EXPECT_EQ(registry().jit().stats().Compiles, Before.Compiles);
+//===----------------------------------------------------------------------===//
+// Emission
+//===----------------------------------------------------------------------===//
+
+TEST(VectorEmitter, OutOfLineScalarBodyOnlyAboveTheInlineLimit) {
+  // The element loop is the scalar function's only call site, so the
+  // emitter decides its inlining: bodies of at most VectorInlineMaxStmts
+  // statements inline, larger ones (252-bit mulmod: 174) stay out of line.
+  auto Emit = [](unsigned Container, unsigned ModBits) {
+    kernels::ScalarKernelSpec Spec{Container, ModBits,
+                                   mw::Reduction::Barrett};
+    rewrite::LoweredKernel L = rewrite::lowerWithPlan(
+        kernels::buildMulModKernel(Spec), rewrite::PlanOptions());
+    return std::make_pair(L.K.Body.size(), codegen::emitVectorC(L).Source);
+  };
+  auto [Small, SmallSrc] = Emit(128, 124);
+  auto [Large, LargeSrc] = Emit(256, 252);
+  EXPECT_LE(Small, codegen::VectorInlineMaxStmts);
+  EXPECT_GT(Large, codegen::VectorInlineMaxStmts);
+  EXPECT_EQ(SmallSrc.find("noinline"), std::string::npos);
+  EXPECT_NE(SmallSrc.find("static inline void moma_"), std::string::npos);
+  EXPECT_NE(LargeSrc.find("static __attribute__((noinline)) void moma_"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
-// Lane-count validation and backend mismatch
+// Backend mismatch
 //===----------------------------------------------------------------------===//
-
-TEST(VectorGeometry, RejectsLaneCountsAbove64) {
-  Bignum Q = testModulus(124);
-  auto P =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase(128)));
-  EXPECT_EQ(P, nullptr) << "lane counts are bounded like block dims";
-  EXPECT_NE(registry().error().find("lane count"), std::string::npos)
-      << registry().error();
-}
 
 TEST(VectorGeometry, SerialPathRefusesVectorPlans) {
   Bignum Q = testModulus(124);
@@ -161,44 +158,33 @@ TEST(VectorGeometry, VectorBackendRefusesSerialPlans) {
 
 TEST(VectorExecution, ElementwiseMatchesSerialBitForBit) {
   Dispatcher DS(registry());
+  Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(252);
   SeededRng R(0xEC1);
   unsigned K = Dispatcher::elemWords(Q);
-  // Tail coverage: batch sizes that are not multiples of any lane width,
-  // smaller than the widest chunk, and exactly chunk-aligned.
-  const size_t Sizes[] = {1, 7, 16, 37, 301};
-  const unsigned Widths[] = {1, 2, 4, 8, 16};
+  // The empty batch, one element, an odd size and a large batch.
+  const size_t Sizes[] = {0, 1, 17, 4096};
   for (size_t N : Sizes) {
     auto A = randomElems(R, Q, N), B = randomElems(R, Q, N);
     auto AW = packBatch(A, K), BW = packBatch(B, K);
-    std::vector<std::uint64_t> CS(N * K);
+    std::vector<std::uint64_t> CS(N * K), CV(N * K);
     ASSERT_TRUE(DS.vmul(Q, AW.data(), BW.data(), CS.data(), N)) << DS.error();
-    for (unsigned W : Widths) {
-      Dispatcher DV(registry(), nullptr, vectorBase(W));
-      std::vector<std::uint64_t> CV(N * K);
-      ASSERT_TRUE(DV.vmul(Q, AW.data(), BW.data(), CV.data(), N))
-          << DV.error();
-      EXPECT_EQ(DV.lastPlanOptions().Backend, ExecBackend::Vector);
-      ASSERT_EQ(CS, CV) << "vmul diverges, n = " << N << ", width = " << W;
-      ASSERT_TRUE(DS.vadd(Q, AW.data(), BW.data(), CS.data(), N))
-          << DS.error();
-      ASSERT_TRUE(DV.vadd(Q, AW.data(), BW.data(), CV.data(), N))
-          << DV.error();
-      ASSERT_EQ(CS, CV) << "vadd diverges, n = " << N << ", width = " << W;
-      // Restore CS to the vmul result for the next width's comparison.
-      ASSERT_TRUE(DS.vmul(Q, AW.data(), BW.data(), CS.data(), N))
-          << DS.error();
-    }
+    ASSERT_TRUE(DV.vmul(Q, AW.data(), BW.data(), CV.data(), N)) << DV.error();
+    EXPECT_EQ(DV.lastPlanOptions().Backend, ExecBackend::Vector);
+    ASSERT_EQ(CS, CV) << "vmul diverges, n = " << N;
+    ASSERT_TRUE(DS.vadd(Q, AW.data(), BW.data(), CS.data(), N)) << DS.error();
+    ASSERT_TRUE(DV.vadd(Q, AW.data(), BW.data(), CV.data(), N)) << DV.error();
+    ASSERT_EQ(CS, CV) << "vadd diverges, n = " << N;
   }
 }
 
 TEST(VectorExecution, AxpyBroadcastStrideAndInPlaceUpdate) {
   // axpy writes y in place with a stride-0 broadcast scalar — the
-  // aliasing-heavy shape the lane gather/scatter must get right.
-  Dispatcher DV(registry(), nullptr, vectorBase(8));
+  // aliasing-heavy shape the element loop must get right.
+  Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(124);
   SeededRng R(0xEC2);
-  const size_t N = 97; // 12 chunks of 8 plus a 1-lane tail
+  const size_t N = 97;
   unsigned K = Dispatcher::elemWords(Q);
   Bignum A = Bignum::random(R, Q);
   auto X = randomElems(R, Q, N), Y = randomElems(R, Q, N);
@@ -211,12 +197,12 @@ TEST(VectorExecution, AxpyBroadcastStrideAndInPlaceUpdate) {
 }
 
 TEST(VectorExecution, BatchRowsFlattenWithBroadcastOperands) {
-  // Rows > 1 flattens into one lane loop of N * Rows elements; a
+  // Rows > 1 flattens into one element loop of N * Rows elements; a
   // stride-0 operand must broadcast to every row exactly as the grid's
   // e = blockIdx.y * n + i indexing does.
   Bignum Q = testModulus(124);
   auto P =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase(4)));
+      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase()));
   ASSERT_NE(P, nullptr) << registry().error();
   PlanAux Aux = makePlanAux(*P, Q);
   SeededRng R(0xEC3);
@@ -242,9 +228,9 @@ TEST(VectorExecution, BatchRowsFlattenWithBroadcastOperands) {
 
 TEST(VectorExecution, NttMatchesSerialBitForBit) {
   Dispatcher DS(registry());
-  Dispatcher DV(registry(), nullptr, vectorBase(8));
+  Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(124);
-  const size_t N = 64, Batch = 5; // batch is not a multiple of the width
+  const size_t N = 64, Batch = 5; // a partial lane block
   unsigned K = Dispatcher::elemWords(Q);
   SeededRng R(0xEC4);
   auto Polys = randomElems(R, Q, N * Batch);
@@ -262,28 +248,37 @@ TEST(VectorExecution, NttMatchesSerialBitForBit) {
 }
 
 TEST(VectorExecution, WidthSweepOnTransformsMatchesSerial) {
-  // Sweep transform sizes against lane widths that do NOT divide the
-  // batch (partial lane blocks, one-lane loops, widths without a fixed-
-  // trip chunk specialization) and demand bit-identity with the serial
-  // stage walk at every size.
+  // Sweep batch sizes around the fused entry's lane block (one row, a
+  // partial block, exactly one block, one block plus a row, two blocks
+  // plus a row) on both rings and demand bit-identity with the serial
+  // stage walk.
+  static_assert(codegen::VectorLanes == 8, "batches below assume 8 lanes");
   Dispatcher DS(registry());
+  Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(124);
   unsigned K = Dispatcher::elemWords(Q);
   SeededRng R(0xEC5);
-  const size_t Sizes[] = {4, 16, 64, 256};
-  const unsigned Widths[] = {1, 3, 5, 8, 16};
-  for (size_t N : Sizes) {
-    const size_t Batch = 7;
-    auto Polys = randomElems(R, Q, N * Batch);
-    auto Want = packBatch(Polys, K);
-    ASSERT_TRUE(DS.nttForward(Q, Want.data(), N, Batch)) << DS.error();
-    for (unsigned W : Widths) {
-      Dispatcher DV(registry(), nullptr, vectorBase(W));
-      auto Data = packBatch(Polys, K);
-      ASSERT_TRUE(DV.nttForward(Q, Data.data(), N, Batch)) << DV.error();
-      ASSERT_EQ(Data, Want) << "n = " << N << ", lane width = " << W;
+  const size_t N = 64;
+  const size_t Batches[] = {1, 7, 8, 9, 17};
+  for (rewrite::NttRing Ring :
+       {rewrite::NttRing::Cyclic, rewrite::NttRing::Negacyclic})
+    for (size_t Batch : Batches) {
+      auto Polys = randomElems(R, Q, N * Batch);
+      auto Want = packBatch(Polys, K);
+      auto Data = Want;
+      ASSERT_TRUE(DS.nttForward(Q, Want.data(), N, Batch, Ring))
+          << DS.error();
+      ASSERT_TRUE(DV.nttForward(Q, Data.data(), N, Batch, Ring))
+          << DV.error();
+      ASSERT_EQ(Data, Want) << "forward, batch = " << Batch << ", ring "
+                            << rewrite::nttRingName(Ring);
+      ASSERT_TRUE(DS.nttInverse(Q, Want.data(), N, Batch, Ring))
+          << DS.error();
+      ASSERT_TRUE(DV.nttInverse(Q, Data.data(), N, Batch, Ring))
+          << DV.error();
+      ASSERT_EQ(Data, Want) << "inverse, batch = " << Batch << ", ring "
+                            << rewrite::nttRingName(Ring);
     }
-  }
 }
 
 TEST(VectorExecution, PolyMulMatchesSerialOnBothRings) {
@@ -308,7 +303,7 @@ TEST(VectorExecution, PolyMulMatchesSerialOnBothRings) {
 }
 
 TEST(VectorExecution, MontgomeryVariantMatchesSerial) {
-  rewrite::PlanOptions MontV = vectorBase(4);
+  rewrite::PlanOptions MontV = vectorBase();
   MontV.Red = mw::Reduction::Montgomery;
   rewrite::PlanOptions MontS;
   MontS.Red = mw::Reduction::Montgomery;
@@ -327,7 +322,7 @@ TEST(VectorExecution, MontgomeryVariantMatchesSerial) {
 }
 
 //===----------------------------------------------------------------------===//
-// Tune-cache round-trip with the vector_width field
+// Tune-cache round-trip of vector decisions
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -338,13 +333,12 @@ AutotunerOptions quickVectorTune() {
   O.MaxCalibrationElems = 64;
   O.Repeats = 1;
   O.BlockDims = {128};
-  O.VectorWidths = {8}; // one lane width keeps the sweep fast
   return O;
 }
 
 } // namespace
 
-TEST(VectorTune, PinnedVectorWidthRoundTripsThroughJson) {
+TEST(VectorTune, PinnedVectorDecisionRoundTripsThroughJson) {
   namespace fs = std::filesystem;
   std::string Path =
       (fs::temp_directory_path() / "moma-tune-vector.json").string();
@@ -352,23 +346,20 @@ TEST(VectorTune, PinnedVectorWidthRoundTripsThroughJson) {
 
   Bignum Q = testModulus(124);
   AutotunerOptions O = quickVectorTune();
-  O.TuneBackend = false; // pin the base plan's backend and lane width
+  O.TuneBackend = false; // pin the base plan's backend
   Autotuner T1(registry(), O);
-  const TuneDecision *D1 = T1.choose(KernelOp::MulMod, Q, vectorBase(16));
+  const TuneDecision *D1 = T1.choose(KernelOp::MulMod, Q, vectorBase());
   ASSERT_NE(D1, nullptr) << T1.error();
   EXPECT_EQ(D1->Opts.Backend, ExecBackend::Vector);
-  EXPECT_EQ(D1->Opts.VectorWidth, 16u);
   ASSERT_TRUE(T1.save(Path));
 
   Autotuner T2(registry(), O);
   ASSERT_TRUE(T2.load(Path)) << T2.error();
-  const TuneDecision *D2 = T2.choose(KernelOp::MulMod, Q, vectorBase(16));
+  const TuneDecision *D2 = T2.choose(KernelOp::MulMod, Q, vectorBase());
   ASSERT_NE(D2, nullptr) << T2.error();
   EXPECT_TRUE(D2->FromCache) << "persisted decision must not be re-timed";
   EXPECT_EQ(D2->Opts.Backend, ExecBackend::Vector)
       << "backend field lost in the JSON round-trip";
-  EXPECT_EQ(D2->Opts.VectorWidth, 16u)
-      << "vector_width field lost in the JSON round-trip";
   EXPECT_TRUE(D2->Opts == D1->Opts) << "loaded " << D2->Opts.str()
                                     << ", tuned " << D1->Opts.str();
   std::remove(Path.c_str());
@@ -384,7 +375,7 @@ TEST(VectorTune, SweepIncludesVectorCandidates) {
   const TuneDecision *D = T.choose(KernelOp::MulMod, Q, {}, 4096);
   ASSERT_NE(D, nullptr) << T.error();
   // reduction x prune x schedule grid = 8 knob combinations; backends
-  // per combination: serial + 1 block dim + 1 lane width = 3.
+  // per combination: serial + 1 block dim + vector = 3.
   EXPECT_GE(T.stats().Candidates, 24u)
       << "vector candidates missing from the sweep";
 }

@@ -21,7 +21,6 @@
 //            [--backend serial|simgpu|vector] (execution backend;
 //                                         default serial)
 //            [--block-dim <n>]           (simgpu threads/block, <= 1024)
-//            [--vector-width <k>]        (vector lanes, <= 64; default 8)
 //            [--fuse-depth <k>]          (NTT stage fusion, 1..3; butterfly)
 //            [--ring cyclic|negacyclic]  (NTT ring; butterfly tune/keys)
 //            [--rns-limbs <L>]           (RNS base size for rnsdec/rnsrec)
@@ -35,12 +34,16 @@
 // `--emit c` with `--backend simgpu` prints the grid-shaped source (the
 // §5.1 CUDA thread mapping as host-JIT C; butterfly kernels include the
 // fused radix-2^k stage-group entry) and with `--backend vector` the
-// SIMD lane-loop source (SoA chunk helpers plus the batch-axis fused
-// entry for butterflies); `--emit tune` sweeps the backend, block-dim, and
-// lane-width axes alongside reduction/pruning/scheduling — butterfly
+// vector source (the batch element loop, plus the fused entry with batch
+// rows in SIMD lanes for butterflies); `--emit tune` sweeps the backend
+// and block-dim axes alongside reduction/pruning/scheduling — butterfly
 // kernels tune the transform-shaped problem (a batched 256-point NTT
 // through the fused pipeline, via Autotuner::chooseNtt), so the fusion
 // depth is swept and reported alongside the backend.
+//
+// The reduction and multiply-rule knobs a kernel ignores are folded the
+// way the runtime's PlanKey folds them before anything is lowered, so
+// every output names and shows the variant the runtime would build.
 //
 // `rnsdec` / `rnsrec` are the RNS layer's generated CRT edge kernels
 // (runtime/RnsContext.h): -m gives the word-sized limb width (default
@@ -55,7 +58,7 @@
 //   moma-gen -k mulmod -d 256 --reduction montgomery --emit c
 //   moma-gen -k butterfly -d 512 -m 377 --emit stats   # BLS12-381 class
 //   moma-gen -k butterfly -d 128 --backend simgpu --emit c
-//   moma-gen -k mulmod -m 252 --backend vector --vector-width 16 --emit c
+//   moma-gen -k mulmod -m 252 --backend vector --emit c
 //   moma-gen -k butterfly -m 60 --ring negacyclic --emit tune
 //   moma-gen -k mulmod -m 380 --emit tune --tune-cache tune.json
 //   moma-gen -k vmul -m 252 --device rtx4090 --emit tune
@@ -98,7 +101,6 @@ namespace {
       "          (--reduction shapes mulmod/axpy, never the butterfly)\n"
       "          [--no-prune] [--schedule]\n"
       "          [--backend serial|simgpu|vector] [--block-dim <n>]\n"
-      "          [--vector-width <k>]\n"
       "          [--fuse-depth <k>] [--ring cyclic|negacyclic]\n"
       "          [--rns-limbs <L>] [--device h100|rtx4090|v100|host]\n"
       "          [--passes default|extended|<pass,...>]\n"
@@ -122,7 +124,7 @@ const sim::DeviceProfile *deviceFor(const std::string &Name) {
   return nullptr;
 }
 
-/// Maps a kernel name onto the runtime dispatch op for --emit tune.
+/// Maps a kernel name onto the runtime op whose knob folds it takes.
 bool kernelOpFor(const std::string &Name, runtime::KernelOp &Op) {
   if (Name == "addmod" || Name == "vadd")
     Op = runtime::KernelOp::AddMod;
@@ -134,6 +136,12 @@ bool kernelOpFor(const std::string &Name, runtime::KernelOp &Op) {
     Op = runtime::KernelOp::Butterfly;
   else if (Name == "axpy")
     Op = runtime::KernelOp::Axpy;
+  else if (Name == "rnsdec")
+    Op = runtime::KernelOp::RnsDecompose;
+  else if (Name == "rnsrec")
+    Op = runtime::KernelOp::RnsRecombineStep;
+  else if (Name == "rnsresc")
+    Op = runtime::KernelOp::RnsRescaleStep;
   else
     return false;
   return true;
@@ -188,8 +196,6 @@ int main(int argc, char **argv) {
         usage(argv[0]);
     } else if (Arg == "--block-dim")
       Plan.BlockDim = std::strtoul(Next(), nullptr, 10);
-    else if (Arg == "--vector-width")
-      Plan.VectorWidth = std::strtoul(Next(), nullptr, 10);
     else if (Arg == "--fuse-depth")
       Plan.FuseDepth = std::strtoul(Next(), nullptr, 10);
     else if (Arg == "--ring") {
@@ -231,13 +237,16 @@ int main(int argc, char **argv) {
       usage(argv[0]);
   }
   Plan.TargetWordBits = WordBits;
+  runtime::KernelOp Op;
+  if (!kernelOpFor(KernelName, Op))
+    usage(argv[0]);
+  runtime::PlanKey::foldArithmeticKnobs(Op, Plan);
 
   kernels::ScalarKernelSpec Spec{Bits, ModBits, Plan.Red};
 
   if (Emit == "tune") {
     // Autotune the runtime problem this spec canonicalizes to, with a
     // representative NTT-friendly modulus of the requested width.
-    runtime::KernelOp Op;
     if (KernelName == "rnsdec" || KernelName == "rnsrec" ||
         KernelName == "rnsresc") {
       std::fprintf(stderr,
@@ -248,8 +257,6 @@ int main(int argc, char **argv) {
                    KernelName.c_str());
       return 2;
     }
-    if (!kernelOpFor(KernelName, Op))
-      usage(argv[0]);
     // Negacyclic transforms need one extra factor of two (2n | q - 1).
     mw::Bignum Q = field::nttPrime(
         Spec.modBits(),
@@ -284,9 +291,6 @@ int main(int argc, char **argv) {
                 rewrite::execBackendName(D->Opts.Backend),
                 D->Opts.Backend == rewrite::ExecBackend::SimGpu
                     ? formatv(" (block dim %u)", D->Opts.BlockDim).c_str()
-                : D->Opts.Backend == rewrite::ExecBackend::Vector
-                    ? formatv(" (lane width %u)", D->Opts.VectorWidth)
-                          .c_str()
                     : "");
     if (IsNtt) {
       unsigned LogN = 0;
@@ -417,9 +421,9 @@ int main(int argc, char **argv) {
       // NTT stage-group entry for butterfly kernels).
       std::printf("%s", codegen::emitGridC(L).Source.c_str());
     else if (Plan.Backend == rewrite::ExecBackend::Vector)
-      // The SIMD lane-loop source the vector backend compiles at
-      // -O3 [-march=native]: SoA fixed-trip chunk helpers over the
-      // batch axis, plus the fused entry for butterflies.
+      // The source the vector backend compiles at -O3 [-march=native]:
+      // the batch element loop, plus the fused entry with batch rows in
+      // SIMD lanes for butterflies.
       std::printf("%s", codegen::emitVectorC(L).Source.c_str());
     else
       std::printf("%s", codegen::emitC(L).Source.c_str());
