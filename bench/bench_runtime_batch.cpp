@@ -453,43 +453,34 @@ int main(int argc, char **argv) {
   std::remove(TunePath.c_str());
 
   // -- Pass-pipeline effectiveness (deterministic op-count facts) --------
-  // What the extended simplify pipeline (CSE + interval range analysis +
-  // dead-port elimination) buys over the default on the two kernel
-  // classes ISSUE 6 targets. The counts are exact properties of the
-  // rewrite system, so the CI perf-trajectory gate pins them bit-for-bit
-  // (*_count metrics) — a pass regression shows up as a count shift, not
-  // as timing noise.
+  // What the pruning pipeline (interval range analysis + CSE + dead-port
+  // elimination around the folds) leaves of the two kernel classes it
+  // shrinks most. The counts are exact properties of the rewrite system,
+  // so the CI perf-trajectory gate pins them bit-for-bit (*_count
+  // metrics) — a pass regression shows up as a count shift, not as
+  // timing noise.
   {
-    banner("Simplify pass pipelines: default vs extended (exact op counts)");
+    banner("Pruning pass pipeline (exact op counts)");
     auto passFacts = [&](const ir::Kernel &K, const char *Tag) {
-      rewrite::LoweredKernel Def = rewrite::lowerToWords(K);
-      rewrite::LoweredKernel Ext = rewrite::lowerToWords(K);
-      rewrite::PassPipeline PD = rewrite::defaultPipeline();
-      rewrite::PassPipeline PE = rewrite::extendedPipeline();
-      PD.runLowered(Def);
-      rewrite::PipelineStats SE = PE.runLowered(Ext);
-      rewrite::OpStats D = rewrite::countOps(Def.K);
-      rewrite::OpStats E = rewrite::countOps(Ext.K);
+      rewrite::LoweredKernel L = rewrite::lowerToWords(K);
+      rewrite::PipelineStats S = rewrite::pruningPipeline().runLowered(L);
+      rewrite::OpStats Ops = rewrite::countOps(L.K);
       auto Count = [&](const char *Metric, double V) {
         recordMetric(formatv("passes/%s_%s_count", Tag, Metric), V);
       };
-      Count("default_stmts", D.Total);
-      Count("extended_stmts", E.Total);
-      Count("default_mul", D.multiplies());
-      Count("extended_mul", E.multiplies());
-      Count("default_addsub", D.addSubs());
-      Count("extended_addsub", E.addSubs());
-      const rewrite::PassStats *Cse = SE.pass("cse");
-      const rewrite::PassStats *Range = SE.pass("range");
-      const rewrite::PassStats *Dce = SE.pass("dce");
-      Count("cse_changes", Cse ? Cse->Changes : 0);
-      Count("range_changes", Range ? Range->Changes : 0);
-      Count("dce_removed", Dce ? Dce->Removed : 0);
-      reportf("%-10s default: %3u stmts %3u mul %3u addsub | extended: "
-              "%3u stmts %3u mul %3u addsub (cse=%u range=%u dce=%u)\n",
-              Tag, D.Total, D.multiplies(), D.addSubs(), E.Total,
-              E.multiplies(), E.addSubs(), Cse ? Cse->Changes : 0,
-              Range ? Range->Changes : 0, Dce ? Dce->Removed : 0);
+      Count("stmts", Ops.Total);
+      Count("mul", Ops.multiplies());
+      Count("addsub", Ops.addSubs());
+      unsigned Cse = S.pass("cse")->Changes;
+      unsigned Range = S.pass("range")->Changes;
+      unsigned Dce = S.pass("dce")->Removed;
+      Count("cse_changes", Cse);
+      Count("range_changes", Range);
+      Count("dce_removed", Dce);
+      reportf("%-10s %3u stmts %3u mul %3u addsub (cse=%u range=%u "
+              "dce=%u)\n",
+              Tag, Ops.Total, Ops.multiplies(), Ops.addSubs(), Cse, Range,
+              Dce);
     };
     kernels::ScalarKernelSpec BSpec;
     BSpec.ContainerBits = 128;

@@ -44,14 +44,14 @@ int main(int argc, char **argv) {
 
   rewrite::LoweredKernel L = rewrite::lowerToWords(K, Opts);
   std::printf("\n== simplification (constant folding, zero-word pruning, "
-              "DCE) ==\n");
+              "CSE, DCE) ==\n");
   rewrite::OpStats Before = rewrite::countOps(L.K);
-  rewrite::PipelineStats PS = rewrite::defaultPipeline().runLowered(L);
+  rewrite::PipelineStats PS = rewrite::pruningPipeline().runLowered(L);
   rewrite::OpStats After = rewrite::countOps(L.K);
   std::printf("  %u -> %u statements (folded %u, identities %u, "
-              "strength-reduced %u, dead %u)\n",
+              "range-pruned %u, dead %u)\n",
               Before.Total, After.Total, PS.pass("constfold")->Changes,
-              PS.pass("algebraic")->Changes, PS.pass("knownbits")->Changes,
+              PS.pass("algebraic")->Changes, PS.pass("range")->Changes,
               PS.pass("dce")->Removed);
   std::printf("\n  final op mix:\n%s\n", After.report().c_str());
 

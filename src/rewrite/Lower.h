@@ -27,8 +27,8 @@
 ///
 /// Statically-zero hi halves of inputs (non-power-of-two widths embedded in
 /// power-of-two containers, §4 Eq. 35/36) become constants instead of
-/// parameters; the default pass pipeline (rewrite/PassManager.h) then
-/// prunes the operations they feed.
+/// parameters; the pruning pipeline (rewrite/PassManager.h) then prunes
+/// the operations they feed.
 ///
 /// lowerToWords drives rounds until maxBits <= TargetWordBits and reports,
 /// for every original input/output, its word decomposition (most
@@ -101,9 +101,10 @@ struct LoweredKernel {
   /// tighter than its width (a mulmod result known < q, the RNS
   /// decomposition's manual "r < 3q" annotation) produces half values
   /// whose own KnownBits formulas cannot carry the fact; the bounds are
-  /// recorded here instead. Only the interval range-analysis pass consumes
-  /// the table, so pipelines without it behave exactly as if it were
-  /// empty. PassPipeline keeps the ids current across pass rebuilds.
+  /// recorded here instead. The pruning pipeline's interval range-
+  /// analysis pass consumes the table on every pruned plan; only an
+  /// unpruned plan leaves it unread. PassPipeline keeps the ids current
+  /// across pass rebuilds.
   std::vector<std::pair<ir::ValueId, unsigned>> WordBounds;
 };
 

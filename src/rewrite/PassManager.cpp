@@ -110,10 +110,10 @@ Stmt &KernelRebuilder::emitDefault(const Stmt &S,
                                    const std::vector<ValueId> &Ops) {
   auto ResultBits = [&](unsigned I) { return Old.value(S.Results[I]).Bits; };
   // The recomputed KnownBits never loosens past what was already proved
-  // for the old result. For the default passes this is a no-op (their
-  // formulas are monotone in the operand bounds, which only tighten), but
-  // it keeps the range pass's interval-derived tightenings sticky across
-  // later sweeps instead of re-proving them forever.
+  // for the old result. For the formulas below this is a no-op (they are
+  // monotone in the operand bounds, which only tighten), but it keeps the
+  // range pass's interval-derived tightenings sticky across later sweeps
+  // instead of re-proving them forever.
   auto Clamp = [&](unsigned I, unsigned Formula) {
     return std::min(Formula, std::max(1u, Old.value(S.Results[I]).KnownBits));
   };
@@ -443,113 +443,17 @@ PipelineStats PassPipeline::runLowered(LoweredKernel &L, unsigned MaxIters) {
 }
 
 //===----------------------------------------------------------------------===//
-// Catalog
+// The pruning pipeline
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct CatalogEntry {
-  const char *Name;
-  std::unique_ptr<Pass> (*Make)();
-};
-
-template <typename T> std::unique_ptr<Pass> make() {
-  return std::make_unique<T>();
-}
-
-const CatalogEntry Catalog[] = {
-    {"constfold", make<ConstFoldPass>},
-    {"algebraic", make<AlgebraicIdentitiesPass>},
-    {"knownbits", make<KnownBitsStrengthReducePass>},
-    {"range", make<RangeAnalysisPass>},
-    {"cse", make<CsePass>},
-    {"copyprop", make<CopyPropPass>},
-    {"dce", make<DcePass>},
-    {"deadports", make<DeadPortEliminationPass>},
-};
-
-} // namespace
-
-std::vector<std::string> moma::rewrite::passCatalog() {
-  std::vector<std::string> Names;
-  for (const CatalogEntry &E : Catalog)
-    Names.push_back(E.Name);
-  return Names;
-}
-
-std::unique_ptr<Pass> moma::rewrite::createPass(const std::string &Name) {
-  for (const CatalogEntry &E : Catalog)
-    if (Name == E.Name)
-      return E.Make();
-  return nullptr;
-}
-
-PassPipeline moma::rewrite::defaultPipeline() {
+PassPipeline moma::rewrite::pruningPipeline() {
   PassPipeline P;
-  P.add(make<ConstFoldPass>())
-      .add(make<AlgebraicIdentitiesPass>())
-      .add(make<KnownBitsStrengthReducePass>())
-      .add(make<CopyPropPass>())
-      .add(make<DcePass>());
+  P.add(std::make_unique<ConstFoldPass>())
+      .add(std::make_unique<AlgebraicIdentitiesPass>())
+      .add(std::make_unique<RangeAnalysisPass>())
+      .add(std::make_unique<CsePass>())
+      .add(std::make_unique<CopyPropPass>())
+      .add(std::make_unique<DcePass>())
+      .add(std::make_unique<DeadPortEliminationPass>());
   return P;
-}
-
-PassPipeline moma::rewrite::extendedPipeline() {
-  PassPipeline P;
-  P.add(make<ConstFoldPass>())
-      .add(make<AlgebraicIdentitiesPass>())
-      .add(make<KnownBitsStrengthReducePass>())
-      .add(make<RangeAnalysisPass>())
-      .add(make<CsePass>())
-      .add(make<CopyPropPass>())
-      .add(make<DcePass>())
-      .add(make<DeadPortEliminationPass>());
-  return P;
-}
-
-bool moma::rewrite::parsePipeline(const std::string &Spec, PassPipeline &Out,
-                                  std::string *Err) {
-  if (Spec == "default" || Spec.empty()) {
-    Out = defaultPipeline();
-    return true;
-  }
-  if (Spec == "extended") {
-    Out = extendedPipeline();
-    return true;
-  }
-  PassPipeline P;
-  size_t Pos = 0;
-  while (Pos <= Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Spec.size();
-    std::string Name = Spec.substr(Pos, Comma - Pos);
-    if (!Name.empty()) {
-      std::unique_ptr<Pass> Pass = createPass(Name);
-      if (!Pass) {
-        if (Err)
-          *Err = formatv("unknown pass '%s' (catalog: %s)", Name.c_str(),
-                         [] {
-                           std::string All;
-                           for (const CatalogEntry &E : Catalog) {
-                             if (!All.empty())
-                               All += ", ";
-                             All += E.Name;
-                           }
-                           return All;
-                         }()
-                             .c_str());
-        return false;
-      }
-      P.add(std::move(Pass));
-    }
-    Pos = Comma + 1;
-  }
-  if (P.size() == 0) {
-    if (Err)
-      *Err = "empty pass list";
-    return false;
-  }
-  Out = std::move(P);
-  return true;
 }

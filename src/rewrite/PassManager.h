@@ -8,25 +8,19 @@
 /// \file
 /// The pass manager that runs the §4 pruning rewrite: a pipeline of small
 /// passes (rewrite/Passes.h) driven to a fixed point by PassPipeline, so
-/// each rule family is testable alone and the extended passes (CSE,
-/// interval range analysis, dead-port elimination) compose with the rest.
-/// rewrite::lowerWithPlan (rewrite/PlanOptions.h) is the entry point that
-/// runs a pipeline after lowering.
+/// each rule family is testable alone. rewrite::lowerWithPlan
+/// (rewrite/PlanOptions.h) runs pruningPipeline() over every lowered
+/// kernel when pruning is on; there is no other pipeline to choose.
 ///
 /// The contract every pass obeys:
 ///
 ///  * run(K, AC) transforms K in place and reports what it did;
 ///  * when a pass rebuilds the kernel (renumbering values), it returns the
 ///    old-value -> new-value substitution so drivers can remap
-///    LoweredKernel port words; an empty substitution means value ids were
-///    preserved;
+///    LoweredKernel port words and word bounds; an empty substitution
+///    means value ids were preserved;
 ///  * a pass that finds nothing to do must leave K untouched and report
 ///    zero changes — fixpoint detection depends on it.
-///
-/// Pipelines are built by name (parsePipeline) from the pass catalog: the
-/// "default" pipeline folds, prunes and removes dead code, and the
-/// "extended" pipeline adds interval range analysis, CSE and dead-port
-/// elimination.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -151,26 +145,11 @@ private:
   std::vector<std::unique_ptr<Pass>> Passes;
 };
 
-/// All registered pass names, in catalog order.
-std::vector<std::string> passCatalog();
-
-/// Creates one pass by catalog name; null when the name is unknown.
-std::unique_ptr<Pass> createPass(const std::string &Name);
-
-/// Builds a pipeline from \p Spec: "default", "extended", or a comma-
-/// separated list of catalog names. Returns false (with a message in
-/// \p Err when non-null) on an unknown name or empty list.
-bool parsePipeline(const std::string &Spec, PassPipeline &Out,
-                   std::string *Err = nullptr);
-
-/// The pipeline lowerWithPlan runs when pruning is on and no other spec is
-/// named: constfold, algebraic, knownbits, copyprop, dce.
-PassPipeline defaultPipeline();
-
-/// The default pipeline plus interval range analysis, CSE and dead-port
-/// elimination: constfold, algebraic, knownbits, range, cse, copyprop,
-/// dce, deadports.
-PassPipeline extendedPipeline();
+/// The one pruning pipeline lowerWithPlan runs: constfold, algebraic,
+/// range, cse, copyprop, dce, deadports. Interval range analysis makes
+/// every carry, high-product and shift rewrite the significant-bit bound
+/// allows, and sharper ones besides.
+PassPipeline pruningPipeline();
 
 //===--------------------------------------------------------------------===//
 // KernelRebuilder

@@ -1,9 +1,8 @@
-//===- rewrite/Passes.cpp - The rewrite pass catalog ----------------------===//
+//===- rewrite/Passes.cpp - The pruning rewrite passes --------------------===//
 //
-// The first five passes each own one rule family of the default pipeline
-// (constfold, algebraic, knownbits, copyprop, dce), which runs them to a
-// fixed point. CSE and dead-port elimination join them in the extended
-// pipeline; interval range analysis lives in rewrite/RangeAnalysis.cpp.
+// Each pass owns one rule family of the pruning pipeline, which runs them
+// to a fixed point; interval range analysis lives in
+// rewrite/RangeAnalysis.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -331,69 +330,6 @@ bool AlgebraicIdentitiesPass::tryRewrite(KernelRebuilder &RB, const Stmt &S,
   }
   ++RB.Changes;
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// KnownBitsStrengthReducePass
-//===----------------------------------------------------------------------===//
-
-bool KnownBitsStrengthReducePass::tryRewrite(
-    KernelRebuilder &RB, const Stmt &S, const std::vector<ValueId> &Ops,
-    const std::vector<const Bignum *> &CV, bool AllConst) {
-  (void)CV;
-  (void)AllConst;
-  const Kernel &Old = RB.oldKernel();
-  auto ResultBits = [&](unsigned I) { return Old.value(S.Results[I]).Bits; };
-
-  switch (S.Kind) {
-  case OpKind::Add: {
-    // If the sum provably fits W bits, the carry is zero (a carry-in adds
-    // at most one, which max(k0, k1) + 1 already covers).
-    unsigned W = ResultBits(1);
-    unsigned Bound = std::max(RB.known(Ops[0]), RB.known(Ops[1])) + 1;
-    if (Bound > W)
-      return false;
-    ValueId Carry = RB.newKernel().newValue(1); // dead slot keeps the shape
-    ValueId Sum = RB.newResult(W, Bound);
-    RB.emit(OpKind::Add, {Carry, Sum}, Ops);
-    RB.bind(S.Results[1], Sum);
-    // Only bind (and count) the constant carry when somebody read it;
-    // re-reducing an already-reduced add must leave no trace, or repeated
-    // sweeps would never reach a fixpoint.
-    if (RB.useCount(S.Results[0]) > 0) {
-      RB.bindConst(S.Results[0], Bignum(0));
-      ++RB.Changes;
-    } else {
-      RB.bind(S.Results[0], Carry);
-    }
-    return true;
-  }
-  case OpKind::Mul: {
-    unsigned W = ResultBits(1);
-    unsigned KBound = RB.known(Ops[0]) + RB.known(Ops[1]);
-    if (KBound > W)
-      return false;
-    // The product fits the low word: drop the high half (rule 28 prune).
-    ValueId Lo = RB.newResult(W, KBound);
-    RB.emit(OpKind::MulLow, {Lo}, Ops);
-    RB.bind(S.Results[1], Lo);
-    if (RB.useCount(S.Results[0]) > 0)
-      RB.bindConst(S.Results[0], Bignum(0));
-    else
-      RB.bind(S.Results[0], Lo); // never read; any valid id will do
-    ++RB.Changes;
-    return true;
-  }
-  case OpKind::Shr:
-    // Shifts past the significant bits: the non-power-of-two workhorse.
-    if (RB.known(Ops[0]) > S.Amount)
-      return false;
-    RB.bindConst(S.Results[0], Bignum(0));
-    ++RB.Changes;
-    return true;
-  default:
-    return false;
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- rewrite/Passes.h - The rewrite pass catalog ------------*- C++ -*-===//
+//===- rewrite/Passes.h - The pruning rewrite passes ----------*- C++ -*-===//
 //
 // Part of the MoMA project, reproducing "Code Generation for Cryptographic
 // Kernels using Multi-word Modular Arithmetic on GPU" (CGO 2025).
@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concrete passes behind rewrite/PassManager.h. The first five form
-/// the default pipeline (constant folding, algebraic identities, KnownBits
-/// strength reduction, copy propagation, DCE); each also preserves
-/// ir::Interp semantics alone. The last three join them in the extended
-/// pipeline:
+/// The concrete passes behind rewrite/PassManager.h, in the order
+/// pruningPipeline() runs them. Constant folding, algebraic identities,
+/// copy propagation and DCE are the classic cleanups; the other three do
+/// the §4 pruning proper:
 ///
 ///  * RangeAnalysisPass — interval propagation (exact [lo, hi] Bignum
 ///    bounds) through the kernel, generalizing the KnownBits significant-
-///    bit bound; kills carries/borrows and folds compares that bit-width
-///    reasoning cannot (e.g. the hi word of a full multiply is at most
+///    bit bound; kills carries/borrows, drops the high half of multiplies
+///    and folds shifts and compares that bit-width reasoning proves, plus
+///    those it cannot (e.g. the hi word of a full multiply is at most
 ///    2^w - 2, so accumulating one carry into it can never overflow).
 ///  * CsePass — value numbering over commutatively-canonicalized
 ///    statements; repeated subexpressions (fused butterfly bodies sharing
@@ -23,6 +23,8 @@
 ///  * DeadPortEliminationPass — marks lowered-kernel input port words that
 ///    no live statement reads, so emitters skip their loads (the port ABI
 ///    and stored word counts are unchanged).
+///
+/// Each pass also preserves ir::Interp semantics when run alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,20 +55,6 @@ protected:
 class AlgebraicIdentitiesPass : public RebuildPass {
 public:
   const char *name() const override { return "algebraic"; }
-
-protected:
-  bool tryRewrite(KernelRebuilder &RB, const ir::Stmt &S,
-                  const std::vector<ir::ValueId> &Ops,
-                  const std::vector<const mw::Bignum *> &CV,
-                  bool AllConst) override;
-};
-
-/// KnownBits strength reduction: carries that provably cannot fire become
-/// constant zero, multiplies whose product fits the low word drop the high
-/// half, right shifts past the significant bits fold to zero.
-class KnownBitsStrengthReducePass : public RebuildPass {
-public:
-  const char *name() const override { return "knownbits"; }
 
 protected:
   bool tryRewrite(KernelRebuilder &RB, const ir::Stmt &S,

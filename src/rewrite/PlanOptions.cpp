@@ -9,7 +9,6 @@
 
 #include "rewrite/PassManager.h"
 #include "rewrite/Schedule.h"
-#include "support/Error.h"
 #include "support/Format.h"
 
 using namespace moma;
@@ -57,22 +56,14 @@ std::string PlanOptions::str() const {
   // Cyclic is the historical ring; only negacyclic plans extend the key.
   if (Ring == NttRing::Negacyclic)
     S += "/neg";
-  // Only pass specs other than the default pipeline extend the key.
-  if (!normalizedPasses().empty())
-    S += "/p=" + normalizedPasses();
   return S;
 }
 
 LoweredKernel moma::rewrite::lowerWithPlan(const ir::Kernel &K,
                                            const PlanOptions &Opts) {
   LoweredKernel L = lowerToWords(K, Opts.lowerOptions());
-  if (Opts.Prune) {
-    PassPipeline P;
-    std::string Err;
-    if (!parsePipeline(Opts.Passes, P, &Err))
-      fatalError(formatv("lowerWithPlan: %s", Err.c_str()));
-    P.runLowered(L);
-  }
+  if (Opts.Prune)
+    pruningPipeline().runLowered(L);
   if (Opts.Schedule)
     scheduleForPressure(L.K, Opts.TargetWordBits);
   return L;

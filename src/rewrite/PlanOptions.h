@@ -80,9 +80,10 @@ struct PlanOptions {
   /// Double-word multiplication rule (§2.2, Fig. 5b).
   mw::MulAlgorithm MulAlg = mw::MulAlgorithm::Schoolbook;
 
-  /// Run the Passes pipeline to a fixed point after lowering (the §4
-  /// zero-word pruning plus folding/DCE). Off reproduces the "no pruning"
-  /// ablation.
+  /// Run the pruning pipeline (rewrite/PassManager.h) to a fixed point
+  /// after lowering: the §4 zero-word pruning by interval range analysis,
+  /// plus folding, CSE, DCE and dead-port elimination. Off reproduces the
+  /// "no pruning" ablation.
   bool Prune = true;
 
   /// Run the pressure-aware list scheduler (rewrite/Schedule.h) after
@@ -111,20 +112,6 @@ struct PlanOptions {
   /// registers per virtual thread).
   static constexpr unsigned MaxFuseDepth = 3;
 
-  /// Pass pipeline spec (rewrite/PassManager.h parsePipeline): "" or
-  /// "default" is the default pipeline, "extended" adds interval range
-  /// analysis, CSE, and dead-port elimination, and a comma-separated
-  /// catalog list picks passes by hand. Only consulted when Prune is on
-  /// (PlanKey canonicalization folds it otherwise).
-  std::string Passes;
-
-  /// The pass spec with the default spelled canonically: "" and "default"
-  /// name the same pipeline.
-  const std::string &normalizedPasses() const {
-    static const std::string Empty;
-    return Passes == "default" ? Empty : Passes;
-  }
-
   /// Polynomial ring for NTT-shaped plans. Only butterfly plans consume
   /// it (PlanKey canonicalization folds it to Cyclic everywhere else);
   /// the negacyclic twist rides the fused pipeline's edge-stage folds, so
@@ -137,9 +124,8 @@ struct PlanOptions {
   /// the historical five-token form (so pre-backend cache keys stay
   /// readable); SimGpu plans append "/simgpu/b<dim>", Vector plans
   /// append "/vec", Interp plans append "/interp", butterfly
-  /// plans fused deeper than one stage append "/f<depth>", negacyclic
-  /// butterfly plans append "/neg", and non-default pass pipelines
-  /// append "/p=<spec>".
+  /// plans fused deeper than one stage append "/f<depth>", and negacyclic
+  /// butterfly plans append "/neg".
   std::string str() const;
 
   /// The LowerOptions slice of this plan.
@@ -155,15 +141,15 @@ struct PlanOptions {
            MulAlg == O.MulAlg && Prune == O.Prune &&
            Schedule == O.Schedule && Backend == O.Backend &&
            BlockDim == O.BlockDim && FuseDepth == O.FuseDepth &&
-           Ring == O.Ring && normalizedPasses() == O.normalizedPasses();
+           Ring == O.Ring;
   }
   bool operator!=(const PlanOptions &O) const { return !(*this == O); }
 };
 
 /// The full generation pipeline under one set of knobs: lowerToWords,
-/// then (if Prune) the pass pipeline Passes names, run over the lowered
-/// kernel, then (if Schedule) scheduleForPressure. This is the one
-/// lowering entry point the runtime, tools, and tests share.
+/// then (if Prune) pruningPipeline() over the lowered kernel, then (if
+/// Schedule) scheduleForPressure. This is the one lowering entry point
+/// the runtime, tools, and tests share.
 LoweredKernel lowerWithPlan(const ir::Kernel &K, const PlanOptions &Opts);
 
 } // namespace rewrite

@@ -7,7 +7,6 @@
 
 #include "runtime/Autotuner.h"
 
-#include "rewrite/PassManager.h"
 #include "runtime/Backend.h"
 #include "runtime/NttPipeline.h"
 #include "support/FaultInjection.h"
@@ -228,11 +227,6 @@ std::string Autotuner::decisionKey(KernelOp Op, const Bignum &Q,
     if (K.Opts.Backend == rewrite::ExecBackend::SimGpu)
       Key += formatv("/b%u", K.Opts.BlockDim);
   }
-  // The pass spec is never swept. Read it off the base plan, not the
-  // canonical key: an unpruned base folds it away, but its pruned
-  // candidates still run it.
-  if (!Base.normalizedPasses().empty())
-    Key += "/p=" + Base.normalizedPasses();
   return Key;
 }
 
@@ -413,62 +407,19 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
     }
   }
   std::vector<std::uint64_t> Res(N * ElemWords, 0);
+  BatchArgs Args;
+  Args.Outs.push_back(Res.data());
+  for (auto &Buf : Ins)
+    Args.Ins.push_back(Buf.data());
 
-  TuneDecision Best;
-  Best.NsPerElem = std::numeric_limits<double>::infinity();
-  bool Any = false;
-  std::string FirstError;
-
-  for (const rewrite::PlanOptions &C : Cands) {
-    PlanKey Key = PlanKey::forModulus(Op, Q, C);
-    std::shared_ptr<const CompiledPlan> Plan = Reg.get(Key);
-    if (!Plan) {
-      if (FirstError.empty())
-        FirstError = Reg.error();
-      continue;
-    }
-    PlanAux Aux = makePlanAux(*Plan, Q);
-    BatchArgs Args;
-    Args.Outs.push_back(Res.data());
-    for (auto &Buf : Ins)
-      Args.Ins.push_back(Buf.data());
-    Args.Aux = Aux.ptrs();
-
-    ExecutionBackend &EB = Reg.backendFor(Key);
-    ++CandsTimed;
-    // Chaos hook: a candidate whose timing run dies (a kernel crash would
-    // take the process, but a backend refusal is survivable) just drops
-    // out of the sweep like any other failed candidate.
-    if (support::faultShouldFail("autotuner.time")) {
-      if (FirstError.empty())
-        FirstError = "Autotuner: fault injected at autotuner.time";
-      continue;
-    }
-    double BestSec = std::numeric_limits<double>::infinity();
-    bool RunOk = true;
-    for (unsigned Rep = 0; Rep < O.Repeats && RunOk; ++Rep) {
-      double T0 = nowSeconds();
-      RunOk = EB.runBatch(*Plan, Args, N, /*Rows=*/1, &FirstError);
-      BestSec = std::min(BestSec, nowSeconds() - T0);
-    }
-    if (!RunOk)
-      continue;
-    double Ns = BestSec * 1e9 / static_cast<double>(N);
-    if (Ns < Best.NsPerElem) {
-      // Keep the canonicalized form so the decision round-trips
-      // through PlanKey and the JSON cache unchanged.
-      Best.Opts = Key.Opts;
-      Best.NsPerElem = Ns;
-    }
-    Any = true;
-  }
-
-  if (!Any) {
-    Error = "Autotuner: every candidate failed: " + FirstError;
-    return false;
-  }
-  Out = Best;
-  return true;
+  return timeCandidates(
+      Op, Q, Cands, N,
+      [&](const CompiledPlan &Plan, ExecutionBackend &EB,
+          const std::vector<const std::uint64_t *> &Aux, std::string *Err) {
+        Args.Aux = Aux;
+        return EB.runBatch(Plan, Args, N, /*Rows=*/1, Err);
+      },
+      Out, CandsTimed, Error);
 }
 
 const TuneDecision *Autotuner::chooseNtt(const Bignum &Q,
@@ -540,13 +491,31 @@ bool Autotuner::tuneNttProblem(const Bignum &Q,
   }
   std::vector<std::uint64_t> Scratch(Elems * ElemWords);
 
+  // Re-transforming transformed data is fine — inputs are arbitrary
+  // reduced vectors, and every candidate sees the same evolution.
+  return timeCandidates(
+      KernelOp::Butterfly, Q, Cands, Elems,
+      [&](const CompiledPlan &Plan, ExecutionBackend &EB,
+          const std::vector<const std::uint64_t *> &Aux, std::string *Err) {
+        return runTransform(EB, Plan, Tables, Aux, Data.data(),
+                            Scratch.data(), NPoints, CalBatch,
+                            /*Inverse=*/false, Err);
+      },
+      Out, CandsTimed, Error);
+}
+
+bool Autotuner::timeCandidates(KernelOp Op, const Bignum &Q,
+                               const std::vector<rewrite::PlanOptions> &Cands,
+                               size_t Elems, const CalibrationRun &Run,
+                               TuneDecision &Out, unsigned &CandsTimed,
+                               std::string &Error) const {
   TuneDecision Best;
   Best.NsPerElem = std::numeric_limits<double>::infinity();
   bool Any = false;
   std::string FirstError;
 
   for (const rewrite::PlanOptions &C : Cands) {
-    PlanKey Key = PlanKey::forModulus(KernelOp::Butterfly, Q, C);
+    PlanKey Key = PlanKey::forModulus(Op, Q, C);
     std::shared_ptr<const CompiledPlan> Plan = Reg.get(Key);
     if (!Plan) {
       if (FirstError.empty())
@@ -557,8 +526,9 @@ bool Autotuner::tuneNttProblem(const Bignum &Q,
     std::vector<const std::uint64_t *> AuxPtrs = Aux.ptrs();
     ExecutionBackend &EB = Reg.backendFor(Key);
     ++CandsTimed;
-    // Chaos hook, as in tuneProblem: a failed timing run drops the
-    // candidate, and an all-candidates failure surfaces as a tuner error.
+    // Chaos hook: a candidate whose timing run dies (a kernel crash would
+    // take the process, but a backend refusal is survivable) just drops
+    // out of the sweep like any other failed candidate.
     if (support::faultShouldFail("autotuner.time")) {
       if (FirstError.empty())
         FirstError = "Autotuner: fault injected at autotuner.time";
@@ -567,18 +537,16 @@ bool Autotuner::tuneNttProblem(const Bignum &Q,
     double BestSec = std::numeric_limits<double>::infinity();
     bool RunOk = true;
     for (unsigned Rep = 0; Rep < O.Repeats && RunOk; ++Rep) {
-      // Re-transforming transformed data is fine — inputs are arbitrary
-      // reduced vectors, and every candidate sees the same evolution.
       double T0 = nowSeconds();
-      RunOk = runTransform(EB, *Plan, Tables, AuxPtrs, Data.data(),
-                           Scratch.data(), NPoints, CalBatch,
-                           /*Inverse=*/false, &FirstError);
+      RunOk = Run(*Plan, EB, AuxPtrs, &FirstError);
       BestSec = std::min(BestSec, nowSeconds() - T0);
     }
     if (!RunOk)
       continue;
     double Ns = BestSec * 1e9 / static_cast<double>(Elems);
     if (Ns < Best.NsPerElem) {
+      // Keep the canonicalized form so the decision round-trips
+      // through PlanKey and the JSON cache unchanged.
       Best.Opts = Key.Opts;
       Best.NsPerElem = Ns;
     }
@@ -618,11 +586,8 @@ bool Autotuner::saveLocked(const std::string &Path) const {
        << "\", "
        << "\"block_dim\": " << D.Opts.BlockDim << ", "
        << "\"fuse_depth\": " << D.Opts.FuseDepth << ", "
-       << "\"ring\": \"" << rewrite::nttRingName(D.Opts.Ring) << "\", ";
-    // Only a non-default pass pipeline is written; absent means default.
-    if (!D.Opts.normalizedPasses().empty())
-      SS << "\"passes\": \"" << D.Opts.normalizedPasses() << "\", ";
-    SS << "\"ns_per_elem\": " << formatv("%.3f", D.NsPerElem) << "}";
+       << "\"ring\": \"" << rewrite::nttRingName(D.Opts.Ring) << "\", "
+       << "\"ns_per_elem\": " << formatv("%.3f", D.NsPerElem) << "}";
     First = false;
   }
   SS << "\n  ]\n}\n";
@@ -690,14 +655,6 @@ bool Autotuner::load(const std::string &Path) {
     if (const JValue *V = E.field("ring"))
       D.Opts.Ring = V->S == "negacyclic" ? rewrite::NttRing::Negacyclic
                                          : rewrite::NttRing::Cyclic;
-    if (const JValue *V = E.field("passes")) {
-      // Binding a spec the pass catalog rejects would abort the lowering,
-      // so a damaged entry is dropped like a foreign one.
-      rewrite::PassPipeline P;
-      if (V->K != JValue::Str || !rewrite::parsePipeline(V->S, P))
-        continue;
-      D.Opts.Passes = V->S;
-    }
     if (const JValue *V = E.field("ns_per_elem"))
       D.NsPerElem = V->N;
     // Freshly tuned decisions win over persisted ones.

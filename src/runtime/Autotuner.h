@@ -146,9 +146,8 @@ public:
 
 private:
   /// Decision-table key: PlanKey::problemStr() plus the size bucket plus
-  /// every base knob the sweep dimensions leave pinned (the pass spec
-  /// always, as "/p=<spec>" when it is not the default pipeline), so
-  /// conflicting base plans never share a decision.
+  /// every base knob the sweep dimensions leave pinned, so conflicting
+  /// base plans never share a decision.
   std::string decisionKey(KernelOp Op, const mw::Bignum &Q,
                           const rewrite::PlanOptions &Base,
                           unsigned Bucket) const;
@@ -162,7 +161,9 @@ private:
               const std::function<bool(TuneDecision &, unsigned &,
                                        std::string &)> &Sweep);
   /// The timing sweeps; lock-free (the registry they drive is itself
-  /// thread-safe), reporting through the out-parameters only.
+  /// thread-safe), reporting through the out-parameters only. Each builds
+  /// its calibration data and hands the candidate loop to
+  /// timeCandidates().
   bool tuneProblem(KernelOp Op, const mw::Bignum &Q,
                    const rewrite::PlanOptions &Base, unsigned Bucket,
                    TuneDecision &Out, unsigned &CandsTimed,
@@ -170,6 +171,22 @@ private:
   bool tuneNttProblem(const mw::Bignum &Q, const rewrite::PlanOptions &Base,
                       size_t NPoints, unsigned Bucket, TuneDecision &Out,
                       unsigned &CandsTimed, std::string &Error) const;
+  /// One calibration pass of one candidate over a sweep's data, given
+  /// the compiled plan, its backend and its aux-port pointers; false (with
+  /// the error slot set) when the run fails.
+  using CalibrationRun = std::function<bool(
+      const CompiledPlan &, ExecutionBackend &,
+      const std::vector<const std::uint64_t *> &, std::string *)>;
+  /// The candidate loop both sweeps share: compiles each of \p Cands for
+  /// (\p Op, \p Q), times \p Run (the minimum over Repeats) and pins the
+  /// fastest by ns per element over \p Elems elements. A candidate that
+  /// fails to compile or run drops out; false, with the first failure in
+  /// \p Error, when every candidate did.
+  bool timeCandidates(KernelOp Op, const mw::Bignum &Q,
+                      const std::vector<rewrite::PlanOptions> &Cands,
+                      size_t Elems, const CalibrationRun &Run,
+                      TuneDecision &Out, unsigned &CandsTimed,
+                      std::string &Error) const;
   /// Shared knob-grid enumeration (reduction x prune x schedule x
   /// backend/geometry [x fuse depth for transform problems]), one
   /// candidate per distinct canonical PlanKey: grid points that

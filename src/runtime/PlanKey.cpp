@@ -88,11 +88,6 @@ PlanKey PlanKey::forModulus(KernelOp Op, const mw::Bignum &Q,
   // negacyclic twist is a table fold, not a different element kernel.
   if (Op != KernelOp::Butterfly)
     K.Opts.Ring = rewrite::NttRing::Cyclic;
-  // The pass spec only matters while pruning runs; fold it (and the
-  // "default" spelling of the default pipeline) so the variants that
-  // generate identical code share one cache entry.
-  if (!K.Opts.Prune || K.Opts.Passes == "default")
-    K.Opts.Passes.clear();
   return K;
 }
 

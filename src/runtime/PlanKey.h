@@ -9,6 +9,8 @@
 /// The cache key of the batched-dispatch runtime. A PlanKey names one
 /// generated-kernel variant: the operation, the canonical widths, and the
 /// PlanOptions knobs (reduction, multiply rule, pruning, scheduling).
+/// "prune" names the one pruning pipeline (rewrite/PassManager.h); no key
+/// names a pass list.
 ///
 /// Canonicalization (see DESIGN.md "PlanKey canonicalization"):
 ///  * ModBits is the exact modulus bit-width; the container is the

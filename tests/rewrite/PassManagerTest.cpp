@@ -1,10 +1,11 @@
 //===- tests/rewrite/PassManagerTest.cpp - pass pipeline unit tests -------===//
 //
-// The composable pass manager: catalog and spec parsing, per-pass semantic
-// preservation on randomized kernels, the non-convergence diagnostic, and
-// golden op-count ablations showing what the extended passes (CSE,
-// interval range analysis, dead-port elimination) buy on the
-// representative kernel classes.
+// The composable pass manager: per-pass semantic preservation on
+// randomized kernels, the non-convergence diagnostic, convergence of the
+// pruning pipeline on every runtime kernel shape, and golden op counts
+// showing what the pipeline (interval range analysis, CSE, dead-port
+// elimination around the folds) buys on the representative kernel
+// classes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "rewrite/Passes.h"
 #include "rewrite/PlanOptions.h"
 #include "rewrite/Stats.h"
+#include "support/Format.h"
 
 #include <gtest/gtest.h>
 
@@ -114,38 +116,30 @@ struct NeverSettlesPass : Pass {
   }
 };
 
-} // namespace
-
-TEST(PassManager, CatalogAndSpecParsing) {
-  std::vector<std::string> Names = passCatalog();
-  ASSERT_EQ(Names.size(), 8u);
-  for (const std::string &N : Names) {
-    std::unique_ptr<Pass> P = createPass(N);
-    ASSERT_NE(P, nullptr) << N;
-    EXPECT_EQ(N, P->name());
-  }
-  EXPECT_EQ(createPass("nosuchpass"), nullptr);
-
-  PassPipeline Def, DefEmpty, Ext, Two, Bad;
-  std::string Err;
-  EXPECT_TRUE(parsePipeline("default", Def, &Err));
-  EXPECT_EQ(Def.size(), 5u);
-  EXPECT_TRUE(parsePipeline("", DefEmpty, &Err));
-  EXPECT_EQ(DefEmpty.size(), 5u);
-  EXPECT_TRUE(parsePipeline("extended", Ext, &Err));
-  EXPECT_EQ(Ext.size(), 8u);
-  EXPECT_TRUE(parsePipeline("cse,dce", Two, &Err));
-  EXPECT_EQ(Two.size(), 2u);
-  EXPECT_FALSE(parsePipeline("constfold,bogus", Bad, &Err));
-  EXPECT_NE(Err.find("bogus"), std::string::npos);
+/// One fresh instance of every pass class, in pruning-pipeline order.
+std::vector<std::unique_ptr<Pass>> everyPass() {
+  std::vector<std::unique_ptr<Pass>> Passes;
+  Passes.push_back(std::make_unique<ConstFoldPass>());
+  Passes.push_back(std::make_unique<AlgebraicIdentitiesPass>());
+  Passes.push_back(std::make_unique<RangeAnalysisPass>());
+  Passes.push_back(std::make_unique<CsePass>());
+  Passes.push_back(std::make_unique<CopyPropPass>());
+  Passes.push_back(std::make_unique<DcePass>());
+  Passes.push_back(std::make_unique<DeadPortEliminationPass>());
+  return Passes;
 }
 
-// Every catalog pass, run alone over a lowered random kernel, must
-// preserve the original wide semantics — including the port-word
-// substitution plumbing when the pass rebuilds the kernel.
+} // namespace
+
+// Every pass, run alone over a lowered random kernel, must preserve the
+// original wide semantics — including the port-word substitution
+// plumbing when the pass rebuilds the kernel.
 TEST(PassManager, EachPassAlonePreservesSemantics) {
   SeededRng Gen(0xA55E5);
-  for (const std::string &Name : passCatalog()) {
+  const size_t NumPasses = everyPass().size();
+  ASSERT_EQ(NumPasses, pruningPipeline().size());
+  for (size_t PassIdx = 0; PassIdx < NumPasses; ++PassIdx) {
+    std::string Name = everyPass()[PassIdx]->name();
     for (int Round = 0; Round < 4; ++Round) {
       unsigned Width = Round % 2 ? 256 : 128;
       Kernel K = randomKernel(Width, 16 + 4 * Round, Gen);
@@ -155,7 +149,7 @@ TEST(PassManager, EachPassAlonePreservesSemantics) {
       Opts.TargetWordBits = 64;
       LoweredKernel L = lowerToWords(K, Opts);
       PassPipeline P;
-      P.add(createPass(Name));
+      P.add(std::move(everyPass()[PassIdx]));
       PipelineStats S = P.runLowered(L);
       EXPECT_TRUE(S.Converged) << Name;
       ASSERT_TRUE(verify(L.K).empty()) << Name << "\n" << printKernel(L.K);
@@ -166,28 +160,6 @@ TEST(PassManager, EachPassAlonePreservesSemantics) {
       expectLoweringEquivalence(K, L, R, 10,
                                 [&](Rng &Rr) { return randomInputs(K, Rr); });
     }
-  }
-}
-
-// The three spellings of the default pipeline — the "" spec a default
-// PlanOptions carries, "default", and the explicit five-pass list — must
-// produce the same kernel, statement for statement.
-TEST(PassManager, DefaultSpellingsAgreeStatementForStatement) {
-  kernels::ScalarKernelSpec Spec;
-  Spec.ContainerBits = 256;
-  Spec.ModBits = 250;
-  Kernel K = kernels::buildMulModKernel(Spec);
-
-  LoweredKernel A = lowerWithPlan(K, PlanOptions());
-  for (const char *Passes :
-       {"default", "constfold,algebraic,knownbits,copyprop,dce"}) {
-    PlanOptions Opts;
-    Opts.Passes = Passes;
-    LoweredKernel B = lowerWithPlan(K, Opts);
-    EXPECT_EQ(printKernel(A.K), printKernel(B.K)) << Passes;
-    ASSERT_EQ(A.Inputs.size(), B.Inputs.size());
-    for (size_t I = 0; I < A.Inputs.size(); ++I)
-      EXPECT_EQ(A.Inputs[I].Words, B.Inputs[I].Words) << Passes;
   }
 }
 
@@ -213,6 +185,71 @@ TEST(PassManager, NonConvergenceDiagnostic) {
   EXPECT_NE(Diag.find("neversettles"), std::string::npos) << Diag;
 }
 
+// Every pruned plan runs the pipeline, so a pass interaction that
+// livelocks would silently cost MaxIters sweeps per plan build. Pin
+// convergence on every kernel shape the runtime lowers (each needs at
+// most 4 sweeps today).
+TEST(PassManager, PipelineConvergesOnEveryRuntimeKernel) {
+  unsigned Kernels = 0;
+  auto Check = [&](const std::string &Name, const Kernel &K,
+                   const LowerOptions &Opts) {
+    LoweredKernel L = lowerToWords(K, Opts);
+    PipelineStats S = pruningPipeline().runLowered(L);
+    EXPECT_TRUE(S.Converged) << Name;
+    EXPECT_LE(S.Iterations, 8u) << Name << "\n" << S.report();
+    EXPECT_TRUE(verify(L.K).empty()) << Name;
+    ++Kernels;
+  };
+  // Each container with its C - 4 modulus and a padded one.
+  const std::pair<unsigned, unsigned> Widths[] = {
+      {64, 60},   {64, 45},   {128, 124}, {128, 109},
+      {256, 252}, {256, 221}, {512, 508}, {512, 377}};
+  for (auto [Container, ModBits] : Widths)
+    for (mw::MulAlgorithm Alg :
+         {mw::MulAlgorithm::Schoolbook, mw::MulAlgorithm::Karatsuba}) {
+      LowerOptions Opts;
+      Opts.MulAlg = Alg;
+      std::string Tag =
+          formatv("/c%u/m%u/%s", Container, ModBits,
+                  Alg == mw::MulAlgorithm::Karatsuba ? "karatsuba"
+                                                     : "schoolbook");
+      kernels::ScalarKernelSpec Spec{Container, ModBits};
+      Check("addmod" + Tag, kernels::buildAddModKernel(Spec), Opts);
+      Check("submod" + Tag, kernels::buildSubModKernel(Spec), Opts);
+      Check("butterfly" + Tag, kernels::buildButterflyKernel(Spec), Opts);
+      for (mw::Reduction Red :
+           {mw::Reduction::Barrett, mw::Reduction::Montgomery}) {
+        kernels::ScalarKernelSpec RSpec{Container, ModBits, Red};
+        std::string RTag = Tag + "/" + mw::reductionName(Red);
+        Check("mulmod" + RTag, kernels::buildMulModKernel(RSpec), Opts);
+        Check("axpy" + RTag, kernels::buildAxpyKernel(RSpec), Opts);
+      }
+    }
+  // The CRT kernels at the runtime's 60-bit limbs: decompose reduces a
+  // wide value of ceil(60L / 64) words, recombine works modulo the
+  // L-limb product.
+  auto ContainerFor = [](unsigned Bits) {
+    unsigned C = 64;
+    while (C < Bits + 4)
+      C *= 2;
+    return C;
+  };
+  for (unsigned Limbs : {2u, 4u, 8u}) {
+    unsigned WideWords = (60 * Limbs + 63) / 64;
+    Check(formatv("rnsdec/L%u", Limbs),
+          kernels::buildRnsDecomposeKernel(
+              {ContainerFor(WideWords * 64 - 4), 60}, WideWords),
+          LowerOptions());
+    Check(formatv("rnsrec/L%u", Limbs),
+          kernels::buildRnsRecombineStepKernel(
+              {ContainerFor(60 * Limbs), 60 * Limbs}),
+          LowerOptions());
+  }
+  Check("rnsresc", kernels::buildRnsRescaleStepKernel({64, 60}),
+        LowerOptions());
+  EXPECT_EQ(Kernels, 119u);
+}
+
 // CSE must fold a commuted duplicate of an earlier statement and let DCE
 // drop the survivor-less copy, without changing semantics.
 TEST(PassManager, CseCollapsesCommutedDuplicates) {
@@ -230,8 +267,7 @@ TEST(PassManager, CseCollapsesCommutedDuplicates) {
 
   Kernel Ref = K;
   PassPipeline P;
-  std::string Err;
-  ASSERT_TRUE(parsePipeline("cse,dce", P, &Err)) << Err;
+  P.add(std::make_unique<CsePass>()).add(std::make_unique<DcePass>());
   PipelineStats S = P.run(K);
   ASSERT_NE(S.pass("cse"), nullptr);
   EXPECT_GE(S.pass("cse")->Changes, 1u);
@@ -244,35 +280,32 @@ TEST(PassManager, CseCollapsesCommutedDuplicates) {
   }
 }
 
-// Golden op-count ablation: on the RNS decompose kernel the extended
-// pipeline's range analysis (fed by the lowering's WordBounds table) and
-// CSE must strictly reduce multiplies and add/subs versus the default
-// pipeline — and stay semantically identical for genuine Barrett (q, mu)
+// Golden op counts: on the RNS decompose kernel the pruning pipeline's
+// range analysis (fed by the lowering's WordBounds table) and CSE cut the
+// unpruned lowering from 129 statements to 42 and from 26 multiplies to
+// 14 — and stay semantically identical for genuine Barrett (q, mu)
 // parameter pairs.
-TEST(PassManager, ExtendedPipelineShrinksRnsDecompose) {
+TEST(PassManager, PipelineShrinksRnsDecompose) {
   kernels::ScalarKernelSpec Spec;
   Spec.ContainerBits = 256;
   Spec.ModBits = 60;
   Kernel K = kernels::buildRnsDecomposeKernel(Spec, /*WideWords=*/4);
 
-  LoweredKernel Def = lowerToWords(K);
-  LoweredKernel Ext = lowerToWords(K);
-  ASSERT_FALSE(Ext.WordBounds.empty());
-  PassPipeline PD = defaultPipeline();
-  PassPipeline PE = extendedPipeline();
-  PipelineStats SD = PD.runLowered(Def);
-  PipelineStats SE = PE.runLowered(Ext);
-  EXPECT_TRUE(SD.Converged);
-  EXPECT_TRUE(SE.Converged);
+  LoweredKernel L = lowerToWords(K);
+  ASSERT_FALSE(L.WordBounds.empty());
+  OpStats Unpruned = countOps(L.K);
+  EXPECT_EQ(Unpruned.Total, 129u);
+  EXPECT_EQ(Unpruned.multiplies(), 26u);
+  PipelineStats S = pruningPipeline().runLowered(L);
+  EXPECT_TRUE(S.Converged);
 
-  OpStats D = countOps(Def.K), E = countOps(Ext.K);
-  EXPECT_LT(E.multiplies(), D.multiplies());
-  EXPECT_LT(E.addSubs(), D.addSubs());
-  EXPECT_LT(E.Total, D.Total);
-  ASSERT_NE(SE.pass("range"), nullptr);
-  EXPECT_GE(SE.pass("range")->Changes, 1u);
-  ASSERT_NE(SE.pass("cse"), nullptr);
-  EXPECT_GE(SE.pass("cse")->Changes, 1u);
+  OpStats Pruned = countOps(L.K);
+  EXPECT_EQ(Pruned.Total, 42u);
+  EXPECT_EQ(Pruned.multiplies(), 14u);
+  EXPECT_EQ(Pruned.Total, countOps(lowerWithPlan(K, PlanOptions()).K).Total)
+      << "lowerWithPlan must run the same pipeline";
+  EXPECT_GE(S.pass("range")->Changes, 1u);
+  EXPECT_GE(S.pass("cse")->Changes, 1u);
 
   // The r0 < 3q style annotations are semantic preconditions: they hold
   // when gmu = floor(2^W / q) for an L-bit modulus, so the differential
@@ -293,29 +326,25 @@ TEST(PassManager, ExtendedPipelineShrinksRnsDecompose) {
     }
     return In;
   };
-  expectLoweringEquivalence(K, Def, R, 25, MakeIn);
-  expectLoweringEquivalence(K, Ext, R, 25, MakeIn);
+  expectLoweringEquivalence(K, L, R, 25, MakeIn);
 }
 
-// Same ablation on the fused-NTT element kernel: the butterfly's addmod
-// carry chains give the interval analysis strictly fewer statements.
-TEST(PassManager, ExtendedPipelineShrinksButterfly) {
+// Same on the fused-NTT element kernel: range analysis kills carries of
+// the butterfly's addmod chains, 50 statements down to 48.
+TEST(PassManager, PipelineShrinksButterfly) {
   kernels::ScalarKernelSpec Spec;
   Spec.ContainerBits = 128;
   Spec.ModBits = 124;
   Kernel K = kernels::buildButterflyKernel(Spec);
 
-  LoweredKernel Def = lowerToWords(K);
-  LoweredKernel Ext = lowerToWords(K);
-  PassPipeline PD = defaultPipeline();
-  PassPipeline PE = extendedPipeline();
-  PD.runLowered(Def);
-  PE.runLowered(Ext);
-
-  OpStats D = countOps(Def.K), E = countOps(Ext.K);
-  EXPECT_LT(E.Total, D.Total);
-  EXPECT_LE(E.multiplies(), D.multiplies());
-  EXPECT_LE(E.addSubs(), D.addSubs());
+  LoweredKernel L = lowerToWords(K);
+  OpStats Unpruned = countOps(L.K);
+  EXPECT_EQ(Unpruned.Total, 50u);
+  EXPECT_TRUE(pruningPipeline().runLowered(L).Converged);
+  OpStats Pruned = countOps(L.K);
+  EXPECT_EQ(Pruned.Total, 48u);
+  EXPECT_LE(Pruned.multiplies(), Unpruned.multiplies());
+  EXPECT_LE(Pruned.addSubs(), Unpruned.addSubs());
 
   // Butterfly inputs must be reduced (x, y, w < q) and wq must be the
   // genuine Shoup companion of w.
@@ -333,7 +362,7 @@ TEST(PassManager, ExtendedPipelineShrinksButterfly) {
     }
     return In;
   };
-  expectLoweringEquivalence(K, Ext, R, 25, MakeIn);
+  expectLoweringEquivalence(K, L, R, 25, MakeIn);
 }
 
 // Dead-port elimination marks input words nothing reads; the emitters skip
@@ -349,8 +378,7 @@ TEST(PassManager, DeadPortWordsKeepAbiSlotsButSkipLoads) {
   K.addOutput(Sp.Lo, "lo");
 
   LoweredKernel L = lowerToWords(K);
-  PassPipeline P = extendedPipeline();
-  PipelineStats S = P.runLowered(L);
+  PipelineStats S = pruningPipeline().runLowered(L);
   const PassStats *DP = S.pass("deadports");
   ASSERT_NE(DP, nullptr);
   EXPECT_GE(DP->Removed, 1u);
@@ -376,24 +404,4 @@ TEST(PassManager, DeadPortWordsKeepAbiSlotsButSkipLoads) {
   SeededRng R(0xDEAD);
   expectLoweringEquivalence(K, L, R, 10,
                             [&](Rng &Rr) { return randomInputs(K, Rr); });
-}
-
-// The PlanOptions pass-spec knob: "default" and "" name one plan, other
-// specs extend the cache-key string, and lowerWithPlan honors the spec.
-TEST(PassManager, PlanOptionsPassSpec) {
-  PlanOptions A, B;
-  B.Passes = "default";
-  EXPECT_TRUE(A == B);
-  EXPECT_EQ(A.str(), B.str());
-  B.Passes = "extended";
-  EXPECT_FALSE(A == B);
-  EXPECT_NE(B.str().find("/p=extended"), std::string::npos);
-
-  kernels::ScalarKernelSpec Spec;
-  Spec.ContainerBits = 256;
-  Spec.ModBits = 60;
-  Kernel K = kernels::buildRnsDecomposeKernel(Spec, /*WideWords=*/4);
-  LoweredKernel Def = lowerWithPlan(K, A);
-  LoweredKernel Ext = lowerWithPlan(K, B);
-  EXPECT_LT(countOps(Ext.K).Total, countOps(Def.K).Total);
 }

@@ -1,8 +1,8 @@
 //===- tests/rewrite/SimplifyTest.cpp - folding and pruning --------------------===//
 //
 // The §4 non-power-of-two optimization and its supporting folds: constant
-// propagation, algebraic identities, KnownBits strength reduction, copy
-// propagation, and dead code elimination.
+// propagation, algebraic identities, range-analysis strength reduction,
+// copy propagation, and dead code elimination.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +34,7 @@ TEST(Simplify, FoldsConstantArithmetic) {
   HiLoResult P = B.mul(C1, C2);
   K.addOutput(S.Value, "s");
   K.addOutput(P.Lo, "p");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   // Everything folds to constants; only Const statements remain.
   for (const Stmt &St : K.Body)
     EXPECT_EQ(St.Kind, OpKind::Const);
@@ -52,7 +52,7 @@ TEST(Simplify, AddWithZeroBecomesIdentity) {
   ValueId Z = B.constantZero(64);
   CarryResult S = B.add(A, Z);
   K.addOutput(S.Value, "s");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Add), 0u);
   auto Out = interpret(K, {Bignum(123)});
   EXPECT_EQ(Out[0], Bignum(123));
@@ -68,7 +68,7 @@ TEST(Simplify, MulByZeroAndOne) {
   HiLoResult P1 = B.mul(A, B.constant(64, Bignum(1)));
   K.addOutput(P0.Lo, "z");
   K.addOutput(P1.Lo, "o");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).multiplies(), 0u);
   auto Out = interpret(K, {Bignum(77)});
   EXPECT_TRUE(Out[0].isZero());
@@ -88,7 +88,7 @@ TEST(Simplify, KnownBitsKillsImpossibleCarry) {
   // Make the carry observable: out = select(carry, a, b).
   K.addOutput(B.select(S.Carry, A, Bv), "o");
   K.addOutput(S.Value, "s");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Select), 0u)
       << "carry is provably zero, select must fold to its false arm";
   auto Out = interpret(K, {Bignum(5), Bignum(9)});
@@ -106,7 +106,7 @@ TEST(Simplify, KnownBitsTurnsMulIntoMulLow) {
   HiLoResult P = B.mul(A, Bv);
   K.addOutput(P.Lo, "lo");
   K.addOutput(B.select(B.eq(P.Hi, B.constantZero(64)), A, Bv), "probe");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Mul), 0u);
   EXPECT_EQ(countOps(K).count(OpKind::MulLow), 1u);
   // hi == 0 folds true, probe = a.
@@ -122,7 +122,7 @@ TEST(Simplify, ShrPastKnownBitsIsZero) {
   K.addInput(A, "a");
   Builder B(K);
   K.addOutput(B.shr(A, 20), "o"); // a < 2^10, so a >> 20 == 0
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Shr), 0u);
   EXPECT_TRUE(interpret(K, {Bignum(1023)})[0].isZero());
 }
@@ -137,7 +137,7 @@ TEST(Simplify, DeadCodeIsRemoved) {
   B.mul(A, A);
   CarryResult S = B.add(A, A);
   K.addOutput(S.Value, "s");
-  PipelineStats Stats = defaultPipeline().run(K);
+  PipelineStats Stats = pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).multiplies(), 0u);
   EXPECT_GT(Stats.pass("dce")->Removed, 0u);
 }
@@ -150,7 +150,7 @@ TEST(Simplify, CopyChainsCollapse) {
   Builder B(K);
   ValueId C = B.copy(B.copy(B.copy(A)));
   K.addOutput(C, "o");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Copy), 0u);
   EXPECT_EQ(K.outputs()[0].Id, K.inputs()[0].Id)
       << "output rebinds to the input value";
@@ -167,7 +167,7 @@ TEST(Simplify, SelectIdentities) {
   K.addOutput(B.select(C, A, A), "same");
   K.addOutput(B.select(B.constant(1, Bignum(1)), A, B.constantZero(64)),
               "true");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Select), 0u);
   auto Out = interpret(K, {Bignum(0), Bignum(9)});
   EXPECT_EQ(Out[0], Bignum(9));
@@ -186,7 +186,7 @@ TEST(Simplify, ComparisonIdentities) {
   K.addOutput(B.select(Lt, A, B.constantZero(64)), "o1");
   K.addOutput(B.select(Eq, A, B.constantZero(64)), "o2");
   K.addOutput(B.select(LtZ, A, B.constantZero(64)), "o3");
-  defaultPipeline().run(K);
+  pruningPipeline().run(K);
   EXPECT_EQ(countOps(K).count(OpKind::Lt), 0u);
   EXPECT_EQ(countOps(K).count(OpKind::Eq), 0u);
   auto Out = interpret(K, {Bignum(5)});
@@ -247,9 +247,9 @@ TEST(Simplify, FixpointTerminates) {
   LoweredKernel L = lowerWithPlan(K, PlanOptions());
   // A second run must be a no-op.
   Kernel Before = L.K;
-  PipelineStats S = defaultPipeline().run(L.K);
+  PipelineStats S = pruningPipeline().run(L.K);
   EXPECT_EQ(S.pass("constfold")->Changes + S.pass("algebraic")->Changes +
-                S.pass("knownbits")->Changes,
+                S.pass("range")->Changes,
             0u);
   EXPECT_EQ(L.K.size(), Before.size());
 }

@@ -437,62 +437,6 @@ TEST(Autotuner, SeparateDecisionsForConflictingBasePlans) {
   EXPECT_EQ(T.numDecisions(), 2u);
 }
 
-TEST(Autotuner, PassSpecKeysAndPersistsDecisions) {
-  // The pass spec is never swept, so it pins its own decision like any
-  // other base knob, and the decision carries it through the tune cache.
-  namespace fs = std::filesystem;
-  std::string Path =
-      (fs::temp_directory_path() / "moma-tune-passes.json").string();
-  std::remove(Path.c_str());
-  AutotunerOptions O = quickTune();
-  O.TunePrune = false; // a pruned winner keeps its pass spec
-  O.TuneBackend = false;
-  Bignum Q = testModulus(124);
-  rewrite::PlanOptions Ext;
-  Ext.Passes = "extended";
-
-  Autotuner T1(registry(), O);
-  const TuneDecision *DE = T1.choose(KernelOp::MulMod, Q, Ext);
-  ASSERT_NE(DE, nullptr) << T1.error();
-  EXPECT_EQ(DE->Opts.Passes, "extended");
-  const TuneDecision *DD = T1.choose(KernelOp::MulMod, Q);
-  ASSERT_NE(DD, nullptr) << T1.error();
-  EXPECT_EQ(DD->Opts.normalizedPasses(), "")
-      << "default-pipeline base was served the extended decision";
-  EXPECT_EQ(T1.numDecisions(), 2u);
-  ASSERT_TRUE(T1.save(Path));
-
-  Autotuner T2(registry(), O);
-  ASSERT_TRUE(T2.load(Path)) << T2.error();
-  const TuneDecision *LE = T2.choose(KernelOp::MulMod, Q, Ext);
-  ASSERT_NE(LE, nullptr) << T2.error();
-  EXPECT_TRUE(LE->FromCache);
-  EXPECT_EQ(LE->Opts.Passes, "extended")
-      << "pass spec lost in the JSON round-trip";
-  EXPECT_TRUE(LE->Opts == DE->Opts);
-  const TuneDecision *LD = T2.choose(KernelOp::MulMod, Q);
-  ASSERT_NE(LD, nullptr) << T2.error();
-  EXPECT_TRUE(LD->FromCache);
-  EXPECT_TRUE(LD->Opts == DD->Opts);
-  EXPECT_EQ(T2.stats().Tuned, 0u);
-
-  // A spec the pass catalog rejects is dropped at load, not bound.
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    std::fputs("{\"version\": 5, \"entries\": [{\"problem\": "
-               "\"mulmod/c128/m124/w64/n64/schoolbook/p=nosuchpass\", "
-               "\"reduction\": \"barrett\", \"passes\": "
-               "\"nosuchpass\"}]}",
-               F);
-    std::fclose(F);
-  }
-  Autotuner T3(registry(), O);
-  ASSERT_TRUE(T3.load(Path)) << T3.error();
-  EXPECT_EQ(T3.numDecisions(), 0u);
-  std::remove(Path.c_str());
-}
-
 TEST(Autotuner, LoadRejectsGarbage) {
   namespace fs = std::filesystem;
   std::string Path =

@@ -25,9 +25,6 @@
 //            [--ring cyclic|negacyclic]  (NTT ring; butterfly tune/keys)
 //            [--rns-limbs <L>]           (RNS base size for rnsdec/rnsrec)
 //            [--device h100|rtx4090|v100|host] (simgpu device profile)
-//            [--passes <spec>]           (simplify pipeline: default,
-//                                         extended, or a comma list of
-//                                         catalog passes)
 //            [--emit ir|c|cuda|stats|pass-stats|tune]  (default c)
 //            [--tune-cache <path>]       (persist/reuse autotune JSON)
 //
@@ -40,6 +37,10 @@
 // kernels tune the transform-shaped problem (a batched 256-point NTT
 // through the fused pipeline, via Autotuner::chooseNtt), so the fusion
 // depth is swept and reported alongside the backend.
+//
+// Every pruned plan runs the one pruning pipeline (rewrite/PassManager.h),
+// and `--no-prune` skips it. `--emit pass-stats` lowers the kernel, runs
+// the pipeline and reports what each of its passes did.
 //
 // The reduction and multiply-rule knobs a kernel ignores are folded the
 // way the runtime's PlanKey folds them before anything is lowered, so
@@ -63,7 +64,7 @@
 //   moma-gen -k mulmod -m 380 --emit tune --tune-cache tune.json
 //   moma-gen -k vmul -m 252 --device rtx4090 --emit tune
 //   moma-gen -k rnsdec -m 60 --rns-limbs 8 --emit stats
-//   moma-gen -k rnsdec -m 60 --passes extended --emit pass-stats
+//   moma-gen -k rnsdec -m 60 --emit pass-stats
 //   moma-gen -k rnsresc -m 60 --emit c
 //
 //===----------------------------------------------------------------------===//
@@ -103,7 +104,6 @@ namespace {
       "          [--backend serial|simgpu|vector] [--block-dim <n>]\n"
       "          [--fuse-depth <k>] [--ring cyclic|negacyclic]\n"
       "          [--rns-limbs <L>] [--device h100|rtx4090|v100|host]\n"
-      "          [--passes default|extended|<pass,...>]\n"
       "          [--emit ir|c|cuda|stats|pass-stats|tune]\n"
       "          [--tune-cache <path>] [--inject <site:policy>]\n"
       "kernels: addmod submod mulmod butterfly axpy vadd vsub vmul\n"
@@ -206,9 +206,7 @@ int main(int argc, char **argv) {
         Plan.Ring = rewrite::NttRing::Negacyclic;
       else
         usage(argv[0]);
-    } else if (Arg == "--passes")
-      Plan.Passes = Next();
-    else if (Arg == "--rns-limbs")
+    } else if (Arg == "--rns-limbs")
       RnsLimbs = std::strtoul(Next(), nullptr, 10);
     else if (Arg == "--device") {
       DeviceName = Next();
@@ -370,20 +368,12 @@ int main(int argc, char **argv) {
   }
 
   if (Emit == "pass-stats") {
-    // The satellite view of the ISSUE 6 pass manager: what each pass in
-    // the (possibly non-default) pipeline did to this lowered kernel.
-    rewrite::PassPipeline P;
-    std::string Err;
-    if (!rewrite::parsePipeline(Plan.Passes, P, &Err)) {
-      std::fprintf(stderr, "%s\n", Err.c_str());
-      return 2;
-    }
+    // What each pass of the pruning pipeline did to this lowered kernel.
     rewrite::LoweredKernel LP = rewrite::lowerToWords(K, Plan.lowerOptions());
     rewrite::OpStats Before = rewrite::countOps(LP.K);
-    rewrite::PipelineStats PS = P.runLowered(LP);
+    rewrite::PipelineStats PS = rewrite::pruningPipeline().runLowered(LP);
     rewrite::OpStats After = rewrite::countOps(LP.K);
-    std::printf("kernel %s: pipeline %s\n", K.Name.c_str(),
-                Plan.Passes.empty() ? "default" : Plan.Passes.c_str());
+    std::printf("kernel %s: pruning pipeline\n", K.Name.c_str());
     std::printf("%s", PS.report().c_str());
     std::printf("ops: %u -> %u stmts, %u -> %u mul, %u -> %u addsub\n",
                 Before.Total, After.Total, Before.multiplies(),
