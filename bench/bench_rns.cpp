@@ -49,9 +49,9 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-rewrite::PlanOptions pinnedSerial(unsigned Depth) {
+rewrite::PlanOptions pinnedVector(unsigned Depth) {
   rewrite::PlanOptions O;
-  O.Backend = ExecBackend::Serial;
+  O.Backend = ExecBackend::Vector;
   O.FuseDepth = Depth;
   return O;
 }
@@ -103,7 +103,7 @@ int main(int argc, char **argv) {
   // Deterministic by construction (no tuner, fixed depth 2), so the CI
   // trajectory gate checks these counts exactly.
   KernelRegistry CountReg;
-  Dispatcher CountD(CountReg, nullptr, pinnedSerial(2));
+  Dispatcher CountD(CountReg, nullptr, pinnedVector(2));
   if (!CountD.rnsPolyMul(Ctx, AW.data(), BW.data(), CW.data(), N, Batch,
                          NttRing::Cyclic)) {
     reportf("rnsPolyMul failed: %s\n", CountD.error().c_str());
@@ -136,7 +136,7 @@ int main(int argc, char **argv) {
     auto A2W = packBatch(A2, Ctx2.wideWords());
     std::vector<std::uint64_t> C2W(N * Ctx2.wideWords());
     KernelRegistry Reg2;
-    Dispatcher D2(Reg2, nullptr, pinnedSerial(2));
+    Dispatcher D2(Reg2, nullptr, pinnedVector(2));
     if (!D2.rnsPolyMul(Ctx2, A2W.data(), A2W.data(), C2W.data(), N, 1,
                        NttRing::Cyclic)) {
       reportf("rnsPolyMul (2 limbs) failed: %s\n", D2.error().c_str());
@@ -194,7 +194,7 @@ int main(int argc, char **argv) {
   {
     std::vector<std::uint64_t> Res(Ctx.numLimbs() * N * Batch),
         Back(N * Batch * WW);
-    Dispatcher D(CountReg, nullptr, pinnedSerial(2));
+    Dispatcher D(CountReg, nullptr, pinnedVector(2));
     if (!D.rnsDecompose(Ctx, AW.data(), Res.data(), N * Batch) ||
         !D.rnsRecombine(Ctx, Res.data(), Back.data(), N * Batch))
       Roundtrip = false;
@@ -238,7 +238,7 @@ int main(int argc, char **argv) {
   T.addRow({"full negacyclic rnsPolyMul", formatNanos(PolySec * 1e9),
             formatNanos(PolySec * 1e9 / double(Elems))});
   report(T.render());
-  reportf("plans: %u built for 4 limbs, %u for 2 limbs (pinned serial "
+  reportf("plans: %u built for 4 limbs, %u for 2 limbs (pinned vector "
           "registries); cyclic dispatches %llu, negacyclic extra %llu\n",
           BuildsL4, BuildsL2,
           static_cast<unsigned long long>(CycDispatches),

@@ -63,7 +63,7 @@ EmittedKernel moma::codegen::emitGridC(const LoweredKernel &L,
          "typedef uint64_t u64;\n"
          "typedef uint32_t u32;\n\n";
 
-  // The shared scalar body (identical to the serial and CUDA emissions).
+  // The shared scalar body (identical to the emitC and CUDA emissions).
   std::string ScalarFn = Base + "_scalar";
   Src += emitScalarFunction(L, Opts.WordBits, ScalarFn, "static inline",
                             "u64");

@@ -92,7 +92,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
          "typedef uint64_t u64;\n"
          "typedef uint32_t u32;\n\n";
 
-  // The shared scalar body (identical to the serial, grid and CUDA
+  // The shared scalar body (identical to the emitC, grid and CUDA
   // emissions — bit-identity across backends is by construction). Large
   // bodies stay out of line: see VectorInlineMaxStmts.
   std::string ScalarFn = Base + "_scalar";
@@ -150,7 +150,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
   // tables are lane-invariant broadcasts. Each (thread t, lane block)
   // holds its 2^depth elements for up to VectorLanes rows in the register
   // block R[reg][word][lane]; the walk order per row is exactly the
-  // serial/grid one, and modular arithmetic is exact, so results are
+  // interpreter/grid one, and modular arithmetic is exact, so results are
   // bit-identical by construction.
   //===--------------------------------------------------------------------===//
 
@@ -246,7 +246,7 @@ EmittedKernel moma::codegen::emitVectorC(const LoweredKernel &L,
     Src += "        }\n";
     Src += "      }\n";
     // Sub-stage d pairs register j with j + 2^d; same twiddle indexing as
-    // the serial mirror and the grid fused entry.
+    // the interpreter's walker and the grid fused entry.
     Src += "      for (u64 d = 0; d < depth; ++d) {\n";
     Src += "        u64 h = (u64)1 << d;\n";
     Src += "        u64 L = len0 << d;\n";

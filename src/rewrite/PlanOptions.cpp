@@ -21,11 +21,9 @@ const char *moma::rewrite::execBackendName(ExecBackend B) {
   case ExecBackend::Vector:
     return "vector";
   case ExecBackend::Interp:
-    return "interp";
-  case ExecBackend::Serial:
     break;
   }
-  return "serial";
+  return "interp";
 }
 
 const char *moma::rewrite::nttRingName(NttRing R) {
@@ -39,16 +37,15 @@ std::string PlanOptions::str() const {
                                                     : "schoolbook",
               Prune ? "prune" : "noprune",
               Schedule ? "schedule" : "noschedule");
-  // Serial plans keep the historical five-token form so every cache key
-  // minted before the backend knob existed still names the same plan.
-  // Only sim-GPU plans carry launch geometry: the vector lane block is
-  // fixed, and the interpreter has none.
-  if (Backend == ExecBackend::Vector)
+  // Every key names its backend. Only sim-GPU plans carry launch
+  // geometry: the vector lane block is fixed, and the interpreter has
+  // none.
+  if (Backend == ExecBackend::SimGpu)
+    S += formatv("/simgpu/b%u", BlockDim);
+  else if (Backend == ExecBackend::Vector)
     S += "/vec";
-  else if (Backend == ExecBackend::Interp)
+  else
     S += "/interp";
-  else if (Backend != ExecBackend::Serial)
-    S += formatv("/%s/b%u", execBackendName(Backend), BlockDim);
   // Depth 1 is the historical radix-2 shape; only deeper fusion extends
   // the key, so pre-fusion cache keys stay readable.
   if (FuseDepth > 1)

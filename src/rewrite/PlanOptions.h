@@ -29,25 +29,24 @@
 namespace moma {
 namespace rewrite {
 
-/// Which execution substrate a generated kernel targets. Serial is the
-/// host-JIT scalar loop (one call per element); SimGpu is the same scalar
-/// body wrapped in a grid-shaped (blockIdx, threadIdx) C function (the
-/// paper's §5.1 CUDA thread mapping) launched over the sim:: thread-pool
-/// substrate; Vector is the same body called from one compiled loop over
-/// the batch, with fused transforms holding a fixed block of batch rows
-/// in SIMD lanes (codegen/VectorEmitter.h), compiled with per-plan extra
-/// flags (-O3 -march=native). Interp skips code generation entirely and
-/// executes the scalar kernel through ir::Interp — orders of magnitude
-/// slower, but it cannot fail to "compile", which makes it the terminal
-/// rung of the runtime's degradation ladder when the host JIT is
+/// Which execution substrate a generated kernel targets. SimGpu wraps the
+/// scalar kernel body in a grid-shaped (blockIdx, threadIdx) C function
+/// (the paper's §5.1 CUDA thread mapping) launched over the sim::
+/// thread-pool substrate; Vector calls the same body from one compiled
+/// loop over the batch, with fused transforms holding a fixed block of
+/// batch rows in SIMD lanes (codegen/VectorEmitter.h), compiled with
+/// per-plan extra flags (-O3 -march=native). Interp skips code generation
+/// entirely and executes the scalar kernel through ir::Interp — orders of
+/// magnitude slower, but it cannot fail to "compile", which makes it the
+/// terminal rung of the runtime's degradation ladder when the host JIT is
 /// unavailable (see DESIGN.md "Failure model"). The lowering pipeline
 /// ignores this knob — it selects which wrapper the runtime emits around
 /// the lowered body and how the dispatcher executes it — but it lives
 /// here so one PlanOptions names a complete variant for the plan cache
 /// and autotuner.
-enum class ExecBackend : std::uint8_t { Serial, SimGpu, Vector, Interp };
+enum class ExecBackend : std::uint8_t { SimGpu, Vector, Interp };
 
-/// Mnemonic backend name ("serial" / "simgpu" / "vector" / "interp").
+/// Mnemonic backend name ("simgpu" / "vector" / "interp").
 const char *execBackendName(ExecBackend B);
 
 /// Which polynomial ring an NTT-shaped plan serves: the cyclic ring
@@ -91,12 +90,12 @@ struct PlanOptions {
   bool Schedule = false;
 
   /// Execution backend the runtime compiles this variant for.
-  ExecBackend Backend = ExecBackend::Serial;
+  ExecBackend Backend = ExecBackend::Vector;
 
   /// Launch geometry for the SimGpu backend: threads per block (the
   /// paper's §5.1 block dimension, at most 1024). Meaningless on the
-  /// serial backend; PlanKey canonicalization folds it to 0 there, and to
-  /// the 256 default when a SimGpu plan leaves it 0.
+  /// vector and interp backends; PlanKey canonicalization folds it to 0
+  /// there, and to the 256 default when a SimGpu plan leaves it 0.
   unsigned BlockDim = 0;
 
   /// NTT stage-fusion depth k: one virtual thread performs a 2^k-point
@@ -120,12 +119,11 @@ struct PlanOptions {
   NttRing Ring = NttRing::Cyclic;
 
   /// Stable text form used in plan-cache keys and the autotune JSON:
-  /// e.g. "w64/barrett/schoolbook/prune/noschedule". Serial plans keep
-  /// the historical five-token form (so pre-backend cache keys stay
-  /// readable); SimGpu plans append "/simgpu/b<dim>", Vector plans
-  /// append "/vec", Interp plans append "/interp", butterfly
-  /// plans fused deeper than one stage append "/f<depth>", and negacyclic
-  /// butterfly plans append "/neg".
+  /// e.g. "w64/barrett/schoolbook/prune/noschedule/vec". Every key names
+  /// its backend: Vector plans append "/vec", SimGpu plans
+  /// "/simgpu/b<dim>" and Interp plans "/interp". Butterfly plans fused
+  /// deeper than one stage then append "/f<depth>", and negacyclic
+  /// butterfly plans "/neg".
   std::string str() const;
 
   /// The LowerOptions slice of this plan.

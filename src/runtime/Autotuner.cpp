@@ -211,7 +211,7 @@ std::string Autotuner::decisionKey(KernelOp Op, const Bignum &Q,
   // Beyond the problem itself, pin every knob the sweep will NOT explore
   // (canonicalized, so folded knobs never split entries): two dispatchers
   // with conflicting base plans must never share a decision. The size
-  // bucket is always part of the key — the serial/sim-GPU crossover is a
+  // bucket is always part of the key — the sim-GPU/vector crossover is a
   // function of the batch size.
   std::string Key = K.problemStr() + formatv("/n%u", Bucket);
   Key += K.Opts.MulAlg == mw::MulAlgorithm::Karatsuba ? "/karatsuba"
@@ -345,7 +345,7 @@ Autotuner::candidates(KernelOp Op, const Bignum &Q,
   };
   std::vector<BackendCand> Backends = {{Base.Backend, Base.BlockDim}};
   if (O.TuneBackend) {
-    Backends = {{rewrite::ExecBackend::Serial, 0}};
+    Backends.clear();
     for (unsigned BD : O.BlockDims)
       Backends.push_back({rewrite::ExecBackend::SimGpu, BD});
     Backends.push_back({rewrite::ExecBackend::Vector, 0});
@@ -392,7 +392,7 @@ bool Autotuner::tuneProblem(KernelOp Op, const Bignum &Q,
 
   // One calibration batch shared by every candidate: random reduced
   // elements, deterministic per problem, sized to the problem's batch
-  // class so the serial/sim-GPU ranking reflects real dispatch sizes.
+  // class so the sim-GPU/vector ranking reflects real dispatch sizes.
   unsigned ElemWords = (Q.bitWidth() + 63) / 64;
   size_t N = std::min<size_t>(Bucket, std::max(1u, O.MaxCalibrationElems));
   Rng R(0x7C5EDull ^ (Q.bitWidth() * 1315423911ull) ^
@@ -627,11 +627,23 @@ bool Autotuner::load(const std::string &Path) {
   for (const JValue &E : Entries->A) {
     const JValue *Problem = E.field("problem");
     const JValue *Red = E.field("reduction");
+    const JValue *Backend = E.field("backend");
     if (!Problem || Problem->K != JValue::Str || !Red ||
-        Red->K != JValue::Str)
+        Red->K != JValue::Str || !Backend || Backend->K != JValue::Str)
       continue; // tolerate foreign entries
     TuneDecision D;
     D.FromCache = true;
+    // Only backends this build runs load. Any other name (a decision for
+    // the retired serial backend, say) is skipped, so its problem
+    // re-tunes on demand instead of binding a plan nobody can run.
+    if (Backend->S == "simgpu")
+      D.Opts.Backend = rewrite::ExecBackend::SimGpu;
+    else if (Backend->S == "vector")
+      D.Opts.Backend = rewrite::ExecBackend::Vector;
+    else if (Backend->S == "interp")
+      D.Opts.Backend = rewrite::ExecBackend::Interp;
+    else
+      continue;
     D.Opts.Red = Red->S == "montgomery" ? mw::Reduction::Montgomery
                                         : mw::Reduction::Barrett;
     if (const JValue *V = E.field("word_bits"))
@@ -643,11 +655,6 @@ bool Autotuner::load(const std::string &Path) {
       D.Opts.Prune = V->B;
     if (const JValue *V = E.field("schedule"))
       D.Opts.Schedule = V->B;
-    if (const JValue *V = E.field("backend"))
-      D.Opts.Backend = V->S == "simgpu"   ? rewrite::ExecBackend::SimGpu
-                       : V->S == "vector" ? rewrite::ExecBackend::Vector
-                       : V->S == "interp" ? rewrite::ExecBackend::Interp
-                                          : rewrite::ExecBackend::Serial;
     if (const JValue *V = E.field("block_dim"))
       D.Opts.BlockDim = static_cast<unsigned>(V->N);
     if (const JValue *V = E.field("fuse_depth"))

@@ -10,9 +10,9 @@
 /// paper's per-configuration generation model implies: on the first
 /// request for a (kernel, widths, batch-size class) problem the tuner
 /// compiles every candidate knob combination (Barrett vs Montgomery for
-/// mulmod and axpy, pruning on/off, scheduled vs unscheduled, serial vs
-/// sim-GPU backend × block dim {64..1024} vs vector backend, and the
-/// fusion depth for transforms), times each distinct
+/// mulmod and axpy, pruning on/off, scheduled vs unscheduled, sim-GPU
+/// backend × block dim {64..1024} vs vector backend, and the fusion
+/// depth for transforms), times each distinct
 /// plan once over a calibration batch on this machine, and pins the
 /// winner. Element-wise ops tune through choose(), butterflies only as
 /// whole transforms through chooseNtt(). Decisions persist as JSON so a
@@ -57,9 +57,9 @@ struct AutotunerOptions {
   bool TuneReduction = true;
   bool TunePrune = true;
   bool TuneSchedule = true;
-  /// Sweep the execution backend (serial vs sim-GPU grid vs vector) and,
-  /// for the sim-GPU candidates, the block dimensions below. Off pins the
-  /// base plan's backend and geometry.
+  /// Sweep the execution backend (sim-GPU grid vs vector) and, for the
+  /// sim-GPU candidates, the block dimensions below. Off pins the base
+  /// plan's backend and geometry.
   bool TuneBackend = true;
   /// Block dimensions swept for sim-GPU candidates (paper §5.1: at most
   /// 1024 threads per block). Geometry is a launch parameter of the grid
@@ -93,7 +93,7 @@ public:
   /// class of \p SizeHint, tuning now on a first request. Decisions are
   /// per *problem size*: the hint (elements per dispatch; 0 means
   /// CalibrationElems) rounds up to a power-of-two bucket in [64, 16384],
-  /// because the serial/sim-GPU crossover moves with the batch size. The
+  /// because the sim-GPU/vector crossover moves with the batch size. The
   /// calibration batch matches the bucket (capped at
   /// MaxCalibrationElems). \p Base supplies the values of knobs outside
   /// the swept dimensions (word size, multiply rule). Null when every
@@ -125,10 +125,12 @@ public:
   bool save(const std::string &Path) const;
 
   /// Merges decisions from a JSON file produced by save(). Entries loaded
-  /// here are served with FromCache = true and are never re-timed.
-  /// Returns false (with error()) on I/O or parse failure, or when the
-  /// file is not a version-5 tune cache; a missing or rejected file is
-  /// reported as failure but leaves the tuner usable.
+  /// here are served with FromCache = true and are never re-timed; an
+  /// entry naming a backend this build does not run (a retired one, say)
+  /// is skipped, so its problem re-tunes on demand. Returns false (with
+  /// error()) on I/O or parse failure, or when the file is not a
+  /// version-5 tune cache; a missing or rejected file is reported as
+  /// failure but leaves the tuner usable.
   bool load(const std::string &Path);
 
   /// Diagnostics from the calling thread's most recent failed call;

@@ -78,85 +78,29 @@ bool checkStageGroup(const StageGroup &G, size_t NPoints, std::string *Err) {
   return true;
 }
 
-/// Calls \p Fn with \p N pointer arguments. The emitted-kernel ABI is
-/// void(f)(port0*, port1*, ...); arities cover every runtime kernel shape
-/// (KernelRegistry refuses plans with more than 8 ports).
-bool callPorts(void *Fn, void *const *A, size_t N) {
-  using P = void *;
-  switch (N) {
-  case 3:
-    reinterpret_cast<void (*)(P, P, P)>(Fn)(A[0], A[1], A[2]);
-    return true;
-  case 4:
-    reinterpret_cast<void (*)(P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3]);
-    return true;
-  case 5:
-    reinterpret_cast<void (*)(P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
-                                                  A[4]);
-    return true;
-  case 6:
-    reinterpret_cast<void (*)(P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
-                                                     A[4], A[5]);
-    return true;
-  case 7:
-    reinterpret_cast<void (*)(P, P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2],
-                                                        A[3], A[4], A[5],
-                                                        A[6]);
-    return true;
-  case 8:
-    reinterpret_cast<void (*)(P, P, P, P, P, P, P, P)>(Fn)(
-        A[0], A[1], A[2], A[3], A[4], A[5], A[6], A[7]);
-    return true;
-  default:
-    return false;
+/// One interpreted element call over the port frame \p Ports (outputs,
+/// data inputs, then the broadcast tail): unpacks every input port into a
+/// Bignum (inputs first, so in-place calls see a consistent snapshot),
+/// runs the plan's scalar kernel through ir::interpret and packs the
+/// outputs back.
+void interpCall(const CompiledPlan &P, void *const *Ports) {
+  size_t NumIn = P.Lowered.Inputs.size();
+  std::vector<mw::Bignum> In(NumIn);
+  for (size_t J = 0; J < NumIn; ++J)
+    In[J] = unpackWordsMsbFirst(
+        static_cast<const std::uint64_t *>(Ports[P.NumOutputs + J]),
+        P.Lowered.Inputs[J].storedWords());
+  std::vector<mw::Bignum> Out = ir::interpret(*P.InterpKernel, In);
+  for (size_t J = 0; J < P.NumOutputs; ++J) {
+    std::vector<std::uint64_t> W =
+        packWordsMsbFirst(Out[J], P.Lowered.Outputs[J].storedWords());
+    std::copy(W.begin(), W.end(), static_cast<std::uint64_t *>(Ports[J]));
   }
 }
 
-/// How a host-side walker invokes the plan for one element/butterfly: a
-/// callable over the assembled port frame, false on an unsupported arity.
-/// The serial backend's invoker calls the JIT'd scalar entry point, the
-/// interp backend's runs ir::interpret. Sharing the walkers this way keeps
-/// the two backends' butterfly order identical by construction, which is
-/// what makes interp fallback results bit-identical to JIT results.
-///
-/// The serial invoker resolves the entry point and port count once per
-/// dispatch, keeping the per-element loop a direct call.
-auto serialInvoker(const CompiledPlan &P) {
-  return [Fn = P.Fn, NumPorts = P.numPorts()](void *const *Ports) {
-    return callPorts(Fn, Ports, NumPorts);
-  };
-}
-
-/// The interpreter invoker: unpacks every port into a Bignum (inputs
-/// first, so in-place butterflies see a consistent snapshot), runs the
-/// plan's scalar kernel through ir::interpret, packs the outputs back.
-auto interpInvoker(const CompiledPlan &P) {
-  return [&P](void *const *Ports) {
-    size_t NumIn = P.Lowered.Inputs.size();
-    std::vector<mw::Bignum> In(NumIn);
-    for (size_t J = 0; J < NumIn; ++J)
-      In[J] = unpackWordsMsbFirst(
-          static_cast<const std::uint64_t *>(Ports[P.NumOutputs + J]),
-          P.Lowered.Inputs[J].storedWords());
-    std::vector<mw::Bignum> Out = ir::interpret(*P.InterpKernel, In);
-    for (size_t J = 0; J < P.NumOutputs; ++J) {
-      std::vector<std::uint64_t> W =
-          packWordsMsbFirst(Out[J], P.Lowered.Outputs[J].storedWords());
-      std::copy(W.begin(), W.end(), static_cast<std::uint64_t *>(Ports[J]));
-    }
-    return true;
-  };
-}
-
-/// The serial backend runs serial plans only, through their scalar entry
-/// point.
-bool checkSerialPlan(const CompiledPlan &P, std::string *Err) {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
-    return fail(Err, formatv("serial backend cannot run a %s plan",
-                             rewrite::execBackendName(P.Key.Opts.Backend)));
-  if (!P.Fn)
-    return fail(Err, "serial backend needs a plan compiled with a scalar "
-                     "entry point");
+bool checkInterpPlan(const CompiledPlan &P, std::string *Err) {
+  if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
+    return fail(Err, "interp backend needs an interpreter plan");
   return true;
 }
 
@@ -172,14 +116,16 @@ std::vector<std::uint64_t> inputStrides(const CompiledPlan &P,
   return Strides;
 }
 
-/// Element-loop walker shared by the host backends (serial and interp):
-/// one invoker call per element with the same port addressing as the
-/// grid's e = by*n + i indexing. \p N is the flat element count. Output
-/// may alias input arrays: the emitted kernels load every input word
-/// before storing any output word.
-template <typename InvokeFn>
-bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
-                     std::string *Err, InvokeFn Invoke) {
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// InterpBackend
+//===----------------------------------------------------------------------===//
+
+bool InterpBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
+                             size_t N, size_t Rows, std::string *Err) const {
+  if (!checkInterpPlan(P, Err))
+    return false;
   if (Args.Outs.size() != P.NumOutputs)
     return fail(Err, formatv("runBatch: expected %u output arrays, got %zu",
                              P.NumOutputs, Args.Outs.size()));
@@ -192,12 +138,16 @@ bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
     return fail(Err,
                 formatv("runBatch: expected %zu broadcast aux arrays, got %zu",
                         P.AuxWords.size(), Args.Aux.size()));
-  size_t NumPorts = P.numPorts();
   void *Ports[8];
-  if (NumPorts > 8)
+  if (P.numPorts() > 8)
     return fail(Err, "runBatch: unsupported plan shape");
   std::vector<std::uint64_t> Strides = inputStrides(P, Args);
-  for (size_t I = 0; I < N; ++I) {
+  // Row-major batch rows are contiguous and broadcast (stride 0) inputs
+  // broadcast across every row, so one call per element over the flat
+  // N * Rows product addresses ports exactly as the grid's e = by*n + i
+  // indexing does. Outputs may alias inputs: interpCall reads every
+  // input before it writes any output.
+  for (size_t I = 0; I < N * Rows; ++I) {
     size_t Slot = 0;
     for (std::uint64_t *Out : Args.Outs)
       Ports[Slot++] = Out + I * P.ElemWords;
@@ -206,27 +156,22 @@ bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
           const_cast<std::uint64_t *>(Args.Ins[J] + I * Strides[J]);
     for (const std::uint64_t *A : Args.Aux)
       Ports[Slot++] = const_cast<std::uint64_t *>(A);
-    if (!Invoke(Ports))
-      return fail(Err,
-                  formatv("runBatch: unsupported arity %zu", NumPorts));
+    interpCall(P, Ports);
   }
   return true;
 }
 
-/// Fused stage-group walker shared by the host backends: the host-side
-/// mirror of the emitted fused kernel (same geometry, same butterfly
-/// order — bit-identical by construction across invokers too).
-template <typename InvokeFn>
-bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
-                  const std::uint64_t *Tw,
-                  const std::vector<const std::uint64_t *> &Aux,
-                  size_t NPoints, size_t Batch, std::string *Err,
-                  InvokeFn Invoke) {
-  if (!checkButterflyShape(P, Err) || !checkStageGroup(G, NPoints, Err))
+bool InterpBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
+                                  const std::uint64_t *Tw,
+                                  const std::vector<const std::uint64_t *>
+                                      &Aux,
+                                  size_t NPoints, size_t Batch,
+                                  std::string *Err) const {
+  if (!checkInterpPlan(P, Err) || !checkButterflyShape(P, Err) ||
+      !checkStageGroup(G, NPoints, Err))
     return false;
   unsigned K = P.ElemWords;
-  size_t NumPorts = P.numPorts();
-  if (Aux.size() != P.AuxWords.size() || NumPorts > 8)
+  if (Aux.size() != P.AuxWords.size() || P.numPorts() > 8)
     return fail(Err, "runStageGroup: aux/port shape mismatch");
   if (Batch == 0 || NPoints < 2)
     return true;
@@ -243,36 +188,14 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
     Ports[5] = const_cast<std::uint64_t *>(Entry + WWords);
   };
 
-  // In-place groups without edge folds need no staging at all on the
-  // serial substrate: walk the sub-stages as plain radix-2 passes over
-  // the buffer (identical butterfly sequence, so bit-identical results,
-  // with zero copies).
-  if (!G.Gather && !G.Twist && !G.Scale && G.Src == G.Dst) {
-    for (size_t B = 0; B < Batch; ++B) {
-      std::uint64_t *Poly = G.Dst + B * NPoints * K;
-      for (unsigned D = 0; D < G.Depth; ++D) {
-        size_t L = G.Len0 << D;
-        const std::uint64_t *Stage = Tw + (L - 1) * TE;
-        for (size_t I0 = 0; I0 < NPoints; I0 += 2 * L)
-          for (size_t J = 0; J < L; ++J) {
-            std::uint64_t *X = Poly + (I0 + J) * K;
-            Ports[0] = Ports[2] = X;
-            Ports[1] = Ports[3] = X + L * K;
-            SetEntry(Stage + J * TE);
-            if (!Invoke(Ports))
-              return fail(Err, "runStageGroup: unsupported butterfly "
-                               "arity");
-          }
-      }
-    }
-    return true;
-  }
-
   // The host-side mirror of the emitted fused kernel (same geometry, same
   // butterfly order — bit-identical by construction): 2^depth elements
   // per virtual thread staged through a register block, gather on the
-  // loads, n^-1 on the stores via the zero-x butterfly. One allocation
-  // per dispatch, amortized over the whole batch.
+  // loads, n^-1 on the stores via the zero-x butterfly. In-place groups
+  // take the same path: a thread loads all its elements before it stores
+  // any, and callers run a group in place only when each thread's read
+  // set is its write set (StageGroup). One allocation per dispatch,
+  // amortized over the whole batch.
   size_t M = size_t(1) << G.Depth;
   size_t NT = NPoints >> G.Depth;
   std::vector<std::uint64_t> Regs(M * K), Dump(K), Zero(K, 0);
@@ -297,8 +220,7 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
           Ports[2] = Zero.data();
           Ports[3] = Regs.data() + J * K;
           SetEntry(G.Twist + S * TE);
-          if (!Invoke(Ports))
-            return fail(Err, "runStageGroup: unsupported butterfly arity");
+          interpCall(P, Ports);
         }
       }
       for (unsigned D = 0; D < G.Depth; ++D) {
@@ -313,11 +235,7 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
             Ports[2] = X;
             Ports[3] = Y;
             SetEntry(Tw + (L - 1 + R + (J - J0) * G.Len0) * TE);
-            if (!Invoke(Ports))
-              return fail(Err,
-                          formatv("runStageGroup: unsupported butterfly "
-                                  "arity %zu",
-                                  NumPorts));
+            interpCall(P, Ports);
           }
       }
       if (G.Scale)
@@ -330,8 +248,7 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
           // indexes the per-output untwist table at the natural-order
           // element index.
           SetEntry(G.Scale + (Base + J * G.Len0) * G.ScaleStride);
-          if (!Invoke(Ports))
-            return fail(Err, "runStageGroup: unsupported butterfly arity");
+          interpCall(P, Ports);
         }
       for (size_t J = 0; J < M; ++J)
         std::copy(Regs.begin() + J * K, Regs.begin() + (J + 1) * K,
@@ -343,57 +260,6 @@ bool hostRunGroup(const CompiledPlan &P, const StageGroup &G,
     }
   }
   return true;
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// SerialBackend
-//===----------------------------------------------------------------------===//
-
-bool SerialBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
-                             size_t N, size_t Rows, std::string *Err) const {
-  if (!checkSerialPlan(P, Err))
-    return false;
-  // Row-major batch rows are contiguous, so the serial element loop is the
-  // flat product; broadcast (stride 0) inputs broadcast across every row
-  // exactly as the grid's e = by*n + i indexing does.
-  return hostRunElements(P, Args, N * Rows, Err, serialInvoker(P));
-}
-
-bool SerialBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
-                                  const std::uint64_t *Tw,
-                                  const std::vector<const std::uint64_t *>
-                                      &Aux,
-                                  size_t NPoints, size_t Batch,
-                                  std::string *Err) const {
-  if (!checkSerialPlan(P, Err))
-    return false;
-  return hostRunGroup(P, G, Tw, Aux, NPoints, Batch, Err, serialInvoker(P));
-}
-
-//===----------------------------------------------------------------------===//
-// InterpBackend
-//===----------------------------------------------------------------------===//
-
-bool InterpBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
-                             size_t N, size_t Rows, std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
-    return fail(Err, "interp backend needs an interpreter plan");
-  // Same flat element product as the serial backend; every call runs the
-  // scalar kernel through ir::interpret.
-  return hostRunElements(P, Args, N * Rows, Err, interpInvoker(P));
-}
-
-bool InterpBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
-                                  const std::uint64_t *Tw,
-                                  const std::vector<const std::uint64_t *>
-                                      &Aux,
-                                  size_t NPoints, size_t Batch,
-                                  std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
-    return fail(Err, "interp backend needs an interpreter plan");
-  return hostRunGroup(P, G, Tw, Aux, NPoints, Batch, Err, interpInvoker(P));
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,12 +7,10 @@
 ///
 /// \file
 /// The execution layer of the runtime: a compiled plan is run through an
-/// ExecutionBackend, of which there are four. Each has two entry points,
+/// ExecutionBackend, of which there are three. Each has two entry points,
 /// a batched element-wise runBatch and a fused NTT runStageGroup (the
 /// paper's one-launch-per-stage cadence is FuseDepth = 1 stage groups) —
 ///
-///  * SerialBackend: the original host-JIT model, one scalar call per
-///    element (per butterfly for NTT stage groups) on the calling thread;
 ///  * SimGpuBackend: the paper's §5.1 grid/block mapping — the plan's
 ///    grid-shaped entry points (codegen/GridEmitter.h) launched block-wise
 ///    over a sim::Device thread pool, grid y indexing the batch;
@@ -21,12 +19,12 @@
 ///    by the JIT at -O3 -march=native — one element loop per batch, and
 ///    fused transforms with a fixed block of batch rows in SIMD lanes;
 ///  * InterpBackend: no machine code at all — every element call runs the
-///    plan's scalar kernel through ir::Interp. It walks the exact same
-///    element/stage-group geometry as the serial backend (the walkers
-///    are shared, parameterized on the per-call invoker), so its
-///    results are bit-identical to every JIT backend; it exists as the
-///    terminal rung of the degradation ladder when the host compiler is
-///    unavailable (DESIGN.md "Failure model & the degradation ladder").
+///    plan's scalar kernel through ir::Interp. Its host walkers mirror
+///    the emitted entries (the same element addressing, the same
+///    stage-group geometry and butterfly order), so its results are
+///    bit-identical to every JIT backend; it exists as the terminal rung
+///    of the degradation ladder when the host compiler is unavailable
+///    (DESIGN.md "Failure model & the degradation ladder").
 ///
 /// Which backend a plan runs on is part of its PlanKey
 /// (PlanOptions::Backend + BlockDim), so the autotuner can sweep backend
@@ -102,22 +100,6 @@ public:
                              const std::vector<const std::uint64_t *> &Aux,
                              size_t NPoints, size_t Batch,
                              std::string *Err = nullptr) const = 0;
-};
-
-/// The original serial host-JIT execution: scalar calls on the calling
-/// thread. Runs plans compiled for ExecBackend::Serial.
-class SerialBackend final : public ExecutionBackend {
-public:
-  rewrite::ExecBackend kind() const override {
-    return rewrite::ExecBackend::Serial;
-  }
-  bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
-                size_t Rows, std::string *Err = nullptr) const override;
-  bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
-                     const std::uint64_t *Tw,
-                     const std::vector<const std::uint64_t *> &Aux,
-                     size_t NPoints, size_t Batch,
-                     std::string *Err = nullptr) const override;
 };
 
 /// Grid-shaped execution on the sim-GPU substrate: launches the plan's

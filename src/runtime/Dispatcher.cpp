@@ -164,7 +164,7 @@ Dispatcher::BoundPlan *Dispatcher::bindPlan(KernelOp Op, const Bignum &Q,
            nullptr;
   PlanKey Key = PlanKey::forRns(Op, Q, WideWords, Opts);
   // The binding cache is keyed by the full canonical variant string, so
-  // differently-tuned variants of one problem (e.g. serial for small
+  // differently-tuned variants of one problem (e.g. vector for small
   // batches, sim-GPU for large) coexist without rebinding churn; folded
   // knobs never split entries because str() is canonical.
   std::string CacheKey = Key.str() + "#" + Q.toHex();

@@ -15,12 +15,14 @@
 /// generated-kernel-per-configuration approach implies.
 ///
 /// Every request routes through the plan's ExecutionBackend
-/// (runtime/Backend.h): serial host-JIT scalar calls, or the grid-shaped
-/// sim-GPU substrate (paper §5.1 thread mapping — NTT stage groups launch
-/// with grid y = batch index, so large batches parallelize over the worker
-/// pool). The backend and launch geometry are plan knobs: set them on the
-/// base PlanOptions to pin a backend, or attach an Autotuner to pick the
-/// winner per problem and batch-size class automatically.
+/// (runtime/Backend.h): the vector backend's compiled batch loops (the
+/// default plan), or the grid-shaped sim-GPU substrate (paper §5.1 thread
+/// mapping — NTT stage groups launch with grid y = batch index, so large
+/// batches parallelize over the worker pool). The backend and launch
+/// geometry are plan knobs: set them on the base PlanOptions to pin a
+/// backend, or attach an Autotuner to pick the winner per problem and
+/// batch-size class automatically. When no JIT plan can be built, the
+/// request falls back to the interpreter backend.
 ///
 /// Data convention: a batch is one flat array of N elements, each
 /// elemWords(q) = ceil(bits(q)/64) machine words, most significant word

@@ -131,7 +131,7 @@ PlanAux moma::runtime::makePlanAux(const CompiledPlan &P,
 
 KernelRegistry::KernelRegistry(jit::HostJitOptions JitOpts)
     : Jit(std::move(JitOpts)), Profile(sim::deviceHostDefault()),
-      Serial(new SerialBackend()) {}
+      Vector(new VectorBackend()), Interp(new InterpBackend()) {}
 
 KernelRegistry::~KernelRegistry() {
   // Stop the recovery-probe thread before any member it touches goes
@@ -148,25 +148,19 @@ KernelRegistry::~KernelRegistry() {
 }
 
 ExecutionBackend &KernelRegistry::backendFor(const PlanKey &Key) {
-  if (Key.Opts.Backend == rewrite::ExecBackend::SimGpu) {
+  switch (Key.Opts.Backend) {
+  case rewrite::ExecBackend::SimGpu: {
     std::lock_guard<std::mutex> L(BackendMu);
     if (!SimGpu)
       SimGpu.reset(new SimGpuBackend(Profile));
     return *SimGpu;
   }
-  if (Key.Opts.Backend == rewrite::ExecBackend::Vector) {
-    std::lock_guard<std::mutex> L(BackendMu);
-    if (!Vector)
-      Vector.reset(new VectorBackend());
+  case rewrite::ExecBackend::Vector:
     return *Vector;
+  case rewrite::ExecBackend::Interp:
+    break;
   }
-  if (Key.Opts.Backend == rewrite::ExecBackend::Interp) {
-    std::lock_guard<std::mutex> L(BackendMu);
-    if (!Interp)
-      Interp.reset(new InterpBackend());
-    return *Interp;
-  }
-  return *Serial;
+  return *Interp;
 }
 
 void KernelRegistry::setRetryPolicy(const RetryPolicy &P) {
@@ -433,7 +427,6 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
   }
 
   bool IsSimGpu = Key.Opts.Backend == rewrite::ExecBackend::SimGpu;
-  bool IsVector = Key.Opts.Backend == rewrite::ExecBackend::Vector;
   if (IsSimGpu && (Key.Opts.BlockDim == 0 || Key.Opts.BlockDim > MaxTPB)) {
     // The CUDA rule the paper relies on (5.1): at most MaxThreadsPerBlock
     // = 1024 threads per block. Checked at plan build so a bad geometry
@@ -497,9 +490,10 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
         return nullptr;
       }
     }
-  // The 8-port bound is the serial callPorts arity limit; the grid and
-  // vector ABIs pass port arrays but share it, and the interp walkers
-  // reuse the same 8-slot port frames.
+  // The 8-port bound is the interpreter's port frame (InterpBackend walks
+  // every element and butterfly through an 8-slot array); the grid and
+  // vector ABIs pass port arrays and share the bound, so a plan runs on
+  // every rung of the degradation ladder or on none.
   if (P->numPorts() > 8) {
     Error = "KernelRegistry: unsupported port shape";
     return nullptr;
@@ -516,13 +510,13 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     return P;
   }
 
-  // One emitter per compiled backend. The sim-GPU block dimension and
-  // the fusion depth are launch parameters, so plans differing only in
-  // them share one module through HostJit's source-identity dedup while
-  // remaining distinct cache entries.
-  P->Emitted = IsSimGpu   ? codegen::emitGridC(P->Lowered)
-               : IsVector ? codegen::emitVectorC(P->Lowered)
-                          : codegen::emitC(P->Lowered);
+  // One emitter per compiled backend: grid source for sim-GPU, vector
+  // source otherwise. The sim-GPU block dimension and the fusion depth
+  // are launch parameters, so plans differing only in them share one
+  // module through HostJit's source-identity dedup while remaining
+  // distinct cache entries.
+  P->Emitted = IsSimGpu ? codegen::emitGridC(P->Lowered)
+                        : codegen::emitVectorC(P->Lowered);
 
   // Vector artifacts carry per-plan extra flags: the JIT's default -O1
   // keeps plan builds fast, but the lane block needs the optimizer (and
@@ -530,7 +524,7 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
   // are part of HostJit's content hash and in-memory key, so the -O1 and
   // -O3 worlds never serve each other's objects.
   P->Module = Jit.load(P->Emitted.Source,
-                       IsVector ? MOMA_VEC_EXTRA_FLAGS : "");
+                       IsSimGpu ? "" : MOMA_VEC_EXTRA_FLAGS);
   if (!P->Module) {
     // Compiler and loader trouble is the canonical transient failure
     // class (crashed cc, full /tmp, OOM killer): retry with backoff.

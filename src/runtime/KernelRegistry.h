@@ -10,7 +10,7 @@
 /// PlanKey to a compiled, loaded, ready-to-call kernel. The expensive part
 /// of serving a request — build the IR, run the rewrite system, emit C,
 /// invoke the host compiler, dlopen — happens once per key; every later
-/// batch through the same key is a hash lookup plus N function calls.
+/// batch through the same key is a hash lookup plus one backend launch.
 /// HostJit's content-hash disk cache additionally carries compiled objects
 /// across processes, so a warmed cache directory makes even the first
 /// request of a process cheap.
@@ -53,11 +53,11 @@ class ExecutionBackend;
 
 /// One compiled kernel variant: metadata plus the callable entry points.
 /// Fn is the element entry named by Emitted.Symbol, in the ABI of the
-/// key's backend: the pointer-per-port scalar function (serial), the
-/// `_grid` block entry (sim-GPU, codegen/GridEmitter.h) or the `_vec`
-/// element loop (vector, codegen/VectorEmitter.h). GroupFn is the fused
-/// stage-group entry named by Emitted.FusedSymbol, which only sim-GPU and
-/// vector butterfly plans have. Interp plans have neither.
+/// key's backend: the `_grid` block entry (sim-GPU,
+/// codegen/GridEmitter.h) or the `_vec` element loop (vector,
+/// codegen/VectorEmitter.h). GroupFn is the fused stage-group entry named
+/// by Emitted.FusedSymbol, which only butterfly plans have. Interp plans
+/// have neither.
 /// Kept alive by shared_ptr so a batch in flight survives registry
 /// eviction; the loaded JitModule is released with the last plan user.
 struct CompiledPlan {
@@ -145,9 +145,9 @@ public:
   std::shared_ptr<const CompiledPlan> get(const PlanKey &Key);
 
   /// The execution backend plans with \p Key run on. Backends live as
-  /// long as the registry; the sim-GPU backend (and its worker pool) and
-  /// the vector backend are created on first use — the former against the
-  /// configured device profile.
+  /// long as the registry. The vector and interp backends are stateless
+  /// and built with the registry; the sim-GPU backend owns a worker pool
+  /// and is created on first use, against the configured device profile.
   ExecutionBackend &backendFor(const PlanKey &Key);
 
   /// Selects the device profile the sim-GPU backend emulates (paper
@@ -276,12 +276,11 @@ private:
   std::thread ProbeThread;           ///< started lazily by tryPromote
   bool ProbeStop = false;
 
-  mutable std::mutex BackendMu; ///< guards Profile and backend creation
+  mutable std::mutex BackendMu; ///< guards Profile and SimGpu creation
   sim::DeviceProfile Profile;
-  std::unique_ptr<ExecutionBackend> Serial; ///< created with the registry
   std::unique_ptr<ExecutionBackend> SimGpu; ///< created on first use
-  std::unique_ptr<ExecutionBackend> Vector; ///< created on first use
-  std::unique_ptr<ExecutionBackend> Interp; ///< created on first use
+  std::unique_ptr<ExecutionBackend> Vector; ///< created with the registry
+  std::unique_ptr<ExecutionBackend> Interp; ///< created with the registry
 };
 
 } // namespace runtime

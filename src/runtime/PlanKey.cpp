@@ -69,8 +69,7 @@ PlanKey PlanKey::forModulus(KernelOp Op, const mw::Bignum &Q,
   // Launch geometry is a SimGpu-only knob: fold it to 0 on every other
   // backend (one cache entry regardless of the caller's block dim), and
   // give SimGpu plans the paper's 256-thread default when left unset.
-  // Keys stay canonical either way, and serial keys keep their
-  // pre-backend string form.
+  // Keys stay canonical either way.
   if (K.Opts.Backend != rewrite::ExecBackend::SimGpu)
     K.Opts.BlockDim = 0;
   else if (K.Opts.BlockDim == 0)

@@ -26,13 +26,12 @@
 ///    base plan binds the same butterfly). Addmod/submod (no multiply)
 ///    and the RNS CRT kernels (baked-in reduction) also pin the multiply
 ///    rule to schoolbook.
-///  * Backend and launch geometry are part of the key (a serial and a
-///    sim-GPU compilation of the same kernel are distinct artifacts).
-///    Serial plans fold BlockDim to 0 and keep the historical key string
-///    (backward-readable: every pre-backend key names a serial plan);
-///    SimGpu plans default an unset BlockDim to 256 and append
-///    "/simgpu/b<dim>"; Vector plans fold BlockDim to 0 and append "/vec"
-///    (their lane block is fixed, not a knob).
+///  * Backend and launch geometry are part of the key (a vector and a
+///    sim-GPU compilation of the same kernel are distinct artifacts), and
+///    every key names its backend. Vector plans fold BlockDim to 0 and
+///    append "/vec" (their lane block is fixed, not a knob); SimGpu plans
+///    default an unset BlockDim to 256 and append "/simgpu/b<dim>"; Interp
+///    plans fold BlockDim to 0 and append "/interp".
 ///  * FuseDepth (NTT stage fusion, radix-2^k) only exists for butterfly
 ///    plans: every other op folds it to 1, butterfly clamps it into
 ///    [1, PlanOptions::MaxFuseDepth] and appends "/f<depth>" when > 1.
@@ -119,7 +118,7 @@ struct PlanKey {
   std::string problemStr() const;
 
   /// The full canonical key: problemStr() + "/" + variant knobs, e.g.
-  /// "mulmod/c128/m124/w64/barrett/schoolbook/prune/noschedule".
+  /// "mulmod/c128/m124/w64/barrett/schoolbook/prune/noschedule/vec".
   std::string str() const;
 
   bool operator==(const PlanKey &K) const {

@@ -124,6 +124,9 @@ void ThreadPool::run(
       RangeFn(Begin, std::min(N, Begin + Chunk));
     return;
   }
+  // One job at a time: two threads driving this pool at once (the
+  // workers of an outer pool, say) take turns.
+  std::lock_guard<std::mutex> Turn(RunMu);
   {
     std::lock_guard<std::mutex> Lock(M);
     Fn = &RangeFn;

@@ -51,10 +51,12 @@ public:
 
   /// Executes RangeFn over [0, N) split into chunks of \p Chunk indices,
   /// work-stealing via an atomic cursor. Blocks until every index ran.
-  /// Not reentrant: a nested run() from inside RangeFn (which would
-  /// corrupt the job state and deadlock the pool) is detected via a
-  /// thread-local active-pool marker and reported through
-  /// support::fatalError with a clear message instead of hanging.
+  /// The pool holds one job at a time: concurrent run() calls from
+  /// different threads queue on RunMu. Not reentrant: a nested run()
+  /// from inside RangeFn (which would corrupt the job state and deadlock
+  /// the pool) is detected via a thread-local active-pool marker and
+  /// reported through support::fatalError with a clear message instead
+  /// of hanging.
   void run(std::uint64_t N, std::uint64_t Chunk,
            const std::function<void(std::uint64_t, std::uint64_t)> &RangeFn);
 
@@ -62,6 +64,9 @@ private:
   void workerLoop();
   void drain();
 
+  /// Held for the whole of a job, so a second caller cannot overwrite
+  /// Fn/JobN/Next/Active while the first job still runs.
+  std::mutex RunMu;
   std::mutex M;
   std::condition_variable WakeCV;
   std::condition_variable DoneCV;

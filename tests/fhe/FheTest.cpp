@@ -143,7 +143,7 @@ TEST(FheRns, SubChainCrtEdgesRoundTrip) {
   std::string Err;
   ASSERT_TRUE(RnsContext::create(4, Ctx, &Err)) << Err;
   const RnsContext &Sub = Ctx.subChain(3);
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
 
   const size_t N = 64;
   std::vector<Bignum> A;
@@ -167,7 +167,7 @@ TEST(FheRns, TensorDomainTagMachine) {
   RnsContext Ctx;
   std::string Err;
   ASSERT_TRUE(RnsContext::create(2, Ctx, &Err)) << Err;
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
 
   const size_t N = 64;
   std::vector<Bignum> A;
@@ -198,7 +198,7 @@ TEST(FheRns, TypedErrorCodes) {
   RnsContext Ctx;
   std::string Err;
   ASSERT_TRUE(RnsContext::create(2, Ctx, &Err)) << Err;
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
 
   // The rescale kernel's wire name is ABI: the JIT cache and moma-gen's
   // -k flag both key on it.
@@ -235,7 +235,7 @@ TEST(FheRns, RescaleMatchesExactQuotient) {
     RnsContext Ctx;
     std::string Err;
     ASSERT_TRUE(RnsContext::create(Limbs, Ctx, &Err)) << Err;
-    Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+    Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
 
     const size_t N = 64;
     std::vector<Bignum> A;
@@ -269,7 +269,7 @@ TEST(Fhe, AddBitExactAndDecrypts) {
   for (NttRing Ring : {NttRing::Cyclic, NttRing::Negacyclic})
     for (unsigned Limbs : {2u, 4u, 8u}) {
       FheContext FC = makeFhe(Limbs, Ring);
-      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
       SecretKey SK = keyGen(FC, R);
 
       auto M1 = randomMsg(R, FC), M2 = randomMsg(R, FC);
@@ -298,7 +298,7 @@ TEST(Fhe, MulBitExactAndDecrypts) {
   for (NttRing Ring : {NttRing::Cyclic, NttRing::Negacyclic})
     for (unsigned Limbs : {2u, 4u, 8u}) {
       FheContext FC = makeFhe(Limbs, Ring);
-      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
       SecretKey SK = keyGen(FC, R);
       bool Neg = Ring == NttRing::Negacyclic;
 
@@ -330,7 +330,7 @@ TEST(Fhe, RescaleBitExact) {
   for (NttRing Ring : {NttRing::Cyclic, NttRing::Negacyclic})
     for (unsigned Limbs : {2u, 4u, 8u}) {
       FheContext FC = makeFhe(Limbs, Ring);
-      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
       SecretKey SK = keyGen(FC, R);
 
       Ciphertext C;
@@ -350,7 +350,7 @@ TEST(Fhe, RelinearizeBitExactAndDecrypts) {
   for (NttRing Ring : {NttRing::Cyclic, NttRing::Negacyclic})
     for (unsigned Limbs : {2u, 4u}) {
       FheContext FC = makeFhe(Limbs, Ring);
-      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+      Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
       SecretKey SK = keyGen(FC, R);
       RelinKey RK;
       ASSERT_TRUE(relinKeyGen(FC, D, SK, R, RK)) << D.error();
@@ -408,7 +408,7 @@ TEST(Fhe, LazyNttDispatchSavings) {
 
   // Flat chain: three one-shot rnsPolyMul calls, each paying the full
   // decompose -> 3L transforms -> recombine toll.
-  Dispatcher DF(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  Dispatcher DF(registry(), nullptr, pinned(ExecBackend::Vector, 2));
   std::vector<std::uint64_t> F1(NP * WW), F2(NP * WW), F3(NP * WW);
   auto Before = DF.dispatchStats();
   ASSERT_TRUE(DF.rnsPolyMul(Ctx, OpsW[0].data(), OpsW[1].data(), F1.data(),
@@ -428,7 +428,7 @@ TEST(Fhe, LazyNttDispatchSavings) {
   // Each operand transforms exactly once, intermediates stay in NTT
   // form, toWide pays the single inverse: (k + 2)L transforms total
   // where flat paid 3kL — saved = (2k - 2)L.
-  Dispatcher DL(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  Dispatcher DL(registry(), nullptr, pinned(ExecBackend::Vector, 2));
   RnsTensor T0(Ctx, NP, 1), T1(Ctx, NP, 1), T2(Ctx, NP, 1),
       T3(Ctx, NP, 1), Acc(Ctx, NP, 1);
   Before = DL.dispatchStats();
@@ -456,7 +456,7 @@ TEST(Fhe, LazyNttDispatchSavings) {
 TEST(Fhe, ChainedCiphertextMulSkipsOperandTransforms) {
   SeededRng R(0xc41);
   FheContext FC = makeFhe(4, NttRing::Negacyclic);
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
   SecretKey SK = keyGen(FC, R);
   const std::uint64_t L = FC.rns().numLimbs();
 
@@ -491,7 +491,7 @@ TEST(Fhe, DifferentialFuzzOpChains) {
     NttRing Ring = R.below(2) ? NttRing::Negacyclic : NttRing::Cyclic;
     unsigned Limbs = 2 + unsigned(R.below(3)); // 2..4
     FheContext FC = makeFhe(Limbs, Ring, 32);
-    Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+    Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
     SecretKey SK = keyGen(FC, R);
     RelinKey RK;
     ASSERT_TRUE(relinKeyGen(FC, D, SK, R, RK));
@@ -559,7 +559,7 @@ TEST(Fhe, ServerCtMulServesAndRejectsTyped) {
 
   // Encrypt through a local dispatcher (host-side prep), serve the
   // products through the server's workers.
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
   auto M1 = randomMsg(R, FC), M2 = randomMsg(R, FC);
   Ciphertext A, B;
   ASSERT_TRUE(encrypt(FC, D, SK, M1, R, A));
@@ -597,7 +597,7 @@ TEST(Fhe, ServerCtMulBurstSharesOneWakeup) {
   SeededRng R(0xb125);
   FheContext FC = makeFhe(2, NttRing::Negacyclic);
   SecretKey SK = keyGen(FC, R);
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector));
 
   const size_t Reqs = 4;
   std::vector<Ciphertext> A(Reqs), B(Reqs), Out(Reqs);

@@ -49,7 +49,8 @@ TEST(ScalarKernels, ShoupButterflyEdgeOperands) {
   // Shoup's twiddle product at the edges of its range: the largest and
   // smallest odd m-bit moduli (m = λ - 4) and the operands 0, 1, q - 1
   // plus random ones, each with the true companion wq. The interpreted
-  // kernel and the serial JIT plan must both return the butterfly.
+  // kernel and the default (vector) JIT plan must both return the
+  // butterfly.
   runtime::KernelRegistry Reg;
   Rng R(803);
   for (unsigned Container : {64u, 128u, 256u, 512u}) {
@@ -57,8 +58,9 @@ TEST(ScalarKernels, ShoupButterflyEdgeOperands) {
     Kernel K = buildButterflyKernel(ScalarKernelSpec{Container, 0});
     for (const Bignum &Q : {Bignum::powerOfTwo(M) - Bignum(1),
                             Bignum::powerOfTwo(M - 1) + Bignum(1)}) {
-      auto P = Reg.get(
-          runtime::PlanKey::forModulus(runtime::KernelOp::Butterfly, Q));
+      runtime::PlanKey Key =
+          runtime::PlanKey::forModulus(runtime::KernelOp::Butterfly, Q);
+      auto P = Reg.get(Key);
       ASSERT_NE(P, nullptr) << Reg.error();
       unsigned E = P->ElemWords;
       std::vector<Bignum> Ops = {Bignum(0), Bignum(1), Q - Bignum(1),
@@ -93,7 +95,7 @@ TEST(ScalarKernels, ShoupButterflyEdgeOperands) {
       Args.Ins = {XW.data(), YW.data(), WW.data(), WQW.data()};
       Args.Aux = Aux.ptrs();
       std::string Err;
-      ASSERT_TRUE(runtime::SerialBackend().runBatch(*P, Args, N, 1, &Err))
+      ASSERT_TRUE(Reg.backendFor(Key).runBatch(*P, Args, N, 1, &Err))
           << Err;
       for (size_t I = 0; I < N; ++I) {
         EXPECT_EQ(runtime::unpackWordsMsbFirst(XO.data() + I * E, E),

@@ -1,9 +1,10 @@
 //===- tests/runtime/BackendTest.cpp - execution-backend layer ----------------===//
 //
 // Coverage for the backend-polymorphic runtime: plan-cache keying with
-// backend + launch-geometry fields, geometry validation, module sharing
-// across geometries, serial vs sim-GPU bit-identical execution through
-// the dispatcher, and tune-cache round-trips carrying backend fields.
+// backend + launch-geometry fields, geometry validation, each backend
+// refusing the others' plans, module sharing across geometries, vector vs
+// sim-GPU bit-identical execution through the dispatcher, and tune-cache
+// round-trips carrying backend fields.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +43,12 @@ rewrite::PlanOptions simGpuBase(unsigned BlockDim = 0) {
   return O;
 }
 
+rewrite::PlanOptions pinnedBase(ExecBackend B) {
+  rewrite::PlanOptions O;
+  O.Backend = B;
+  return O;
+}
+
 std::vector<Bignum> randomElems(Rng &R, const Bignum &Q, size_t N) {
   std::vector<Bignum> Out;
   for (size_t I = 0; I < N; ++I)
@@ -55,23 +62,24 @@ std::vector<Bignum> randomElems(Rng &R, const Bignum &Q, size_t N) {
 // Plan-cache keying
 //===----------------------------------------------------------------------===//
 
-TEST(BackendPlanKey, SerialKeysKeepTheLegacyForm) {
+TEST(BackendPlanKey, DefaultPlanIsVector) {
   Bignum Q = testModulus(124);
   PlanKey K = PlanKey::forModulus(KernelOp::MulMod, Q);
   EXPECT_EQ(K.str(),
-            "mulmod/c128/m124/w64/barrett/schoolbook/prune/noschedule")
-      << "pre-backend cache keys must stay readable as serial plans";
-  EXPECT_EQ(K.Opts.Backend, ExecBackend::Serial);
-  EXPECT_EQ(K.Opts.BlockDim, 0u) << "geometry folds away on serial";
-}
+            "mulmod/c128/m124/w64/barrett/schoolbook/prune/noschedule/vec")
+      << "every key names its backend";
+  EXPECT_EQ(K.Opts.Backend, ExecBackend::Vector);
+  EXPECT_EQ(K.Opts.BlockDim, 0u) << "geometry folds away on vector";
 
-TEST(BackendPlanKey, SerialFoldsTheBlockDim) {
-  Bignum Q = testModulus(124);
-  rewrite::PlanOptions O;
-  O.BlockDim = 512; // meaningless without the sim-GPU backend
-  PlanKey A = PlanKey::forModulus(KernelOp::MulMod, Q, O);
-  PlanKey B = PlanKey::forModulus(KernelOp::MulMod, Q);
-  EXPECT_EQ(A.str(), B.str()) << "one cache entry per serial variant";
+  Dispatcher D(registry());
+  unsigned W = Dispatcher::elemWords(Q);
+  std::vector<std::uint64_t> A(W, 0), B(W, 0), C(W);
+  A[W - 1] = 3;
+  B[W - 1] = 5;
+  ASSERT_TRUE(D.vmul(Q, A.data(), B.data(), C.data(), 1)) << D.error();
+  EXPECT_EQ(D.lastPlanOptions().Backend, ExecBackend::Vector)
+      << "a default Dispatcher binds a vector plan";
+  EXPECT_EQ(unpackWordsMsbFirst(C.data(), W), Bignum(15u));
 }
 
 TEST(BackendPlanKey, SimGpuKeysCarryBackendAndGeometry) {
@@ -84,20 +92,23 @@ TEST(BackendPlanKey, SimGpuKeysCarryBackendAndGeometry) {
   EXPECT_NE(K.str(), K2.str()) << "geometry is part of the key";
 }
 
-TEST(BackendPlanKey, SerialAndSimGpuAreDistinctCacheEntries) {
+TEST(BackendPlanKey, VectorAndSimGpuAreDistinctCacheEntries) {
   Bignum Q = testModulus(124);
   for (KernelOp Op : {KernelOp::AddMod, KernelOp::SubMod, KernelOp::MulMod,
                       KernelOp::Axpy, KernelOp::Butterfly}) {
-    auto PS = registry().get(PlanKey::forModulus(Op, Q));
-    ASSERT_NE(PS, nullptr) << registry().error();
+    auto PV = registry().get(
+        PlanKey::forModulus(Op, Q, pinnedBase(ExecBackend::Vector)));
+    ASSERT_NE(PV, nullptr) << registry().error();
     auto PG = registry().get(PlanKey::forModulus(Op, Q, simGpuBase()));
     ASSERT_NE(PG, nullptr) << registry().error();
-    EXPECT_NE(PS.get(), PG.get());
-    EXPECT_NE(PS->Emitted.Symbol, PG->Emitted.Symbol) << kernelOpName(Op);
-    EXPECT_NE(PS->Fn, nullptr);
-    EXPECT_EQ(PS->GroupFn, nullptr);
+    EXPECT_NE(PV.get(), PG.get());
+    EXPECT_NE(PV->Emitted.Symbol, PG->Emitted.Symbol) << kernelOpName(Op);
+    EXPECT_NE(PV->Module.get(), PG->Module.get()) << kernelOpName(Op);
+    EXPECT_NE(PV->Fn, nullptr);
     EXPECT_NE(PG->Fn, nullptr);
     // Only butterfly plans resolve the fused NTT stage-group entry.
+    EXPECT_EQ(PV->GroupFn != nullptr, Op == KernelOp::Butterfly)
+        << kernelOpName(Op);
     EXPECT_EQ(PG->GroupFn != nullptr, Op == KernelOp::Butterfly)
         << kernelOpName(Op);
   }
@@ -133,24 +144,60 @@ TEST(BackendGeometry, RejectsMoreThan1024ThreadsPerBlock) {
       << registry().error();
 }
 
-TEST(BackendGeometry, SerialBackendRefusesSimGpuPlans) {
+namespace {
+
+/// A plan runs only on the backend its key names: every other backend
+/// refuses it with an error instead of calling an entry point of the
+/// wrong ABI (or interpreting a plan that carries no kernel).
+void expectOtherBackendsRefuse(ExecBackend PlanB) {
   Bignum Q = testModulus(124);
-  auto PG =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, simGpuBase()));
-  ASSERT_NE(PG, nullptr) << registry().error();
-  BatchArgs Args;
-  std::string Err;
-  EXPECT_FALSE(SerialBackend().runBatch(*PG, Args, 0, /*Rows=*/1, &Err))
-      << "the serial path must not silently run a grid plan";
-  EXPECT_NE(Err.find("simgpu"), std::string::npos) << Err;
+  auto P = registry().get(
+      PlanKey::forModulus(KernelOp::Butterfly, Q, pinnedBase(PlanB)));
+  ASSERT_NE(P, nullptr) << registry().error();
+  for (ExecBackend RunB :
+       {ExecBackend::SimGpu, ExecBackend::Vector, ExecBackend::Interp}) {
+    if (RunB == PlanB)
+      continue;
+    ExecutionBackend &EB = registry().backendFor(
+        PlanKey::forModulus(KernelOp::Butterfly, Q, pinnedBase(RunB)));
+    ASSERT_EQ(EB.kind(), RunB);
+    BatchArgs Args;
+    std::string Err;
+    EXPECT_FALSE(EB.runBatch(*P, Args, 0, /*Rows=*/1, &Err))
+        << EB.name() << " ran a " << rewrite::execBackendName(PlanB)
+        << " plan";
+    EXPECT_NE(Err.find("backend needs"), std::string::npos) << Err;
+    std::uint64_t Word = 0;
+    StageGroup G;
+    G.Src = G.Dst = &Word;
+    Err.clear();
+    EXPECT_FALSE(EB.runStageGroup(*P, G, nullptr, {}, 2, 1, &Err))
+        << EB.name() << " ran a " << rewrite::execBackendName(PlanB)
+        << " plan's stage group";
+    EXPECT_NE(Err.find("backend needs"), std::string::npos) << Err;
+  }
+}
+
+} // namespace
+
+TEST(BackendGeometry, OtherBackendsRefuseSimGpuPlans) {
+  expectOtherBackendsRefuse(ExecBackend::SimGpu);
+}
+
+TEST(BackendGeometry, OtherBackendsRefuseVectorPlans) {
+  expectOtherBackendsRefuse(ExecBackend::Vector);
+}
+
+TEST(BackendGeometry, OtherBackendsRefuseInterpPlans) {
+  expectOtherBackendsRefuse(ExecBackend::Interp);
 }
 
 //===----------------------------------------------------------------------===//
-// Serial vs sim-GPU bit-identical execution
+// Vector vs sim-GPU bit-identical execution
 //===----------------------------------------------------------------------===//
 
 TEST(BackendExecution, ElementwiseMatchesSerialBitForBit) {
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, pinnedBase(ExecBackend::Vector));
   Dispatcher DG(registry(), nullptr, simGpuBase(128));
   Bignum Q = testModulus(252);
   SeededRng R(0xBACC1);
@@ -202,7 +249,7 @@ TEST(BackendExecution, ButterflyBatchStepsWqByItsPortWidth) {
   auto XW = packBatch(X, K), YW = packBatch(Y, K), WW = packBatch(W, K);
   auto WQW = packBatch(WQ, 4);
   for (ExecBackend B :
-       {ExecBackend::Serial, ExecBackend::SimGpu, ExecBackend::Vector}) {
+       {ExecBackend::SimGpu, ExecBackend::Vector, ExecBackend::Interp}) {
     rewrite::PlanOptions O;
     O.Backend = B;
     PlanKey Key = PlanKey::forModulus(KernelOp::Butterfly, Q, O);
@@ -261,7 +308,7 @@ TEST(BackendExecution, GridBatchRowsIndexTheYDimension) {
 }
 
 TEST(BackendExecution, NttMatchesSerialBitForBit) {
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, pinnedBase(ExecBackend::Vector));
   Dispatcher DG(registry(), nullptr, simGpuBase(128));
   Bignum Q = testModulus(124);
   const size_t N = 64, Batch = 5;
@@ -285,9 +332,9 @@ TEST(BackendExecution, StageGeometrySweepMatchesSerial) {
   // The fused entry's g/r division-and-carry indexing is the trickiest
   // code path: sweep transform sizes against block dims that do NOT
   // divide the thread count (partial blocks, non-power-of-two dims,
-  // one-thread blocks) and demand bit-identity with the serial walk at
+  // one-thread blocks) and demand bit-identity with the vector walk at
   // every stage length.
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, pinnedBase(ExecBackend::Vector));
   Bignum Q = testModulus(124);
   unsigned K = Dispatcher::elemWords(Q);
   SeededRng R(0xBACC6);
@@ -308,7 +355,7 @@ TEST(BackendExecution, StageGeometrySweepMatchesSerial) {
 }
 
 TEST(BackendExecution, PolyMulMatchesSerialBitForBit) {
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, pinnedBase(ExecBackend::Vector));
   Dispatcher DG(registry(), nullptr, simGpuBase());
   Bignum Q = testModulus(252);
   const size_t N = 32, Batch = 3;
@@ -394,8 +441,8 @@ TEST(BackendTune, PinnedBackendIsRespectedWhenSweepDisabled) {
   ASSERT_NE(DG, nullptr) << T.error();
   EXPECT_EQ(DG->Opts.Backend, ExecBackend::SimGpu);
   EXPECT_EQ(DG->Opts.BlockDim, 128u);
-  const TuneDecision *DSer = T.choose(KernelOp::MulMod, Q);
-  ASSERT_NE(DSer, nullptr) << T.error();
-  EXPECT_EQ(DSer->Opts.Backend, ExecBackend::Serial)
-      << "serial-base caller must not inherit the sim-GPU decision";
+  const TuneDecision *DV = T.choose(KernelOp::MulMod, Q);
+  ASSERT_NE(DV, nullptr) << T.error();
+  EXPECT_EQ(DV->Opts.Backend, ExecBackend::Vector)
+      << "a default-base caller must not inherit the sim-GPU decision";
 }

@@ -1,18 +1,18 @@
-//===- tests/runtime/DifferentialFuzzTest.cpp - 5-way differential fuzz --------===//
+//===- tests/runtime/DifferentialFuzzTest.cpp - 4-way differential fuzz --------===//
 //
 // The hardening companion of the batched runtime: the runtime multiplies
 // the number of generated-code paths (backend x reduction x schedule x
 // pruning x width), so this suite drives randomized modmul and butterfly
-// kernels through all five executions we have —
+// kernels through all four executions we have —
 //
 //   1. the IR interpreter on the lowered kernel (rewrite-system truth),
-//   2. the serial JIT-compiled C through the runtime plan cache,
-//   3. the sim-GPU grid-shaped JIT (the 5.1 thread mapping, what the
+//   2. the sim-GPU grid-shaped JIT (the 5.1 thread mapping, what the
 //      sim-GPU ExecutionBackend dispatches; widths {1, 2, 4, 8}, with a
 //      random block dimension per variant),
-//   4. the vector backend's element-loop JIT (run over a random batch
-//      size of replicated trial elements), and
-//   5. the Bignum oracle (mathematical truth)
+//   3. the vector backend's element-loop JIT through the runtime plan
+//      cache (run over a random batch size of replicated trial elements),
+//      and
+//   4. the Bignum oracle (mathematical truth)
 //
 // — across widths {1, 2, 4, 8, 12} words (and both reduction strategies
 // for modmul; the butterfly has one, Shoup's product), with random
@@ -72,12 +72,13 @@ std::vector<Bignum> oracle(KernelOp Op, const std::vector<Bignum> &In,
   }
 }
 
-/// Runs \p Trials random (modulus, inputs) instances against one compiled
-/// kernel variant, five ways (fewer when \p GridPlan / \p VecPlan are
-/// null: large widths skip those legs to bound suite time).
+/// Runs \p Trials random (modulus, inputs) instances against one kernel
+/// variant four ways: the interpreter on its lowered kernel, the vector
+/// plan \p Plan, the sim-GPU plan \p GridPlan and the oracle (three ways
+/// when \p GridPlan is null: large widths skip that leg to bound suite
+/// time).
 void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
-                 const CompiledPlan *GridPlan, const CompiledPlan *VecPlan,
-                 int Trials, SeededRng &R) {
+                 const CompiledPlan *GridPlan, int Trials, SeededRng &R) {
   const Bignum One(1);
   unsigned M = Plan.Key.ModBits;
   unsigned K = Plan.ElemWords;
@@ -117,21 +118,10 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
     (void)QAt;
     std::vector<Bignum> Interp = interpretLowered(Plan.Lowered, InterpIn);
 
-    // JIT-compiled C through the runtime batch path (batch of one).
-    std::vector<std::vector<std::uint64_t>> InW, OutW(Plan.NumOutputs);
+    std::vector<std::vector<std::uint64_t>> InW;
     for (unsigned I = 0; I < NumIns; ++I)
       InW.push_back(packWordsMsbFirst(In[I], InWords[I]));
-    for (auto &O : OutW)
-      O.assign(K, 0);
-    BatchArgs Args;
-    for (auto &O : OutW)
-      Args.Outs.push_back(O.data());
-    for (auto &I : InW)
-      Args.Ins.push_back(I.data());
-    Args.Aux = Aux.ptrs();
     std::string Err;
-    ASSERT_TRUE(SerialBackend().runBatch(Plan, Args, 1, /*Rows=*/1, &Err))
-        << Err;
 
     // Sim-GPU grid-shaped JIT through its ExecutionBackend (batch of one
     // exercises the block guard: one block, one live thread).
@@ -152,37 +142,33 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
           << Err;
     }
 
-    // Vector element-loop JIT: the trial element replicated across a
-    // random batch size (every copy must reproduce the oracle value).
-    std::vector<std::vector<std::uint64_t>> VecOutW(Plan.NumOutputs);
-    size_t VecN = 0;
-    if (VecPlan) {
-      VecN = 1 + R.below(37);
-      PlanAux VAux = makePlanAux(*VecPlan, Q);
-      std::vector<std::vector<std::uint64_t>> VecInW;
-      for (unsigned I = 0; I < NumIns; ++I) {
-        std::vector<std::uint64_t> Rep(VecN * InWords[I]);
-        for (size_t E = 0; E < VecN; ++E)
-          std::copy(InW[I].begin(), InW[I].end(),
-                    Rep.begin() + E * InWords[I]);
-        VecInW.push_back(std::move(Rep));
-      }
-      for (auto &O : VecOutW)
-        O.assign(VecN * K, 0);
-      BatchArgs VArgs;
-      for (auto &O : VecOutW)
-        VArgs.Outs.push_back(O.data());
-      for (auto &I : VecInW)
-        VArgs.Ins.push_back(I.data());
-      VArgs.Aux = VAux.ptrs();
-      ASSERT_TRUE(registry()
-                      .backendFor(VecPlan->Key)
-                      .runBatch(*VecPlan, VArgs, VecN, 1, &Err))
-          << Err;
+    // Vector element-loop JIT through the runtime batch path: the trial
+    // element replicated across a random batch size (every copy must
+    // reproduce the oracle value).
+    size_t VecN = 1 + R.below(37);
+    std::vector<std::vector<std::uint64_t>> VecInW,
+        VecOutW(Plan.NumOutputs);
+    for (unsigned I = 0; I < NumIns; ++I) {
+      std::vector<std::uint64_t> Rep(VecN * InWords[I]);
+      for (size_t E = 0; E < VecN; ++E)
+        std::copy(InW[I].begin(), InW[I].end(),
+                  Rep.begin() + E * InWords[I]);
+      VecInW.push_back(std::move(Rep));
     }
+    for (auto &O : VecOutW)
+      O.assign(VecN * K, 0);
+    BatchArgs VArgs;
+    for (auto &O : VecOutW)
+      VArgs.Outs.push_back(O.data());
+    for (auto &I : VecInW)
+      VArgs.Ins.push_back(I.data());
+    VArgs.Aux = Aux.ptrs();
+    ASSERT_TRUE(registry()
+                    .backendFor(Plan.Key)
+                    .runBatch(Plan, VArgs, VecN, /*Rows=*/1, &Err))
+        << Err;
 
     for (size_t O = 0; O < Want.size(); ++O) {
-      Bignum Jit = unpackWordsMsbFirst(OutW[O].data(), K);
       std::string Ctx = "trial " + std::to_string(T) + " of plan " +
                         Plan.Key.str() + "\n  q = " + Q.toHex();
       for (unsigned I = 0; I < NumIns; ++I)
@@ -190,9 +176,6 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
       Ctx += "\n  emitted source: " + Plan.Module->sourcePath();
       ASSERT_EQ(Interp[O], Want[O])
           << "INTERPRETER diverges from oracle on output " << O << "\n"
-          << Ctx;
-      ASSERT_EQ(Jit, Want[O])
-          << "JIT-COMPILED C diverges from oracle on output " << O << "\n"
           << Ctx;
       if (GridPlan) {
         Bignum Grid = unpackWordsMsbFirst(GridOutW[O].data(), K);
@@ -202,17 +185,12 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
             << ", source: " << GridPlan->Module->sourcePath() << ")\n"
             << Ctx;
       }
-      if (VecPlan) {
-        for (size_t E = 0; E < VecN; ++E) {
-          Bignum Vec =
-              unpackWordsMsbFirst(VecOutW[O].data() + E * K, K);
-          ASSERT_EQ(Vec, Want[O])
-              << "VECTOR LANE JIT diverges from oracle on output " << O
-              << " at batch element " << E << " of " << VecN << " (plan "
-              << VecPlan->Key.str()
-              << ", source: " << VecPlan->Module->sourcePath() << ")\n"
-              << Ctx;
-        }
+      for (size_t E = 0; E < VecN; ++E) {
+        Bignum Vec = unpackWordsMsbFirst(VecOutW[O].data() + E * K, K);
+        ASSERT_EQ(Vec, Want[O])
+            << "VECTOR JIT diverges from oracle on output " << O
+            << " at batch element " << E << " of " << VecN << "\n"
+            << Ctx;
       }
     }
   }
@@ -247,6 +225,7 @@ void fuzzConfig(KernelOp Op, unsigned Words, mw::Reduction Red,
     // pruning-off path only where it stays cheap.
     Opts.Prune = Words >= 4 || R.below(4) != 0;
 
+    // The default backend is the vector leg of the oracle.
     PlanKey Key;
     Key.Op = Op;
     Key.ContainerBits = Container;
@@ -260,7 +239,6 @@ void fuzzConfig(KernelOp Op, unsigned Words, mw::Reduction Red,
     // with a random launch geometry per variant. Widths above 8 words
     // stay 3-way (the interpreter dominates there anyway).
     std::shared_ptr<const CompiledPlan> GridPlan;
-    std::shared_ptr<const CompiledPlan> VecPlan;
     if (Words <= 8) {
       const unsigned Dims[] = {64, 128, 256, 512, 1024};
       PlanKey GKey = Key;
@@ -268,20 +246,15 @@ void fuzzConfig(KernelOp Op, unsigned Words, mw::Reduction Red,
       GKey.Opts.BlockDim = Dims[R.below(5)];
       GridPlan = registry().get(GKey);
       ASSERT_NE(GridPlan, nullptr) << registry().error();
-      // The vector leg: same knobs compiled as the vector element loop.
-      PlanKey VKey = Key;
-      VKey.Opts.Backend = rewrite::ExecBackend::Vector;
-      VecPlan = registry().get(VKey);
-      ASSERT_NE(VecPlan, nullptr) << registry().error();
     }
-    fuzzVariant(Op, *Plan, GridPlan.get(), VecPlan.get(), PerVariant, R);
+    fuzzVariant(Op, *Plan, GridPlan.get(), PerVariant, R);
   }
 }
 
 /// The FuseDepth axis of the fused NTT pipeline: random transform shapes
 /// (size, batch, width) executed through random (backend, reduction knob,
-/// block-dim, fuse-depth) variants must stay bit-identical to the
-/// serial/Barrett/depth-1 walk of the same data — the fused groups, the
+/// block-dim, fuse-depth) variants must stay bit-identical to the other
+/// backend's Barrett/depth-1 walk of the same data — the fused groups, the
 /// first-stage bit-reversal gather, the in-register sub-stages and the
 /// folded inverse scaling all collapse to the same butterfly sequence,
 /// and a Montgomery knob folds onto the same Shoup butterfly.
@@ -306,9 +279,6 @@ void fuzzNttFuseDepth(std::uint64_t SeedDefault) {
       Polys.push_back(mw::Bignum::random(R, Q));
     auto Packed = packBatch(Polys, K);
 
-    rewrite::PlanOptions Ref; // serial, Barrett, depth 1
-    Dispatcher DRef(Reg, nullptr, Ref);
-    auto Want = Packed;
     bool Inverse = R.below(2) == 1;
     // The drawn 2-adicity is always >= LogN + 1, so the negacyclic ring
     // is admissible on every trial and joins the fuzzed axes.
@@ -318,18 +288,26 @@ void fuzzNttFuseDepth(std::uint64_t SeedDefault) {
       return Inverse ? Dd.nttInverse(Q, P, N, Batch, Ring)
                      : Dd.nttForward(Q, P, N, Batch, Ring);
     };
-    ASSERT_TRUE(Run(DRef, Want.data())) << DRef.error();
 
     rewrite::PlanOptions V;
-    std::uint64_t BackendDraw = R.below(3);
-    V.Backend = BackendDraw == 0   ? rewrite::ExecBackend::Serial
-                : BackendDraw == 1 ? rewrite::ExecBackend::SimGpu
-                                   : rewrite::ExecBackend::Vector;
+    V.Backend = R.below(2) ? rewrite::ExecBackend::SimGpu
+                           : rewrite::ExecBackend::Vector;
     V.BlockDim = Dims[R.below(5)];
     V.FuseDepth = 1 + unsigned(R.below(3));
     V.Red = R.below(2) ? mw::Reduction::Montgomery
                        : mw::Reduction::Barrett;
     V.Schedule = R.below(2) == 1;
+
+    // The reference is the other backend's Barrett/depth-1 walk, so no
+    // backend is checked against itself.
+    rewrite::PlanOptions Ref;
+    Ref.Backend = V.Backend == rewrite::ExecBackend::SimGpu
+                      ? rewrite::ExecBackend::Vector
+                      : rewrite::ExecBackend::SimGpu;
+    Dispatcher DRef(Reg, nullptr, Ref);
+    auto Want = Packed;
+    ASSERT_TRUE(Run(DRef, Want.data())) << DRef.error();
+
     Dispatcher D(Reg, nullptr, V);
     auto Data = Packed;
     ASSERT_TRUE(Run(D, Data.data())) << D.error();
@@ -397,10 +375,8 @@ TEST(DifferentialFuzz, RnsVMulAndPolyMul) {
     unsigned WW = Ctx.wideWords();
 
     rewrite::PlanOptions Base;
-    std::uint64_t BackendDraw = R.below(3);
-    Base.Backend = BackendDraw == 0   ? rewrite::ExecBackend::Serial
-                   : BackendDraw == 1 ? rewrite::ExecBackend::SimGpu
-                                      : rewrite::ExecBackend::Vector;
+    Base.Backend = R.below(2) ? rewrite::ExecBackend::SimGpu
+                              : rewrite::ExecBackend::Vector;
     Base.BlockDim = Base.Backend == rewrite::ExecBackend::SimGpu
                         ? (64u << (R.below(3)))
                         : 0;

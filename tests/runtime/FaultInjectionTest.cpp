@@ -241,36 +241,45 @@ TEST(InterpBackend, NttAndPolyMulMatchJitBothRings) {
   KernelRegistry Reg(Dir.options());
   const Bignum Q = q60();
   const unsigned K = Dispatcher::elemWords(Q);
-  const size_t N = 16, Batch = 3;
   rewrite::PlanOptions Jit; // FuseDepth 1; fused depths ride FuseDepth > 1
   rewrite::PlanOptions Interp = Jit;
   Interp.Backend = rewrite::ExecBackend::Interp;
   Interp.FuseDepth = 2; // exercise the fused stage-group host mirror
   Dispatcher DJ(Reg, nullptr, Jit), DI(Reg, nullptr, Interp);
 
-  for (rewrite::NttRing Ring : {rewrite::NttRing::Cyclic,
-                                rewrite::NttRing::Negacyclic}) {
-    std::vector<std::uint64_t> Data = randomWords(R, Q, N * Batch);
-    std::vector<std::uint64_t> Want = Data, Got = Data;
-    ASSERT_TRUE(DJ.nttForward(Q, Want.data(), N, Batch, Ring))
-        << DJ.error();
-    ASSERT_TRUE(DI.nttForward(Q, Got.data(), N, Batch, Ring)) << DI.error();
-    EXPECT_EQ(Got, Want) << "forward transform diverges";
-    ASSERT_TRUE(DJ.nttInverse(Q, Want.data(), N, Batch, Ring));
-    ASSERT_TRUE(DI.nttInverse(Q, Got.data(), N, Batch, Ring)) << DI.error();
-    EXPECT_EQ(Got, Want) << "inverse transform diverges";
-    EXPECT_EQ(Got, Data) << "round trip lost the input";
+  // n = 16 at depth 2 is two edge groups; n = 64 adds an in-place middle
+  // group, which the staged walker runs like every other group.
+  struct Shape {
+    size_t N, Batch;
+  };
+  for (Shape S : {Shape{16, 3}, Shape{64, 2}}) {
+    const size_t N = S.N, Batch = S.Batch;
+    for (rewrite::NttRing Ring : {rewrite::NttRing::Cyclic,
+                                  rewrite::NttRing::Negacyclic}) {
+      std::vector<std::uint64_t> Data = randomWords(R, Q, N * Batch);
+      std::vector<std::uint64_t> Want = Data, Got = Data;
+      ASSERT_TRUE(DJ.nttForward(Q, Want.data(), N, Batch, Ring))
+          << DJ.error();
+      ASSERT_TRUE(DI.nttForward(Q, Got.data(), N, Batch, Ring))
+          << DI.error();
+      EXPECT_EQ(Got, Want) << "forward transform diverges";
+      ASSERT_TRUE(DJ.nttInverse(Q, Want.data(), N, Batch, Ring));
+      ASSERT_TRUE(DI.nttInverse(Q, Got.data(), N, Batch, Ring))
+          << DI.error();
+      EXPECT_EQ(Got, Want) << "inverse transform diverges";
+      EXPECT_EQ(Got, Data) << "round trip lost the input";
 
-    std::vector<std::uint64_t> A = randomWords(R, Q, N * Batch),
-                               B = randomWords(R, Q, N * Batch),
-                               CW(N * Batch * K), CI(N * Batch * K);
-    ASSERT_TRUE(DJ.polyMul(Q, A.data(), B.data(), CW.data(), N, Batch,
-                           Ring));
-    ASSERT_TRUE(
-        DI.polyMul(Q, A.data(), B.data(), CI.data(), N, Batch, Ring))
-        << DI.error();
-    EXPECT_EQ(CI, CW) << "polyMul diverges on ring "
-                      << rewrite::nttRingName(Ring);
+      std::vector<std::uint64_t> A = randomWords(R, Q, N * Batch),
+                                 B = randomWords(R, Q, N * Batch),
+                                 CW(N * Batch * K), CI(N * Batch * K);
+      ASSERT_TRUE(DJ.polyMul(Q, A.data(), B.data(), CW.data(), N, Batch,
+                             Ring));
+      ASSERT_TRUE(
+          DI.polyMul(Q, A.data(), B.data(), CI.data(), N, Batch, Ring))
+          << DI.error();
+      EXPECT_EQ(CI, CW) << "polyMul diverges on ring "
+                        << rewrite::nttRingName(Ring) << ", n = " << N;
+    }
   }
 }
 
@@ -455,11 +464,11 @@ TEST(FaultSites, SimLaunchFaultFailsGracefullyThenHeals) {
   EXPECT_FALSE(D.vmul(Q, A.data(), B.data(), C.data(), N));
   EXPECT_NE(D.error().find("sim.launch"), std::string::npos) << D.error();
 
-  // One-shot fault: the next launch heals and matches the serial answer.
+  // One-shot fault: the next launch heals and matches the vector answer.
   ASSERT_TRUE(D.vmul(Q, A.data(), B.data(), C.data(), N)) << D.error();
-  Dispatcher Serial(Reg);
+  Dispatcher DV(Reg);
   std::vector<std::uint64_t> Want(N * K);
-  ASSERT_TRUE(Serial.vmul(Q, A.data(), B.data(), Want.data(), N));
+  ASSERT_TRUE(DV.vmul(Q, A.data(), B.data(), Want.data(), N));
   EXPECT_EQ(C, Want);
 }
 

@@ -3,7 +3,7 @@
 // Coverage for the fused-stage NTT pipeline (runtime/NttPipeline.h):
 //
 //  * bit-identity of fused execution across FuseDepth {1,2,3} x backend
-//    {serial, sim-GPU} x reduction knob {Barrett, Montgomery} (both bind
+//    {sim-GPU, vector} x reduction knob {Barrett, Montgomery} (both bind
 //    the one Shoup butterfly) x width {1,2,4} x transform sizes including
 //    non-multiple stage counts (n = 32 with depth 3 leaves a 2-stage tail
 //    group);
@@ -109,19 +109,20 @@ TEST(FusedNtt, BitIdentityAcrossDepthBackendReductionWidth) {
       auto Polys = randomElems(R, Q, N * Batch);
       auto Packed = packBatch(Polys, K);
 
-      // Reference: the historical shape — serial backend, Barrett,
-      // depth 1.
-      Dispatcher DRef(registry(), nullptr,
-                      pinned(ExecBackend::Serial, 1));
-      auto Fwd = Packed;
-      ASSERT_TRUE(DRef.nttForward(Q, Fwd.data(), N, Batch)) << DRef.error();
-      auto Round = Fwd;
-      ASSERT_TRUE(DRef.nttInverse(Q, Round.data(), N, Batch))
-          << DRef.error();
-      EXPECT_EQ(Round, Packed) << "reference roundtrip, w=" << W
-                               << " n=" << N;
-
-      for (ExecBackend B : {ExecBackend::Serial, ExecBackend::SimGpu})
+      for (ExecBackend B : {ExecBackend::SimGpu, ExecBackend::Vector}) {
+        // Reference: the other backend's Barrett, depth-1 walk, so no
+        // backend is checked against itself.
+        ExecBackend RefB = B == ExecBackend::SimGpu ? ExecBackend::Vector
+                                                    : ExecBackend::SimGpu;
+        Dispatcher DRef(registry(), nullptr, pinned(RefB, 1));
+        auto Fwd = Packed;
+        ASSERT_TRUE(DRef.nttForward(Q, Fwd.data(), N, Batch))
+            << DRef.error();
+        auto Round = Fwd;
+        ASSERT_TRUE(DRef.nttInverse(Q, Round.data(), N, Batch))
+            << DRef.error();
+        EXPECT_EQ(Round, Packed) << "reference roundtrip, w=" << W
+                                 << " n=" << N;
         for (mw::Reduction Red :
              {mw::Reduction::Barrett, mw::Reduction::Montgomery})
           for (unsigned Depth : {1u, 2u, 3u}) {
@@ -143,6 +144,7 @@ TEST(FusedNtt, BitIdentityAcrossDepthBackendReductionWidth) {
                 << " red=" << mw::reductionName(Red)
                 << " depth=" << Depth;
           }
+      }
     }
   }
 }
@@ -223,7 +225,7 @@ TEST(FusedNtt, BatchedTransformIssuesCeilLogNOverKDispatches) {
          "dispatch a separate vmul";
 
   // Depth 1 on the same problem: the classic log2(n) dispatches.
-  Dispatcher D1(registry(), nullptr, pinned(ExecBackend::Serial, 1));
+  Dispatcher D1(registry(), nullptr, pinned(ExecBackend::Vector, 1));
   std::vector<std::uint64_t> Small(N * 2 * K, 0);
   ASSERT_TRUE(D1.nttForward(Q, Small.data(), N, 2)) << D1.error();
   EXPECT_EQ(D1.dispatchStats().StageGroups, 8u);
@@ -293,9 +295,8 @@ AutotunerOptions quickNttTune() {
   O.MaxCalibrationElems = 128;
   O.Repeats = 1;
   O.BlockDims = {64};
-  // Keep the sweep to backend x depth: 3 backend geometries (serial,
-  // sim-GPU b64, vector) x 3 depths = 9 timed candidates per transform
-  // problem.
+  // Keep the sweep to backend x depth: 2 backend geometries (sim-GPU
+  // b64, vector) x 3 depths = 6 timed candidates per transform problem.
   O.TuneReduction = false;
   O.TunePrune = false;
   O.TuneSchedule = false;
@@ -327,16 +328,16 @@ TEST(FusedNtt, TunerSweepsFuseDepthPerTransformSize) {
 TEST(FusedNtt, TransformSweepTimesEachCanonicalPlanOnce) {
   // With the reduction axis on, a transform problem still times each
   // canonical butterfly plan once: the knob folds for the butterfly, so
-  // 3 backend geometries x 3 depths = 9 candidates. Mulmod keeps both
-  // reductions: 2 x 3 geometries = 6 more.
+  // 2 backend geometries x 3 depths = 6 candidates. Mulmod keeps both
+  // reductions: 2 x 2 geometries = 4 more.
   AutotunerOptions O = quickNttTune();
   O.TuneReduction = true;
   Autotuner T(registry(), O);
   Bignum Q = field::nttPrime(60, 10);
   ASSERT_NE(T.chooseNtt(Q, {}, 64, 2), nullptr) << T.error();
-  EXPECT_EQ(T.stats().Candidates, 9u);
+  EXPECT_EQ(T.stats().Candidates, 6u);
   ASSERT_NE(T.choose(KernelOp::MulMod, Q), nullptr) << T.error();
-  EXPECT_EQ(T.stats().Candidates, 9u + 6u);
+  EXPECT_EQ(T.stats().Candidates, 6u + 4u);
 }
 
 TEST(FusedNtt, FuseDepthRoundTripsThroughTheTuneCache) {
@@ -367,14 +368,14 @@ TEST(FusedNtt, FuseDepthRoundTripsThroughTheTuneCache) {
 
 TEST(FusedNtt, AutotunedDispatcherMatchesPinnedBitForBit) {
   // End to end: a tuner-driven dispatcher (whatever depth/backend wins)
-  // must agree with the pinned reference on the same data.
+  // must agree with the interpreter's depth-1 walk on the same data.
   Bignum Q = field::nttPrime(124, 10);
   unsigned K = Dispatcher::elemWords(Q);
   const size_t N = 64, Batch = 3;
   SeededRng R(0xF05ED5);
   auto Polys = randomElems(R, Q, N * Batch);
   auto Want = packBatch(Polys, K);
-  Dispatcher DRef(registry(), nullptr, pinned(ExecBackend::Serial, 1));
+  Dispatcher DRef(registry(), nullptr, pinned(ExecBackend::Interp, 1));
   ASSERT_TRUE(DRef.nttForward(Q, Want.data(), N, Batch)) << DRef.error();
 
   Autotuner T(registry(), quickNttTune());
@@ -406,12 +407,12 @@ TEST(FusedNtt, CachesEvictLeastRecentlyUsed) {
   // table sets, so two of the three sizes below fit at a time.
   size_t Cap = 0;
   {
-    Dispatcher Probe(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+    Dispatcher Probe(registry(), nullptr, pinned(ExecBackend::Vector, 2));
     ASSERT_TRUE(Forward(Probe, 16)) << Probe.error();
     ASSERT_TRUE(Forward(Probe, 32)) << Probe.error();
     Cap = Probe.cacheCounters().TableBytes;
   }
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector, 2));
   D.setCacheCaps(/*MaxBoundPlans=*/2, /*MaxTableBytes=*/Cap);
 
   for (size_t N : {8, 16, 32, 8})
@@ -450,7 +451,7 @@ TEST(FusedNtt, TableCacheChargesBytesNotEntries) {
   // moduli x both rings — prime generation dominates the test's time)
   // all stay resident under the default byte cap. An entry-count cap of
   // 64 rebuilt a third of them on every pass.
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector, 2));
   const size_t N = 64;
   for (unsigned T = 0; T < 48; ++T) {
     Bignum Q = field::nttPrime(252, 16, 7000 + T);
@@ -465,7 +466,7 @@ TEST(FusedNtt, TableCacheChargesBytesNotEntries) {
 
   // Few large ones: a cap below two 2^14-point table sets keeps only
   // the newer set.
-  Dispatcher Big(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  Dispatcher Big(registry(), nullptr, pinned(ExecBackend::Vector, 2));
   const size_t BigN = size_t(1) << 14;
   const Bignum Q1 = field::nttPrime(252, 16, 7000),
                Q2 = field::nttPrime(252, 16, 7001);
@@ -527,7 +528,7 @@ TEST(FusedNtt, NegacyclicBitIdentityAcrossDepthBackendReduction) {
       };
       std::vector<Bignum> Ref = LibForward(Poly);
 
-      for (ExecBackend B : {ExecBackend::Serial, ExecBackend::SimGpu})
+      for (ExecBackend B : {ExecBackend::SimGpu, ExecBackend::Vector})
         for (unsigned Depth = 1; Depth <= 3; ++Depth)
           for (mw::Reduction Red :
                {mw::Reduction::Barrett, mw::Reduction::Montgomery}) {
@@ -597,7 +598,7 @@ TEST(FusedNtt, NegacyclicAddsZeroDispatchesAtEqualShape) {
   auto A = packBatch(Polys, K), B = A;
   std::vector<std::uint64_t> C(A.size());
 
-  for (ExecBackend BK : {ExecBackend::Serial, ExecBackend::SimGpu})
+  for (ExecBackend BK : {ExecBackend::SimGpu, ExecBackend::Vector})
     for (unsigned Depth : {1u, 3u}) {
       Dispatcher D(registry(), nullptr, pinned(BK, Depth));
       ASSERT_TRUE(D.polyMul(Q, A.data(), B.data(), C.data(), N, Batch,

@@ -183,7 +183,7 @@ TEST(RnsRuntime, DecomposeMatchesEncodeAndRoundtripsBothBackends) {
   const size_t N = 33; // odd length exercises the grid tail block
   auto A = randomWide(R, Ctx, N);
   auto AW = packBatch(A, WW);
-  for (ExecBackend B : {ExecBackend::Serial, ExecBackend::SimGpu}) {
+  for (ExecBackend B : {ExecBackend::SimGpu, ExecBackend::Vector}) {
     Dispatcher D(registry(), nullptr, pinned(B));
     std::vector<std::uint64_t> Res(Ctx.numLimbs() * N, ~0ull),
         Back(N * WW);
@@ -322,7 +322,7 @@ TEST(RnsRuntime, LimbCountNeverAddsCompiledPlans) {
     auto AW = packBatch(A, WW), BW = packBatch(B, WW);
     std::vector<std::uint64_t> CW(N * WW);
     KernelRegistry Fresh;
-    Dispatcher D(Fresh, nullptr, pinned(ExecBackend::Serial, 2));
+    Dispatcher D(Fresh, nullptr, pinned(ExecBackend::Vector, 2));
     ASSERT_TRUE(D.rnsPolyMul(Ctx, AW.data(), BW.data(), CW.data(), NP,
                              Batch, NttRing::Cyclic))
         << D.error();
@@ -347,7 +347,7 @@ TEST(RnsRuntime, DispatchStatsExactPerLimbArithmetic) {
   auto A = randomWide(R, Ctx, N), B = randomWide(R, Ctx, N);
   auto AW = packBatch(A, WW), BW = packBatch(B, WW);
   std::vector<std::uint64_t> CW(N * WW);
-  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Vector, 2));
 
   auto Before = D.dispatchStats();
   ASSERT_TRUE(D.rnsPolyMul(Ctx, AW.data(), BW.data(), CW.data(), NP, Batch,
@@ -395,7 +395,8 @@ TEST(RnsRuntime, PlanKeyCanonicalization) {
   EXPECT_EQ(Dec.Opts.FuseDepth, 1u);
   EXPECT_EQ(Dec.Opts.Ring, NttRing::Cyclic);
   EXPECT_EQ(Dec.str(),
-            "rnsdec/c512/m60/W8/w64/barrett/schoolbook/prune/noschedule");
+            "rnsdec/c512/m60/W8/w64/barrett/schoolbook/prune/noschedule/"
+            "vec");
 
   // Recombine: the standard canonical container of the full modulus; no
   // wide-words axis (the residue port is word-sized by construction).
@@ -419,11 +420,11 @@ TEST(RnsRuntime, PlanKeyCanonicalization) {
   PlanKey Mul = PlanKey::forModulus(KernelOp::MulMod, Q, Fancy);
   EXPECT_EQ(Mul.Opts.Ring, NttRing::Cyclic);
   EXPECT_EQ(Mul.str().find("/neg"), std::string::npos);
-  // Cyclic butterfly keys keep the historical string form (60-bit limbs
-  // canonicalize to the single-word 64-bit container).
+  // Cyclic butterfly keys add no ring suffix (60-bit limbs canonicalize
+  // to the single-word 64-bit container).
   rewrite::PlanOptions Plain;
   EXPECT_EQ(PlanKey::forModulus(KernelOp::Butterfly, Q, Plain).str(),
-            "butterfly/c64/m60/w64/barrett/schoolbook/prune/noschedule");
+            "butterfly/c64/m60/w64/barrett/schoolbook/prune/noschedule/vec");
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 using namespace moma;
 using namespace moma::runtime;
@@ -65,7 +66,7 @@ TEST(PlanKey, ForModulusDerivesWidthsFromTheModulus) {
   EXPECT_EQ(K.ContainerBits, 128u);
   EXPECT_EQ(K.problemStr(), "mulmod/c128/m124/w64");
   EXPECT_EQ(K.str(), "mulmod/c128/m124/w64/barrett/schoolbook/prune/"
-                     "noschedule");
+                     "noschedule/vec");
 }
 
 TEST(PlanKey, NonMultiplyingOpsFoldTheVariantKnobs) {
@@ -128,23 +129,24 @@ TEST(KernelRegistry, RejectsNon64BitWords) {
 }
 
 TEST(KernelRegistry, RunBatchValidatesShapes) {
-  auto P =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, testModulus(124)));
+  PlanKey Key = PlanKey::forModulus(KernelOp::MulMod, testModulus(124));
+  auto P = registry().get(Key);
   ASSERT_NE(P, nullptr) << registry().error();
   BatchArgs Bad; // no pointers at all
   std::string Err;
-  EXPECT_FALSE(SerialBackend().runBatch(*P, Bad, 1, /*Rows=*/1, &Err));
-  EXPECT_NE(Err.find("output arrays"), std::string::npos);
+  EXPECT_FALSE(registry().backendFor(Key).runBatch(*P, Bad, 1, 1, &Err));
+  EXPECT_NE(Err.find("shape mismatch"), std::string::npos) << Err;
 
-  // The interp backend walks the same element loop, so the same malformed
-  // call fails with the same message.
+  // The interp backend walks its own element loop and names the port
+  // array that is missing.
   rewrite::PlanOptions Interp;
   Interp.Backend = rewrite::ExecBackend::Interp;
-  auto PI = registry().get(
-      PlanKey::forModulus(KernelOp::MulMod, testModulus(124), Interp));
+  PlanKey IKey = PlanKey::forModulus(KernelOp::MulMod, testModulus(124),
+                                     Interp);
+  auto PI = registry().get(IKey);
   ASSERT_NE(PI, nullptr) << registry().error();
   Err.clear();
-  EXPECT_FALSE(InterpBackend().runBatch(*PI, Bad, 1, /*Rows=*/1, &Err));
+  EXPECT_FALSE(registry().backendFor(IKey).runBatch(*PI, Bad, 1, 1, &Err));
   EXPECT_NE(Err.find("output arrays"), std::string::npos) << Err;
 }
 
@@ -475,6 +477,53 @@ TEST(Autotuner, LoadRejectsOlderCacheVersions) {
   EXPECT_FALSE(T.load(Path));
   EXPECT_NE(T.error().find("version"), std::string::npos) << T.error();
   EXPECT_EQ(T.numDecisions(), 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(Autotuner, LoadSkipsBackendsItDoesNotRun) {
+  // A decision naming a backend this build does not run (serial, say,
+  // from a cache written while that backend existed) is skipped, so its
+  // problem re-tunes on demand; the file's other entries still load.
+  namespace fs = std::filesystem;
+  std::string Path =
+      (fs::temp_directory_path() / "moma-tune-serial.json").string();
+  std::remove(Path.c_str());
+  Bignum Q = testModulus(124);
+  {
+    Autotuner T(registry(), quickTune());
+    ASSERT_NE(T.choose(KernelOp::MulMod, Q), nullptr) << T.error();
+    ASSERT_NE(T.choose(KernelOp::AddMod, Q), nullptr) << T.error();
+    ASSERT_TRUE(T.save(Path));
+  }
+  // One entry per line: the mulmod decision now names serial, the addmod
+  // one vector.
+  std::string Text;
+  {
+    std::ifstream In(Path);
+    const std::string Field = "\"backend\": \"";
+    for (std::string Line; std::getline(In, Line); Text += Line + "\n") {
+      size_t At = Line.find(Field);
+      if (At == std::string::npos)
+        continue;
+      size_t From = At + Field.size(), To = Line.find('"', From);
+      bool Mul = Line.find("\"problem\": \"mulmod/") != std::string::npos;
+      Line.replace(From, To - From, Mul ? "serial" : "vector");
+    }
+  }
+  std::ofstream(Path) << Text;
+
+  Autotuner T2(registry(), quickTune());
+  ASSERT_TRUE(T2.load(Path)) << T2.error();
+  EXPECT_EQ(T2.numDecisions(), 1u) << "the serial entry must be skipped";
+  const TuneDecision *Add = T2.choose(KernelOp::AddMod, Q);
+  ASSERT_NE(Add, nullptr) << T2.error();
+  EXPECT_TRUE(Add->FromCache);
+  EXPECT_EQ(Add->Opts.Backend, rewrite::ExecBackend::Vector);
+  EXPECT_EQ(T2.stats().Tuned, 0u);
+  const TuneDecision *Mul = T2.choose(KernelOp::MulMod, Q);
+  ASSERT_NE(Mul, nullptr) << T2.error();
+  EXPECT_FALSE(Mul->FromCache) << "the serial problem must re-tune";
+  EXPECT_EQ(T2.stats().Tuned, 1u);
   std::remove(Path.c_str());
 }
 

@@ -1,7 +1,7 @@
 //===- tests/runtime/VectorBackendTest.cpp - SIMD vector backend --------------===//
 //
 // Coverage for the vector backend: plan-cache keying with the /vec
-// suffix, the emitted scalar function's inlining rule, vector vs serial
+// suffix, the emitted scalar function's inlining rule, vector vs sim-GPU
 // bit-identical execution through the dispatcher (element-wise,
 // broadcast-stride, NTT stages and fused groups, whole polynomial
 // products) including batches that fill, split and undershoot the fused
@@ -44,6 +44,12 @@ rewrite::PlanOptions vectorBase() {
   return O;
 }
 
+rewrite::PlanOptions simGpuBase() {
+  rewrite::PlanOptions O;
+  O.Backend = ExecBackend::SimGpu;
+  return O;
+}
+
 std::vector<Bignum> randomElems(Rng &R, const Bignum &Q, size_t N) {
   std::vector<Bignum> Out;
   for (size_t I = 0; I < N; ++I)
@@ -80,19 +86,25 @@ TEST(VectorPlanKey, VectorFoldsTheBlockDimAndSerialFoldsTheWidth) {
   EXPECT_EQ(A.Opts.BlockDim, 0u);
 }
 
-TEST(VectorPlanKey, SerialAndVectorAreDistinctCacheEntries) {
+TEST(VectorPlanKey, InterpAndVectorAreDistinctCacheEntries) {
+  // The interpreter rung's plan for a problem sits beside the default
+  // vector plan, not in its place: it carries the scalar kernel and no
+  // module, the vector plan the compiled entries.
   Bignum Q = testModulus(124);
+  rewrite::PlanOptions InterpOpts;
+  InterpOpts.Backend = ExecBackend::Interp;
   for (KernelOp Op : {KernelOp::AddMod, KernelOp::SubMod, KernelOp::MulMod,
                       KernelOp::Axpy, KernelOp::Butterfly}) {
-    auto PS = registry().get(PlanKey::forModulus(Op, Q));
-    ASSERT_NE(PS, nullptr) << registry().error();
+    auto PI = registry().get(PlanKey::forModulus(Op, Q, InterpOpts));
+    ASSERT_NE(PI, nullptr) << registry().error();
     auto PV = registry().get(PlanKey::forModulus(Op, Q, vectorBase()));
     ASSERT_NE(PV, nullptr) << registry().error();
-    EXPECT_NE(PS.get(), PV.get());
-    EXPECT_NE(PS->Emitted.Symbol, PV->Emitted.Symbol) << kernelOpName(Op);
-    EXPECT_NE(PS->Fn, nullptr);
-    EXPECT_EQ(PS->GroupFn, nullptr);
-    EXPECT_NE(PV->Fn, nullptr);
+    EXPECT_NE(PI.get(), PV.get());
+    EXPECT_NE(PI->InterpKernel, nullptr) << kernelOpName(Op);
+    EXPECT_EQ(PI->Module, nullptr) << kernelOpName(Op);
+    EXPECT_EQ(PI->Fn, nullptr) << kernelOpName(Op);
+    EXPECT_EQ(PV->InterpKernel, nullptr) << kernelOpName(Op);
+    EXPECT_NE(PV->Fn, nullptr) << kernelOpName(Op);
     // Only butterfly plans resolve the fused NTT stage-group entry.
     EXPECT_EQ(PV->GroupFn != nullptr, Op == KernelOp::Butterfly)
         << kernelOpName(Op);
@@ -125,39 +137,11 @@ TEST(VectorEmitter, OutOfLineScalarBodyOnlyAboveTheInlineLimit) {
 }
 
 //===----------------------------------------------------------------------===//
-// Backend mismatch
-//===----------------------------------------------------------------------===//
-
-TEST(VectorGeometry, SerialPathRefusesVectorPlans) {
-  Bignum Q = testModulus(124);
-  auto PV =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, vectorBase()));
-  ASSERT_NE(PV, nullptr) << registry().error();
-  BatchArgs Args;
-  std::string Err;
-  EXPECT_FALSE(SerialBackend().runBatch(*PV, Args, 0, /*Rows=*/1, &Err))
-      << "the serial path must not silently run a vector plan";
-  EXPECT_NE(Err.find("vector"), std::string::npos) << Err;
-}
-
-TEST(VectorGeometry, VectorBackendRefusesSerialPlans) {
-  Bignum Q = testModulus(124);
-  auto PS = registry().get(PlanKey::forModulus(KernelOp::MulMod, Q));
-  ASSERT_NE(PS, nullptr) << registry().error();
-  BatchArgs Args;
-  std::string Err;
-  VectorBackend VB;
-  EXPECT_FALSE(VB.runBatch(*PS, Args, 0, 1, &Err))
-      << "the vector backend must not silently run a serial plan";
-  EXPECT_NE(Err.find("lane-loop"), std::string::npos) << Err;
-}
-
-//===----------------------------------------------------------------------===//
-// Serial vs vector bit-identical execution
+// Vector vs sim-GPU bit-identical execution
 //===----------------------------------------------------------------------===//
 
 TEST(VectorExecution, ElementwiseMatchesSerialBitForBit) {
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, simGpuBase());
   Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(252);
   SeededRng R(0xEC1);
@@ -227,7 +211,7 @@ TEST(VectorExecution, BatchRowsFlattenWithBroadcastOperands) {
 }
 
 TEST(VectorExecution, NttMatchesSerialBitForBit) {
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, simGpuBase());
   Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(124);
   const size_t N = 64, Batch = 5; // a partial lane block
@@ -250,10 +234,10 @@ TEST(VectorExecution, NttMatchesSerialBitForBit) {
 TEST(VectorExecution, WidthSweepOnTransformsMatchesSerial) {
   // Sweep batch sizes around the fused entry's lane block (one row, a
   // partial block, exactly one block, one block plus a row, two blocks
-  // plus a row) on both rings and demand bit-identity with the serial
+  // plus a row) on both rings and demand bit-identity with the sim-GPU
   // stage walk.
   static_assert(codegen::VectorLanes == 8, "batches below assume 8 lanes");
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, simGpuBase());
   Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(124);
   unsigned K = Dispatcher::elemWords(Q);
@@ -282,7 +266,7 @@ TEST(VectorExecution, WidthSweepOnTransformsMatchesSerial) {
 }
 
 TEST(VectorExecution, PolyMulMatchesSerialOnBothRings) {
-  Dispatcher DS(registry());
+  Dispatcher DS(registry(), nullptr, simGpuBase());
   Dispatcher DV(registry(), nullptr, vectorBase());
   Bignum Q = testModulus(252);
   const size_t N = 32, Batch = 3;
@@ -305,7 +289,7 @@ TEST(VectorExecution, PolyMulMatchesSerialOnBothRings) {
 TEST(VectorExecution, MontgomeryVariantMatchesSerial) {
   rewrite::PlanOptions MontV = vectorBase();
   MontV.Red = mw::Reduction::Montgomery;
-  rewrite::PlanOptions MontS;
+  rewrite::PlanOptions MontS = simGpuBase();
   MontS.Red = mw::Reduction::Montgomery;
   Dispatcher DS(registry(), nullptr, MontS);
   Dispatcher DV(registry(), nullptr, MontV);
@@ -368,14 +352,14 @@ TEST(VectorTune, PinnedVectorDecisionRoundTripsThroughJson) {
 TEST(VectorTune, SweepIncludesVectorCandidates) {
   // With the backend sweep on, the candidate grid must include the
   // vector backend: either it wins outright or the sweep timed it (the
-  // candidate count exceeds a serial+simgpu-only grid).
+  // candidate count exceeds a sim-GPU-only grid).
   AutotunerOptions O = quickVectorTune();
   Autotuner T(registry(), O);
   Bignum Q = testModulus(60);
   const TuneDecision *D = T.choose(KernelOp::MulMod, Q, {}, 4096);
   ASSERT_NE(D, nullptr) << T.error();
   // reduction x prune x schedule grid = 8 knob combinations; backends
-  // per combination: serial + 1 block dim + vector = 3.
-  EXPECT_GE(T.stats().Candidates, 24u)
+  // per combination: 1 block dim + vector = 2.
+  EXPECT_GE(T.stats().Candidates, 16u)
       << "vector candidates missing from the sweep";
 }

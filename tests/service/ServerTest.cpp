@@ -532,7 +532,8 @@ TEST(KernelRegistry, LruEvictionKeepsHeldPlansCallable) {
   KernelRegistry Reg(Dir.options());
   Reg.setCacheCap(1);
   const Bignum Q = q60();
-  auto PA = Reg.get(PlanKey::forModulus(KernelOp::MulMod, Q));
+  PlanKey KeyA = PlanKey::forModulus(KernelOp::MulMod, Q);
+  auto PA = Reg.get(KeyA);
   ASSERT_NE(PA, nullptr) << Reg.error();
   auto PB = Reg.get(PlanKey::forModulus(KernelOp::AddMod, Q));
   ASSERT_NE(PB, nullptr) << Reg.error();
@@ -551,7 +552,7 @@ TEST(KernelRegistry, LruEvictionKeepsHeldPlansCallable) {
   Args.Ins = {AW.data(), BW.data()};
   Args.Aux = Aux.ptrs();
   std::string Err;
-  ASSERT_TRUE(SerialBackend().runBatch(*PA, Args, 1, /*Rows=*/1, &Err))
+  ASSERT_TRUE(Reg.backendFor(KeyA).runBatch(*PA, Args, 1, /*Rows=*/1, &Err))
       << Err;
   EXPECT_EQ(unpackWordsMsbFirst(CW.data(), K), Bignum(15));
 
@@ -643,7 +644,7 @@ TEST(AutotunerMT, ColdProblemSingleFlightsOntoOneSweep) {
   TO.CalibrationElems = 16;
   TO.MaxCalibrationElems = 16;
   TO.Repeats = 1;
-  TO.TuneBackend = false; // keep the sweep to two fast serial candidates
+  TO.TuneBackend = false; // keep the sweep to two fast vector candidates
   TO.TunePrune = false;
   TO.TuneSchedule = false;
   Autotuner Tuner(Reg, TO);

@@ -18,8 +18,8 @@
 //                                         multiplies by Shoup's method)
 //            [--no-prune]                (skip the §4 zero-word pruning)
 //            [--schedule]                (pressure-aware list scheduling)
-//            [--backend serial|simgpu|vector] (execution backend;
-//                                         default serial)
+//            [--backend simgpu|vector]   (print the runtime translation
+//                                         unit for that backend)
 //            [--block-dim <n>]           (simgpu threads/block, <= 1024)
 //            [--fuse-depth <k>]          (NTT stage fusion, 1..3; butterfly)
 //            [--ring cyclic|negacyclic]  (NTT ring; butterfly tune/keys)
@@ -28,15 +28,18 @@
 //            [--emit ir|c|cuda|stats|pass-stats|tune]  (default c)
 //            [--tune-cache <path>]       (persist/reuse autotune JSON)
 //
-// `--emit c` with `--backend simgpu` prints the grid-shaped source (the
-// §5.1 CUDA thread mapping as host-JIT C; butterfly kernels include the
-// fused radix-2^k stage-group entry) and with `--backend vector` the
-// vector source (the batch element loop, plus the fused entry with batch
-// rows in SIMD lanes for butterflies); `--emit tune` sweeps the backend
-// and block-dim axes alongside reduction/pruning/scheduling — butterfly
-// kernels tune the transform-shaped problem (a batched 256-point NTT
-// through the fused pipeline, via Autotuner::chooseNtt), so the fusion
-// depth is swept and reported alongside the backend.
+// `--emit c` without `--backend` prints the scalar C function (the
+// paper's listing form, in -w machine words); with `--backend simgpu` it
+// prints the grid-shaped source (the §5.1 CUDA thread mapping as host-JIT
+// C; butterfly kernels include the fused radix-2^k stage-group entry) and
+// with `--backend vector` the vector source (the batch element loop, plus
+// the fused entry with batch rows in SIMD lanes for butterflies). The
+// CUDA output and the runtime translation units spell 64-bit ports, so
+// `--emit cuda` and `--backend` need `-w 64`. `--emit tune` sweeps the
+// backend and block-dim axes alongside reduction/pruning/scheduling —
+// butterfly kernels tune the transform-shaped problem (a batched
+// 256-point NTT through the fused pipeline, via Autotuner::chooseNtt), so
+// the fusion depth is swept and reported alongside the backend.
 //
 // Every pruned plan runs the one pruning pipeline (rewrite/PassManager.h),
 // and `--no-prune` skips it. `--emit pass-stats` lowers the kernel, runs
@@ -76,7 +79,7 @@
 #include "field/PrimeGen.h"
 #include "ir/Printer.h"
 #include "kernels/BlasKernels.h"
-#include "kernels/NttKernels.h"
+#include "kernels/ScalarKernels.h"
 #include "rewrite/PassManager.h"
 #include "rewrite/PlanOptions.h"
 #include "rewrite/Schedule.h"
@@ -101,7 +104,7 @@ namespace {
       "          [--karatsuba] [--reduction barrett|montgomery]\n"
       "          (--reduction shapes mulmod/axpy, never the butterfly)\n"
       "          [--no-prune] [--schedule]\n"
-      "          [--backend serial|simgpu|vector] [--block-dim <n>]\n"
+      "          [--backend simgpu|vector] [--block-dim <n>]\n"
       "          [--fuse-depth <k>] [--ring cyclic|negacyclic]\n"
       "          [--rns-limbs <L>] [--device h100|rtx4090|v100|host]\n"
       "          [--emit ir|c|cuda|stats|pass-stats|tune]\n"
@@ -154,6 +157,7 @@ int main(int argc, char **argv) {
   std::string DeviceName = "host";
   unsigned Bits = 128, ModBits = 0, WordBits = 64, RnsLimbs = 0;
   rewrite::PlanOptions Plan;
+  bool BackendGiven = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -186,14 +190,13 @@ int main(int argc, char **argv) {
       Plan.Schedule = true;
     else if (Arg == "--backend") {
       std::string B = Next();
-      if (B == "serial")
-        Plan.Backend = rewrite::ExecBackend::Serial;
-      else if (B == "simgpu")
+      if (B == "simgpu")
         Plan.Backend = rewrite::ExecBackend::SimGpu;
       else if (B == "vector")
         Plan.Backend = rewrite::ExecBackend::Vector;
       else
         usage(argv[0]);
+      BackendGiven = true;
     } else if (Arg == "--block-dim")
       Plan.BlockDim = std::strtoul(Next(), nullptr, 10);
     else if (Arg == "--fuse-depth")
@@ -234,10 +237,20 @@ int main(int argc, char **argv) {
     } else
       usage(argv[0]);
   }
+  if (WordBits != 16 && WordBits != 32 && WordBits != 64)
+    usage(argv[0]);
   Plan.TargetWordBits = WordBits;
   runtime::KernelOp Op;
   if (!kernelOpFor(KernelName, Op))
     usage(argv[0]);
+  if (WordBits != 64 && (BackendGiven || Emit == "cuda")) {
+    std::fprintf(stderr,
+                 "moma-gen: -w %u: the CUDA output and the runtime "
+                 "translation units use 64-bit words; drop -w or use "
+                 "--emit ir|c|stats|pass-stats without --backend\n",
+                 WordBits);
+    return 2;
+  }
   runtime::PlanKey::foldArithmeticKnobs(Op, Plan);
 
   kernels::ScalarKernelSpec Spec{Bits, ModBits, Plan.Red};
@@ -405,24 +418,37 @@ int main(int argc, char **argv) {
     return 0;
   }
   if (Emit == "c") {
-    if (Plan.Backend == rewrite::ExecBackend::SimGpu)
+    if (!BackendGiven) {
+      // The scalar function in the paper's listing form, spelled in the
+      // -w machine words the kernel was lowered to.
+      codegen::CEmitOptions COpts;
+      COpts.WordBits = WordBits;
+      std::printf("%s", codegen::emitC(L, COpts).Source.c_str());
+    } else if (Plan.Backend == rewrite::ExecBackend::SimGpu)
       // The grid-shaped source the sim-GPU backend compiles: the 5.1
       // thread mapping as host-JIT C (element-wise entry, plus the fused
       // NTT stage-group entry for butterfly kernels).
       std::printf("%s", codegen::emitGridC(L).Source.c_str());
-    else if (Plan.Backend == rewrite::ExecBackend::Vector)
+    else
       // The source the vector backend compiles at -O3 [-march=native]:
       // the batch element loop, plus the fused entry with batch rows in
       // SIMD lanes for butterflies.
       std::printf("%s", codegen::emitVectorC(L).Source.c_str());
-    else
-      std::printf("%s", codegen::emitC(L).Source.c_str());
     return 0;
   }
   if (Emit == "cuda") {
-    if (IsButterfly)
-      std::printf("%s", kernels::emitNttCuda(Spec, Plan.MulAlg).c_str());
-    else {
+    if (IsButterfly) {
+      // One NTT stage from the plan-lowered butterfly, named and bannered
+      // as kernels::emitNttCuda names its default-plan stage.
+      L.K.Name = formatv("ntt_butterfly_%u", Bits);
+      codegen::CudaEmitOptions COpts;
+      COpts.Banner = formatv(
+          "NTT butterfly, %u-bit elements, %u-bit modulus, %s multiply",
+          Bits, Spec.modBits(),
+          Plan.MulAlg == mw::MulAlgorithm::Karatsuba ? "Karatsuba"
+                                                     : "schoolbook");
+      std::printf("%s", codegen::emitCudaNttStage(L, COpts).c_str());
+    } else {
       codegen::CudaEmitOptions COpts;
       std::printf("%s", codegen::emitCudaElementwise(L, COpts).c_str());
     }
